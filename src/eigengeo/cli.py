@@ -29,6 +29,7 @@ from .errors import (
     NotPositiveDefiniteWarning,
 )
 from .estimators import (
+    EQUIDISTANT_O2,
     OrthogonalEnsemble,
     default_ensemble,
     haar_sample,
@@ -311,6 +312,12 @@ def _plot_script(csv_name: str, xlabel: str, ycols: list[tuple[int, str]]) -> st
     )
 
 
+def _given(value, default):
+    """An optional flag's value, or the experiment's default when it is
+    absent (an explicit 0 is passed on and validated, not replaced)."""
+    return default if value is None else value
+
+
 def cmd_experiment(args) -> list[str]:
     name = args.name
     outputs = []
@@ -319,10 +326,10 @@ def cmd_experiment(args) -> list[str]:
         runners = {"fig4": figure4_experiment, "fig5": figure5_experiment, "fig6": figure6_experiment}
         kwargs = {"reps": args.reps, "seed": args.seed, "paper_scale": args.paper_scale}
         if name == "fig6" and args.ensemble is not None:
-            kind, _, size = args.ensemble.partition(":")
-            if kind != "equidistant":
+            ensemble = _parse_ensemble(args.ensemble, 2, 0)
+            if ensemble.kind != EQUIDISTANT_O2:
                 raise CliInputError("fig6 uses an equidistant ensemble (p=2)")
-            kwargs["ensemble_size"] = int(size)
+            kwargs["ensemble_size"] = ensemble.size
         cfg = builders[name](**{k: v for k, v in kwargs.items() if v is not None})
         report = runners[name](cfg)
         header, rows = _risk_report_rows(report)
@@ -336,14 +343,15 @@ def cmd_experiment(args) -> list[str]:
                 fh.write(_plot_script(f"{name}.csv", report.param_name, yc))
             outputs.append(plot)
     elif name == "fig3":
+        seed = _given(args.seed, 0)
         ensemble = None
         if args.ensemble is not None:
-            ensemble = _parse_ensemble(args.ensemble, 2, args.seed or 0)
+            ensemble = _parse_ensemble(args.ensemble, 2, seed)
         study = figure3_experiment(
-            reps=args.reps or 10_000,
-            seed=args.seed or 0,
+            reps=_given(args.reps, 10_000),
+            seed=seed,
             alpha=args.alpha,
-            n=args.n or 10,
+            n=_given(args.n, 10),
             theta_count=args.theta_count,
             ensemble=ensemble,
             paper_scale=args.paper_scale,
@@ -378,12 +386,14 @@ def cmd_experiment(args) -> list[str]:
                                       [(4, "power full"), (6, "power eigen")]))
             outputs.append(plot)
     elif name == "bias":
-        p = args.p or 2
+        p = _given(args.p, 2)
+        if p < 1:
+            raise CliInputError(f"--p must be >= 1, got {p}")
         lam = _parse_lambda(args.lam) if args.lam else np.ones(p)
         if lam.size != p:
             raise CliInputError(f"--lambda has {lam.size} entries but --p is {p}")
         report = bias_majorization_check(
-            np.diag(lam), args.n or 10, args.reps or 100_000, args.seed or 0
+            np.diag(lam), _given(args.n, 10), _given(args.reps, 100_000), _given(args.seed, 0)
         )
         header = ["j", "mean_partial_sum", "target_partial_sum", "margin",
                   "stderr", "holds_3sigma", "trace_max_rel_dev"]
@@ -467,12 +477,14 @@ def main(argv=None) -> int:
     }
     try:
         outputs = handlers[args.command](args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CliNumericError as exc:
+    except (CliNumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (CliInputError, ValueError) as exc:
+        # ValueError: an argument outside the library's domain, e.g. too
+        # few replications for calibration.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (NearDegenerateSpectrum, NotPositiveDefinite) as exc:
         # Domain preconditions on user input, e.g. tied eigenvalues.
         print(f"error: {exc}", file=sys.stderr)

@@ -75,12 +75,11 @@ class OrthogonalEnsemble:
         total = w.sum()
         if not np.isclose(total, 1.0, rtol=0.0, atol=1e-9):
             raise ValueError(f"weights must sum to 1, got {total}")
-        p = m.shape[1]
-        eye = np.eye(p)
-        for k in range(m.shape[0]):
-            err = np.abs(m[k].T @ m[k] - eye).max()
-            if err > ORTHOGONALITY_TOLERANCE:
-                raise ValueError(f"member {k} is not orthogonal (deviation {err:.3e})")
+        errs = np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(m.shape[1])).max(axis=(1, 2))
+        bad = np.flatnonzero(errs > ORTHOGONALITY_TOLERANCE)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"member {k} is not orthogonal (deviation {errs[k]:.3e})")
         m.setflags(write=False)
         w = w / total
         w.setflags(write=False)
@@ -126,12 +125,9 @@ def haar_sample(p: int, count: int, rng) -> OrthogonalEnsemble:
     if count < 1:
         raise ValueError(f"need at least 1 sample, got {count}")
     gen = np.random.default_rng(rng)
-    mats = np.empty((count, p, p))
-    for k in range(count):
-        g = gen.standard_normal((p, p))
-        q, r = np.linalg.qr(g)
-        mats[k] = q * np.sign(np.diag(r))
-    return OrthogonalEnsemble(mats, np.full(count, 1.0 / count), HAAR_MC)
+    q, r = np.linalg.qr(gen.standard_normal((count, p, p)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return OrthogonalEnsemble(q, np.full(count, 1.0 / count), HAAR_MC)
 
 
 def default_ensemble(p: int, rng=0, o2_count: int = 50, haar_count: int = 4096) -> OrthogonalEnsemble:
@@ -211,12 +207,23 @@ def lambda_star_from_eigs(
     lbar_rows = batch / n
     diag_proj = np.einsum("rj,kji->rki", lbar_rows, W)
     exponents = -0.5 * n * np.einsum("ri,kji,rj->rk", batch, W, 1.0 / batch)
-    log_terms = np.log(ensemble.weights)[None, :] + exponents
-    peak = log_terms.max(axis=1, keepdims=True)
-    rel = np.exp(log_terms - peak)
-    denom = rel.sum(axis=1)
-    if not np.all(np.isfinite(denom)) or np.any(denom <= 0.0):
-        raise QuadratureUnderflow("all quadrature weights underflowed")
+    _, rel, denom = relative_weights(np.log(ensemble.weights)[None, :] + exponents)
     numer = np.einsum("rk,rki->ri", rel, diag_proj)
     result = numer / denom[:, None]
     return result[0] if single else result
+
+
+def relative_weights(log_terms: np.ndarray):
+    """Quadrature weights from log-scale terms, stable along the last axis.
+
+    Returns ``(peak, rel, total)``: the maxima over the last axis,
+    ``exp(log_terms - peak)`` and its sums, so the log of the weighted
+    average is ``peak + log(total)``.  Subtracting the maximum keeps the
+    largest term at exp(0) = 1 however negative the raw exponents are.
+    """
+    peak = log_terms.max(axis=-1, keepdims=True)
+    rel = np.exp(log_terms - peak)
+    total = rel.sum(axis=-1)
+    if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
+        raise QuadratureUnderflow("all quadrature weights underflowed")
+    return peak[..., 0], rel, total

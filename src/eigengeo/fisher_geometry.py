@@ -29,6 +29,7 @@ from .spd_manifold import (
     index_pairs,
     pair_offset,
     sigma_of_coords,
+    to_natural,
 )
 
 # Finite-difference policy: central differences, step scaled by the largest
@@ -394,29 +395,18 @@ def curvature_oracle_M(
     return float(np.dot(second, first))
 
 
-def _sigma_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-    gamma = base.eigenvectors
-    O = gamma @ exp_skew(SkewParams(base.dim, u_flat))
+def _covariance(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
+    O = base.eigenvectors @ exp_skew(SkewParams(base.dim, u_flat))
     m = (O * lam) @ O.T
-    m = 0.5 * (m + m.T)
-    return m[np.triu_indices(base.dim)]
+    return 0.5 * (m + m.T)
+
+
+def _sigma_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
+    return _covariance(base, lam, u_flat)[np.triu_indices(base.dim)]
 
 
 def _theta_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-    gamma = base.eigenvectors
-    O = gamma @ exp_skew(SkewParams(base.dim, u_flat))
-    m = (O * lam) @ O.T
-    prec = np.linalg.inv(0.5 * (m + m.T))
-    prec = 0.5 * (prec + prec.T)
-    packed = np.zeros(base.dim * (base.dim + 1) // 2)
-    k = 0
-    for i in range(base.dim):
-        packed[k] = -0.5 * prec[i, i]
-        k += 1
-        for j in range(i + 1, base.dim):
-            packed[k] = -prec[i, j]
-            k += 1
-    return packed
+    return to_natural(_covariance(base, lam, u_flat)).theta
 
 
 def _second_lambda_derivative(base: Spectrum, a: int, b: int, h: float, fn) -> np.ndarray:

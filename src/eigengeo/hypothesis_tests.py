@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OptimizerFailure, QuadratureUnderflow
-from .estimators import OrthogonalEnsemble, haar_sample, o2_equidistant
+from .errors import OptimizerFailure
+from .estimators import OrthogonalEnsemble, haar_sample, o2_equidistant, relative_weights
 from .spd_manifold import as_spd
-from .wishart_sim import _parallel_points, _sample_batch
+from .wishart_sim import parallel_points, sample_batch
 
 FULL_LRT = "full-lrt"
 EIGEN_LRT = "eigen-lrt"
@@ -98,16 +98,6 @@ def _full_lrt_batch(S_batch: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * p * n * (1.0 - np.log(n)) - 0.5 * traces + 0.5 * n * logdet
 
 
-def _log_group_average(log_terms: np.ndarray) -> np.ndarray:
-    """Stable log of a weighted average given log-scale terms, batch rows."""
-    peak = log_terms.max(axis=-1, keepdims=True)
-    rel = np.exp(log_terms - peak)
-    total = rel.sum(axis=-1)
-    if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
-        raise QuadratureUnderflow("all quadrature weights underflowed")
-    return peak[..., 0] + np.log(total)
-
-
 def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEnsemble) -> float:
     """Covariance-dependent part of the sample-eigenvalue log density:
     -(n/2) log det Sigma + log of the group-averaged exp(-trace(H L H^T
@@ -126,8 +116,8 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     conj = np.einsum("kij,j,klj->kil", H, eigs, H)
     quad = 0.5 * np.einsum("kil,li->k", conj, prec)
     _, logdet = np.linalg.slogdet(Sigma.matrix)
-    log_terms = np.log(ensemble.weights) - quad
-    return float(-0.5 * n * logdet + _log_group_average(log_terms))
+    peak, _, total = relative_weights(np.log(ensemble.weights) - quad)
+    return float(-0.5 * n * logdet + (peak + np.log(total)))
 
 
 def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble) -> TestStatistic:
@@ -170,7 +160,8 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble) -> 
     def make_objective(D_rows: np.ndarray):
         def objective(x: np.ndarray) -> np.ndarray:
             quad = np.einsum("rki,ri->rk", D_rows, 0.5 * np.exp(-x))
-            return -0.5 * n * x.sum(axis=1) + _log_group_average(logw[None, :] - quad)
+            peak, _, total = relative_weights(logw[None, :] - quad)
+            return -0.5 * n * x.sum(axis=1) + (peak + np.log(total))
 
         return objective
 
@@ -271,15 +262,10 @@ def calibrate(
         raise ValueError(f"calibration needs reps >= 1000, got {reps}")
     if kind not in (FULL_LRT, EIGEN_LRT):
         raise ValueError(f"unknown test kind {kind!r}")
-    stats = _null_statistics(kind, p, n, reps, seed, ensemble)
-    order = np.sort(stats)
+    S_batch = sample_batch(np.eye(p), n, reps, seed, "h0-calibration")
+    order = np.sort(_stat_batch(kind, S_batch, n, ensemble, seed))
     threshold = float(order[int(np.floor(alpha * reps))])
     return CriticalValue(alpha, threshold, reps, seed, kind)
-
-
-def _null_statistics(kind, p, n, reps, seed, ensemble) -> np.ndarray:
-    S_batch = _sample_batch(np.eye(p), n, reps, seed, "h0-calibration")
-    return _stat_batch(kind, S_batch, n, ensemble, seed)
 
 
 def _stat_batch(kind, S_batch, n, ensemble, seed) -> np.ndarray:
@@ -319,15 +305,17 @@ def power_curve(
     if kind != cv.kind:
         raise ValueError(f"critical value is for {cv.kind!r}, not {kind!r}")
     mats = [as_spd(S).matrix for S in alternatives]
+    if kind == EIGEN_LRT and ensemble is None and mats:
+        ensemble = default_test_ensemble(mats[0].shape[0], seed)
 
     def at(i: int) -> PowerPoint:
-        S_batch = _sample_batch(mats[i], n, reps, seed, "power")
+        S_batch = sample_batch(mats[i], n, reps, seed, "power")
         stats = _stat_batch(kind, S_batch, n, ensemble, seed)
         rate = float(np.mean(stats < cv.threshold))
         stderr = float(np.sqrt(rate * (1.0 - rate) / reps))
         return PowerPoint(mats[i], rate, stderr, reps)
 
-    return _parallel_points(at, len(mats))
+    return parallel_points(at, len(mats))
 
 
 def figure3_thetas(count: int = 51) -> np.ndarray:
@@ -390,47 +378,35 @@ def figure3_experiment(
     p = 2
     if ensemble is None:
         ensemble = default_test_ensemble(p, seed)
-    cv_full = calibrate(FULL_LRT, alpha, p, n, reps, seed)
-    cv_eigen = calibrate(EIGEN_LRT, alpha, p, n, reps, seed, ensemble)
     thetas = figure3_thetas(theta_count)
-    lam_rows = 1.0 + np.stack([np.cos(thetas), np.sin(thetas)], axis=1) / np.sqrt(2.0)
+    fan = [figure3_alternative(theta) for theta in thetas]
+    S_null = sample_batch(np.eye(p), n, reps, seed, "size-check")
 
-    def at(i: int):
-        S_batch = _sample_batch(np.diag(lam_rows[i]), n, reps, seed, "power")
-        stats_full = _full_lrt_batch(S_batch, n)
-        eig_rows = np.linalg.eigvalsh(S_batch)[:, ::-1]
-        stats_eigen = _eigen_lrt_batch(eig_rows, n, ensemble)
-        rate_f = float(np.mean(stats_full < cv_full.threshold))
-        rate_e = float(np.mean(stats_eigen < cv_eigen.threshold))
-        return rate_f, rate_e
+    def paired(kind, ens):
+        cv = calibrate(kind, alpha, p, n, reps, seed, ens)
+        points = power_curve(kind, fan, cv, n, reps, seed, ens)
+        size = float(np.mean(_stat_batch(kind, S_null, n, ens, seed) < cv.threshold))
+        return cv, np.array([pt.power for pt in points]), size
 
-    rates = _parallel_points(at, thetas.size)
-    power_full = np.array([r[0] for r in rates])
-    power_eigen = np.array([r[1] for r in rates])
+    cv_full, power_full, size_full = paired(FULL_LRT, None)
+    cv_eigen, power_eigen, size_eigen = paired(EIGEN_LRT, ensemble)
 
-    S_null = _sample_batch(np.eye(p), n, reps, seed, "size-check")
-    size_full = float(np.mean(_full_lrt_batch(S_null, n) < cv_full.threshold))
-    null_eigs = np.linalg.eigvalsh(S_null)[:, ::-1]
-    size_eigen = float(
-        np.mean(_eigen_lrt_batch(null_eigs, n, ensemble) < cv_eigen.threshold)
-    )
-
-    def se(rate: float) -> float:
-        return float(np.sqrt(rate * (1.0 - rate) / reps))
+    def se(rate):
+        return np.sqrt(rate * (1.0 - rate) / reps)
 
     return PowerStudy(
         thetas=thetas,
-        alternatives=lam_rows,
+        alternatives=np.array([np.diag(S) for S in fan]),
         power_full=power_full,
-        stderr_full=np.sqrt(power_full * (1.0 - power_full) / reps),
+        stderr_full=se(power_full),
         power_eigen=power_eigen,
-        stderr_eigen=np.sqrt(power_eigen * (1.0 - power_eigen) / reps),
+        stderr_eigen=se(power_eigen),
         cv_full=cv_full,
         cv_eigen=cv_eigen,
         size_full=size_full,
-        size_full_stderr=se(size_full),
+        size_full_stderr=float(se(size_full)),
         size_eigen=size_eigen,
-        size_eigen_stderr=se(size_eigen),
+        size_eigen_stderr=float(se(size_eigen)),
         n=n,
         reps=reps,
         alpha=alpha,

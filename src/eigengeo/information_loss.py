@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefiniteWarning
-from .fisher_geometry import (
-    embedding_curvature_A,
-    embedding_curvature_M,
-    inverse_metric_eigen,
-    inverse_metric_pair,
-)
+from .fisher_geometry import embedding_curvature_A, inverse_metric_pair
 from .spd_manifold import check_eigenvalue_gaps, index_pairs
 
 
@@ -85,33 +80,23 @@ def loss_contraction(eigenvalues) -> LossMatrix:
 
     The sample-size-proportional term vanishes because the spectral metric
     has no eigenvalue/rotation cross block, and the fixed-frame submanifold
-    term vanishes because its exponential-connection curvature is zero (both
-    consumed generically below).  What remains is half the double contraction
-    of the fixed-eigenvalue embedding curvature with the inverse rotation
-    metric.  Must agree with ``loss_first_order`` to near machine precision.
+    term vanishes because its exponential-connection curvature
+    (``embedding_curvature_M``, checked against ``curvature_oracle_M``) is
+    zero.  What remains is half the double contraction of the
+    fixed-eigenvalue embedding curvature with the inverse rotation metric.
+    Must agree with ``loss_first_order`` to near machine precision.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     check_eigenvalue_gaps(lam, "loss_contraction")
     p = lam.size
     pairs = index_pairs(p)
     ginv_pair = inverse_metric_pair(lam)
-    ginv_eigen = inverse_metric_eigen(lam)
 
     B = np.zeros((p, p))
     for a in range(p):
         for b in range(a, p):
-            # Exponential-connection term of the fixed-frame submanifold;
-            # the inverse metrics are diagonal, so only matched indices
-            # survive the contraction.
-            e_term = 0.0
-            for c in range(p):
-                for k, pr in enumerate(pairs):
-                    e_term += (
-                        embedding_curvature_M(lam, a, c, pr, "e")
-                        * embedding_curvature_M(lam, b, c, pr, "e")
-                        * ginv_eigen[c]
-                        * ginv_pair[k]
-                    )
+            # The inverse rotation metric is diagonal, so only matched
+            # indices survive the contraction.
             m_term = 0.0
             for k1, pr1 in enumerate(pairs):
                 for k2, pr2 in enumerate(pairs):
@@ -121,7 +106,7 @@ def loss_contraction(eigenvalues) -> LossMatrix:
                         * ginv_pair[k1]
                         * ginv_pair[k2]
                     )
-            B[a, b] = B[b, a] = e_term + 0.5 * m_term
+            B[a, b] = B[b, a] = 0.5 * m_term
     return LossMatrix(B)
 
 

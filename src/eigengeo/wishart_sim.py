@@ -30,20 +30,23 @@ from .estimators import (
     OrthogonalEnsemble,
     default_ensemble,
     lambda_star_from_eigs,
-    o2_equidistant,
 )
 from .spd_manifold import GAP_TOLERANCE_REL, SpdMatrix, as_spd
 
 
 def worker_count() -> int:
-    """Worker cap for grid-level parallelism (EIGENGEO_THREADS, else cores)."""
+    """Worker cap for grid-level parallelism: EIGENGEO_THREADS if set (a
+    positive integer, else ValueError), otherwise the number of cores."""
     env = os.environ.get("EIGENGEO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"EIGENGEO_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def replication_rng(seed: int, stream: str, rep: int) -> np.random.Generator:
@@ -90,9 +93,14 @@ def _color_batch(z: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
     return np.einsum("rni,rnj->rij", x, x)
 
 
-def _sample_batch(Sigma_matrix: np.ndarray, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
-    """Stack of product-sum matrices, one per replication substream."""
+def sample_batch(Sigma_matrix: np.ndarray, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
+    """Stack of product-sum matrices of n draws with covariance Sigma_matrix,
+    one per replication substream of ``stream`` (batched
+    ``sample_product_sum``; replication r draws from
+    ``replication_rng(seed, stream, r)``)."""
     p = Sigma_matrix.shape[0]
+    if n < p:
+        raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={p}")
     return _color_batch(_normal_batch(p, n, reps, seed, stream), Sigma_matrix)
 
 
@@ -241,12 +249,7 @@ def _method_runner(tag: str, cfg: ExperimentConfig):
     if tag == GAMMA_FRAME:
         return _batch_gamma_frame(np.eye(cfg.p))
     if tag == STAR:
-        ensemble = (
-            o2_equidistant(cfg.ensemble_size)
-            if cfg.p == 2
-            else default_ensemble(cfg.p, rng=cfg.seed)
-        )
-        return _batch_star(ensemble)
+        return _batch_star(default_ensemble(cfg.p, rng=cfg.seed, o2_count=cfg.ensemble_size))
     raise ValueError(f"unknown estimator tag {tag!r}")
 
 
@@ -278,7 +281,10 @@ def _risk_point(cfg: ExperimentConfig, z: np.ndarray, sigma: np.ndarray, target:
     return results, diff
 
 
-def _parallel_points(fn, count: int):
+def parallel_points(fn, count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``, evaluated on up to ``worker_count()``
+    threads.  Results keep index order; ``fn`` must draw its randomness from
+    replication substreams so the thread count cannot change them."""
     workers = min(worker_count(), count)
     if workers <= 1:
         return [fn(i) for i in range(count)]
@@ -301,7 +307,7 @@ def _run_risk_experiment(cfg: ExperimentConfig, sigma_of, target_of, param_name:
         value = cfg.grid[i]
         return _risk_point(cfg, z, sigma_of(value), target_of(value), runners)
 
-    outcomes = _parallel_points(at, len(cfg.grid))
+    outcomes = parallel_points(at, len(cfg.grid))
     risks = {tag: [res[tag] for res, _ in outcomes] for tag in cfg.methods}
     diffs = [d for _, d in outcomes]
     return RiskReport(
@@ -394,9 +400,11 @@ def bias_majorization_check(Sigma, n: int, reps: int, seed: int) -> Majorization
     """Verify that mean scaled sample eigenvalues majorize the population
     eigenvalues: every proper partial sum exceeds its target (3-sigma bands)
     while the full sum matches the trace exactly draw by draw."""
+    if reps < 2:
+        raise ValueError(f"need reps >= 2 for Monte-Carlo bands, got {reps}")
     Sigma = as_spd(Sigma)
     lam = np.linalg.eigvalsh(Sigma.matrix)[::-1]
-    S_batch = _sample_batch(Sigma.matrix, n, reps, seed, "bias")
+    S_batch = sample_batch(Sigma.matrix, n, reps, seed, "bias")
     lbars = np.linalg.eigvalsh(S_batch)[:, ::-1] / n
     traces = np.trace(S_batch, axis1=1, axis2=2) / n
     trace_dev = np.abs(lbars.sum(axis=1) - traces) / traces

@@ -170,3 +170,32 @@ class TestExperimentCommand:
         assert kinds == {"full-lrt", "eigen-lrt"}
         for r in calib:
             assert abs(float(r["size"]) - 0.05) < 0.03
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--reps", "0"],
+            ["fig3", "--reps", "500"],
+            ["fig6", "--ensemble", "equidistant:abc"],
+            ["fig6", "--ensemble", "haar:10"],
+        ],
+    )
+    def test_bad_arguments_exit_2(self, tmp_path, argv):
+        assert run(tmp_path, "experiment", *argv) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "2", "--n", "1"],
+            ["--p", "0"],
+            ["--reps", "0"],
+            ["--reps", "1"],
+        ],
+    )
+    def test_bias_explicit_values_validated(self, tmp_path, argv):
+        # An explicit 0 is refused, not replaced by the default.
+        assert run(tmp_path, "experiment", "bias", *argv) == 2
+        assert not (tmp_path / "bias.csv").exists()
+
+    def test_fig3_explicit_zero_n_refused(self, tmp_path):
+        assert run(tmp_path, "experiment", "fig3", "--reps", "1000", "--n", "0") == 2

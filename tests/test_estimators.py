@@ -15,7 +15,7 @@ from eigengeo import (
     replication_rng,
 )
 from eigengeo.estimators import EQUIDISTANT_O2, GAMMA_FRAME, HAAR_MC, LBAR, STAR
-from eigengeo.wishart_sim import _sample_batch
+from eigengeo.wishart_sim import sample_batch
 from conftest import random_orthogonal, rotation
 
 
@@ -39,7 +39,7 @@ class TestLbar:
     def test_monte_carlo_bias_direction(self):
         # At identity covariance the top sample eigenvalue is pushed up and
         # the bottom one down.
-        S_batch = _sample_batch(np.eye(2), 10, 100_000, 11, "test-lbar-bias")
+        S_batch = sample_batch(np.eye(2), 10, 100_000, 11, "test-lbar-bias")
         lbars = np.linalg.eigvalsh(S_batch)[:, ::-1] / 10
         means = lbars.mean(axis=0)
         stderr = lbars.std(axis=0, ddof=1) / np.sqrt(lbars.shape[0])
@@ -62,7 +62,7 @@ class TestLambdaHat:
 
     def test_monte_carlo_unbiased(self):
         sigma = np.diag([1.0, 0.8])
-        S_batch = _sample_batch(sigma, 10, 100_000, 5, "test-lh-unbiased")
+        S_batch = sample_batch(sigma, 10, 100_000, 5, "test-lh-unbiased")
         vals = S_batch[:, [0, 1], [0, 1]] / 10
         means = vals.mean(axis=0)
         stderr = vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
@@ -109,6 +109,24 @@ class TestHaarSample:
         a = haar_sample(3, 5, 77).matrices
         b = haar_sample(3, 5, 77).matrices
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_per_matrix_qr_loop(self, p):
+        # Reference: one QR per matrix over the same generator's draws.
+        gen = np.random.default_rng(2024)
+        want = np.empty((64, p, p))
+        for k in range(64):
+            q, r = np.linalg.qr(gen.standard_normal((p, p)))
+            want[k] = q * np.sign(np.diag(r))
+        assert np.array_equal(haar_sample(p, 64, 2024).matrices, want)
+
+
+class TestOrthogonalEnsemble:
+    def test_rejects_non_orthogonal_member_by_index(self):
+        mats = haar_sample(3, 6, 5).matrices.copy()
+        mats[4] *= 1.001
+        with pytest.raises(ValueError, match="member 4 is not orthogonal"):
+            OrthogonalEnsemble(mats, np.full(6, 1.0 / 6), HAAR_MC)
 
 
 class TestLambdaStar:
@@ -162,7 +180,7 @@ class TestLambdaStar:
 
     def test_order_preserved_on_wishart_draws(self):
         ens = o2_equidistant(50)
-        S_batch = _sample_batch(np.diag([1.0, 0.6]), 10, 1000, 4, "test-star-order")
+        S_batch = sample_batch(np.diag([1.0, 0.6]), 10, 1000, 4, "test-star-order")
         eigs = np.linalg.eigvalsh(S_batch)[:, ::-1]
         vals = lambda_star_from_eigs(eigs, 10, ens, check_gaps=False)
         assert np.all(vals[:, 0] >= vals[:, 1])

@@ -16,11 +16,11 @@ from eigengeo import (
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
     FULL_LRT,
-    _sample_batch,
     _stat_batch,
     figure3_alternative,
     figure3_thetas,
 )
+from eigengeo.wishart_sim import sample_batch
 from conftest import random_orthogonal
 
 
@@ -108,7 +108,7 @@ class TestCalibration:
     def test_threshold_is_order_statistic(self):
         reps, alpha = 2000, 0.05
         cv = calibrate(FULL_LRT, alpha, 2, 10, reps, 7)
-        S_batch = _sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
+        S_batch = sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
         stats = np.sort(_stat_batch(FULL_LRT, S_batch, 10, None, 7))
         assert cv.threshold == stats[int(np.floor(alpha * reps))]
         below = np.mean(stats < cv.threshold)
@@ -117,14 +117,14 @@ class TestCalibration:
     def test_median_at_half(self):
         reps = 2000
         cv = calibrate(FULL_LRT, 0.5, 2, 10, reps, 7)
-        S_batch = _sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
+        S_batch = sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
         stats = _stat_batch(FULL_LRT, S_batch, 10, None, 7)
         assert abs(np.mean(stats < cv.threshold) - 0.5) < 0.02
 
     def test_size_recheck_fresh_seed(self):
         reps = 4000
         cv = calibrate(FULL_LRT, 0.05, 2, 10, reps, 7)
-        fresh = _sample_batch(np.eye(2), 10, reps, 1234, "fresh-size")
+        fresh = sample_batch(np.eye(2), 10, reps, 1234, "fresh-size")
         rate = np.mean(_stat_batch(FULL_LRT, fresh, 10, None, 7) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps)
 
@@ -132,7 +132,7 @@ class TestCalibration:
         reps = 1500
         ens = o2_equidistant(100)
         cv = calibrate(EIGEN_LRT, 0.05, 2, 10, reps, 7, ens)
-        fresh = _sample_batch(np.eye(2), 10, reps, 99, "fresh-size")
+        fresh = sample_batch(np.eye(2), 10, reps, 99, "fresh-size")
         rate = np.mean(_stat_batch(EIGEN_LRT, fresh, 10, ens, 7) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps) + 0.01
 
@@ -162,6 +162,21 @@ class TestPowerCurve:
         cv = calibrate(FULL_LRT, 0.05, 2, 10, 1000, 0)
         with pytest.raises(ValueError):
             power_curve(EIGEN_LRT, [np.eye(2)], cv, 10, 1000, 0)
+
+    def test_default_ensemble_built_once(self, monkeypatch):
+        import eigengeo.hypothesis_tests as ht
+
+        built = []
+
+        def counting(p, seed=0):
+            built.append(p)
+            return o2_equidistant(100)
+
+        monkeypatch.setattr(ht, "default_test_ensemble", counting)
+        cv = CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT)
+        alts = [np.diag([1.5, 1.0]), np.diag([2.0, 1.0]), np.diag([3.0, 1.0])]
+        power_curve(EIGEN_LRT, alts, cv, 10, 20, 0)
+        assert built == [2]
 
 
 class TestFigure3Protocol:

@@ -14,11 +14,11 @@ from eigengeo import (
     sample_product_sum,
 )
 from eigengeo.wishart_sim import (
-    _sample_batch,
     figure4_config,
     figure5_config,
     figure6_config,
     kl_loss_diag,
+    sample_batch,
     worker_count,
 )
 
@@ -38,7 +38,7 @@ class TestSampling:
 
     def test_mean_matches_population(self):
         sigma = np.diag([2.0, 1.0])
-        S_batch = _sample_batch(sigma, 10, 100_000, 21, "test-mean")
+        S_batch = sample_batch(sigma, 10, 100_000, 21, "test-mean")
         means = S_batch.mean(axis=0) / 10
         stderr = S_batch.std(axis=0, ddof=1) / 10 / np.sqrt(S_batch.shape[0])
         assert np.all(np.abs(means - sigma) < 3 * stderr + 1e-12)
@@ -52,6 +52,10 @@ class TestSampling:
     def test_requires_enough_observations(self):
         with pytest.raises(ValueError):
             sample_product_sum(np.eye(3), 2, replication_rng(0, "s", 0))
+
+    def test_batch_requires_enough_observations(self):
+        with pytest.raises(ValueError):
+            sample_batch(np.eye(3), 2, 10, 0, "s")
 
 
 class TestKlRisk:
@@ -124,6 +128,12 @@ class TestMajorization:
         assert report.holds_3sigma.all()
         assert report.trace_max_rel_dev < 1e-10
 
+    def test_refuses_singular_draws_and_single_rep(self):
+        with pytest.raises(ValueError, match="n >= p"):
+            bias_majorization_check(np.eye(2), 1, 100, 0)
+        with pytest.raises(ValueError, match="reps >= 2"):
+            bias_majorization_check(np.eye(2), 10, 1, 0)
+
 
 class TestExperiments:
     def test_config_validation(self):
@@ -178,3 +188,9 @@ class TestExperiments:
             assert [r.mean for r in serial.risks[tag]] == [
                 r.mean for r in threaded.risks[tag]
             ]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_thread_cap_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("EIGENGEO_THREADS", value)
+        with pytest.raises(ValueError, match="EIGENGEO_THREADS"):
+            worker_count()
