@@ -318,8 +318,29 @@ def _given(value, default):
     return default if value is None else value
 
 
+# The flags each experiment reads.  Any other experiment flag is refused
+# (exit 2) rather than silently ignored.
+EXPERIMENT_FLAGS = {
+    "fig3": {"reps", "seed", "n", "alpha", "theta_count", "ensemble", "paper_scale", "plot"},
+    "fig4": {"reps", "seed", "paper_scale", "plot"},
+    "fig5": {"reps", "seed", "paper_scale", "plot"},
+    "fig6": {"reps", "seed", "ensemble", "paper_scale", "plot"},
+    "bias": {"reps", "seed", "p", "n", "lam"},
+}
+
+
+def _refuse_unused_flags(args) -> None:
+    for dest, value in vars(args).items():
+        if dest in ("command", "name", "out") or value is None or value is False:
+            continue
+        if dest not in EXPERIMENT_FLAGS[args.name]:
+            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+            raise CliInputError(f"experiment {args.name} does not use {flag}")
+
+
 def cmd_experiment(args) -> list[str]:
     name = args.name
+    _refuse_unused_flags(args)
     outputs = []
     if name in ("fig4", "fig5", "fig6"):
         builders = {"fig4": figure4_config, "fig5": figure5_config, "fig6": figure6_config}
@@ -350,9 +371,9 @@ def cmd_experiment(args) -> list[str]:
         study = figure3_experiment(
             reps=_given(args.reps, 10_000),
             seed=seed,
-            alpha=args.alpha,
+            alpha=_given(args.alpha, 0.05),
             n=_given(args.n, 10),
-            theta_count=args.theta_count,
+            theta_count=_given(args.theta_count, 51),
             ensemble=ensemble,
             paper_scale=args.paper_scale,
         )
@@ -452,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--n", type=int, default=None)
     exp.add_argument("--lambda", dest="lam", default=None,
                      help="population eigenvalues for the bias experiment")
-    exp.add_argument("--alpha", type=float, default=0.05)
-    exp.add_argument("--theta-count", type=int, default=51,
-                     help="fig3: thin the 51-angle fan to this many points")
+    exp.add_argument("--alpha", type=float, default=None, help="fig3: test level (default 0.05)")
+    exp.add_argument("--theta-count", type=int, default=None,
+                     help="fig3: thin the 51-angle fan to this many points (default 51)")
     exp.add_argument("--ensemble", default=None, help="equidistant:K or haar:m")
     exp.add_argument("--paper-scale", action="store_true",
                      help="restore the full replication counts (slow)")

@@ -35,7 +35,12 @@ class QuadratureUnderflow(EigengeoError):
 
 
 class OptimizerFailure(EigengeoError):
-    """The profile maximizer failed to improve on its starting points."""
+    """The eigen-LRT profile maximizer gave no certified maximum.
+
+    Raised when the EM ascent ends below its best starting point, or when a
+    row is still above the gradient tolerance once the SQUAREM cycle budget
+    is spent.
+    """
 
 
 class NotPositiveDefiniteWarning(UserWarning):

@@ -4,8 +4,12 @@ Two tests of the null "covariance equals the identity": the classical test
 on the full product-sum matrix, and a test that sees only its eigenvalues.
 The eigenvalue test needs the density of the sample eigenvalues, whose
 frame integral is evaluated by quadrature over an orthogonal ensemble, and
-a profile maximization over candidate population eigenvalues, done by a
-cyclic golden-section coordinate search in log space.
+a profile maximization over candidate population eigenvalues.  Treating
+the frame as missing data makes that maximization an EM iteration,
+lam <- E_post[diag(H^T L H)] / n (``estimators.frame_posterior_step``),
+run in log space from several starts and accelerated by SQUAREM
+(Varadhan and Roland, Scand. J. Stat. 2008); each maximum carries a
+gradient certificate or raises ``OptimizerFailure``.
 
 Critical values are calibrated by Monte-Carlo under the null (no
 asymptotic approximations), and powers come from fresh replication
@@ -15,26 +19,31 @@ power comparisons are paired.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OptimizerFailure
-from .estimators import OrthogonalEnsemble, haar_sample, o2_equidistant, relative_weights
+from .estimators import (
+    OrthogonalEnsemble,
+    frame_posterior_step,
+    haar_sample,
+    o2_equidistant,
+    projected_diagonals,
+    relative_weights,
+)
 from .spd_manifold import as_spd
 from .wishart_sim import parallel_points, sample_batch
 
 FULL_LRT = "full-lrt"
 EIGEN_LRT = "eigen-lrt"
 
-# Profile maximizer policy: cyclic golden-section sweeps in log-eigenvalue
-# space, window +-2 per sweep, stop when a full sweep improves the objective
-# by less than SWEEP_TOL everywhere (budget MAX_SWEEPS).
-SWEEP_TOL = 1e-9
-MAX_SWEEPS = 200
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_WINDOW = 2.0
-_GOLDEN_ITERS = 32
+# Profile maximizer policy: SQUAREM-accelerated EM in log-eigenvalue space,
+# stopping a row once its log-space gradient is at most GRAD_TOL (budget
+# MAX_CYCLES SQUAREM cycles of three posterior steps each).
+GRAD_TOL = 1e-8
+MAX_CYCLES = 500
 
 
 @dataclass(frozen=True)
@@ -137,110 +146,88 @@ def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble) -> TestSta
 
 def _eigen_lrt_batch(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble) -> np.ndarray:
     numerator = -0.5 * eig_rows.sum(axis=1)
-    sup = _profile_sup(eig_rows, n, ensemble)
+    sup, _ = _profile_sup(eig_rows, n, ensemble)
     return numerator - sup
 
 
-def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble) -> np.ndarray:
+def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble):
     """Batched sup over population eigenvalues of the profile objective
     -(n/2) sum(log lam) + log group-average exp(-diag-quadratic/2).
 
-    Multi-start cyclic coordinate maximization with golden-section line
-    searches in log space; after two joint sweeps only the best start per
-    row is refined (the objective is smooth and in practice unimodal, and
-    monotone acceptance keeps every kept value at least as good as every
-    evaluated start).
+    Returns the sup and its log-eigenvalue argmax per row.  Each start runs
+    SQUAREM-accelerated EM to a gradient certificate; the best end point per
+    row wins.  The starts are every ordering of l/n (the exact group
+    integral is symmetric under permuting lam, a quadrature ensemble only
+    nearly so, and its modes reach different heights), the mean, the
+    midpoint of the two in log space, and the null point.
     """
     reps, p = eig_rows.shape
-    # W[k, j, i] = H_k[j, i]^2; D[r, k, i] = diag_i(H_k L_r H_k^T).
-    W = ensemble.matrices**2
-    D = np.einsum("kji,rj->rki", W, eig_rows)
+    D = projected_diagonals(eig_rows, ensemble)
     logw = np.log(ensemble.weights)
-
-    def make_objective(D_rows: np.ndarray):
-        def objective(x: np.ndarray) -> np.ndarray:
-            quad = np.einsum("rki,ri->rk", D_rows, 0.5 * np.exp(-x))
-            peak, _, total = relative_weights(logw[None, :] - quad)
-            return -0.5 * n * x.sum(axis=1) + (peak + np.log(total))
-
-        return objective
-
-    full_objective = make_objective(D)
-    mean_log = np.log(eig_rows.mean(axis=1) / n)
-    starts = [
-        np.log(eig_rows / n),
-        np.tile(mean_log[:, None], (1, p)),
-        0.5 * (np.log(eig_rows / n) + mean_log[:, None]),
-        np.zeros((reps, p)),
-    ]
-    states = []
-    for x0 in starts:
-        x = np.array(x0)
-        f = full_objective(x)
-        for _ in range(2):
-            x, f = _coordinate_sweep(full_objective, x, f)
-        states.append((x, f))
-    f_starts = np.stack([f for _, f in states])
-    x_starts = np.stack([x for x, _ in states])
-    best = f_starts.argmax(axis=0)
-    rows = np.arange(reps)
-    x = x_starts[best, rows].copy()
-    f = f_starts[best, rows].copy()
-
-    start_best = f.copy()
-    active = rows
-    for _ in range(MAX_SWEEPS):
-        objective = make_objective(D[active])
-        x_new, f_new = _coordinate_sweep(objective, x[active], f[active])
-        gain = f_new - f[active]
-        x[active] = x_new
-        f[active] = f_new
-        active = active[gain > SWEEP_TOL]
-        if active.size == 0:
-            break
-    if not np.all(np.isfinite(f)) or np.any(f < start_best - 1e-12):
+    log_l = np.log(eig_rows / n)
+    mean_log = np.log(eig_rows.mean(axis=1) / n)[:, None]
+    starts = [log_l[:, list(order)] for order in itertools.permutations(range(p))]
+    starts += [np.repeat(mean_log, p, axis=1), 0.5 * (log_l + mean_log), np.zeros((reps, p))]
+    # Every EM image is a posterior mean of convex combinations of l/n, so
+    # the image, and with it the sup, lies in this box.
+    lo, hi = log_l.min(axis=1, keepdims=True), log_l.max(axis=1, keepdims=True)
+    best = np.full(reps, -np.inf)
+    start_best = np.full(reps, -np.inf)
+    argmax = np.zeros((reps, p))
+    for x in starts:
+        f, update = frame_posterior_step(D, x, n, logw)
+        start_best = np.maximum(start_best, f)
+        x, f = _squarem(D, x, f, update, n, logw, lo, hi)
+        better = f > best
+        best[better] = f[better]
+        argmax[better] = x[better]
+    if not np.all(np.isfinite(best)) or np.any(best < start_best - 1e-12):
         raise OptimizerFailure("profile maximization lost ground on its starts")
-    return f
+    return best, argmax
 
 
-def _coordinate_sweep(objective, x: np.ndarray, f: np.ndarray):
-    """One cyclic pass of golden-section maximization over each coordinate,
-    keeping a move only where it improves the objective."""
-    x = np.array(x)
-    f = np.array(f)
-    p = x.shape[1]
-    for i in range(p):
-        lo = x[:, i] - _WINDOW
-        hi = x[:, i] + _WINDOW
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        fc = _eval_coord(objective, x, i, c)
-        fd = _eval_coord(objective, x, i, d)
-        for _ in range(_GOLDEN_ITERS):
-            take_left = fc > fd
-            hi = np.where(take_left, d, hi)
-            lo = np.where(take_left, lo, c)
-            fresh = np.where(
-                take_left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-            )
-            fval = _eval_coord(objective, x, i, fresh)
-            c_old, fc_old = c, fc
-            c = np.where(take_left, fresh, d)
-            fc = np.where(take_left, fval, fd)
-            d = np.where(take_left, c_old, fresh)
-            fd = np.where(take_left, fc_old, fval)
-        mid = 0.5 * (lo + hi)
-        fmid = _eval_coord(objective, x, i, mid)
-        improve = fmid > f
-        x[improve, i] = mid[improve]
-        f = np.where(improve, fmid, f)
-    return x, f
+def _squarem(D, x, f, update, n, logw, lo, hi):
+    """SQUAREM-accelerated EM in log-eigenvalue space from ``x``, where the
+    objective is ``f`` and the EM map gives ``update``.
 
-
-def _eval_coord(objective, x: np.ndarray, i: int, values: np.ndarray) -> np.ndarray:
-    trial = np.array(x)
-    trial[:, i] = values
-    return objective(trial)
+    Each cycle takes two EM steps and extrapolates along them (step length
+    at least the plain double step, clipped to the box [lo, hi]); the
+    extrapolated point is kept only where the objective did not drop,
+    otherwise the double EM step is, so the ascent is monotone.  A row
+    stops once its log-space gradient (n/2) max|update/lam - 1| is at most
+    GRAD_TOL.
+    """
+    x, f, update = x.copy(), f.copy(), update.copy()
+    active, Da = np.arange(x.shape[0]), D
+    for cycle in range(MAX_CYCLES + 1):
+        grad = 0.5 * n * np.abs(update[active] * np.exp(-x[active]) - 1.0).max(axis=1)
+        still = grad > GRAD_TOL
+        if not still.all():
+            # Copy the active rows of D only when some have converged.
+            active, Da = active[still], Da[still]
+        if active.size == 0:
+            return x, f
+        if cycle == MAX_CYCLES:
+            break
+        x0 = x[active]
+        x1 = np.log(update[active])
+        _, update1 = frame_posterior_step(Da, x1, n, logw)
+        x2 = np.log(update1)
+        f2, update2 = frame_posterior_step(Da, x2, n, logw)
+        r = x1 - x0
+        v = x2 - x1 - r
+        step = np.sqrt((r * r).sum(axis=1) / np.maximum((v * v).sum(axis=1), np.finfo(float).tiny))
+        step = np.maximum(step, 1.0)[:, None]
+        xs = np.clip(x0 + 2.0 * step * r + step**2 * v, lo[active], hi[active])
+        fs, updates = frame_posterior_step(Da, xs, n, logw)
+        keep = fs >= f[active]
+        x[active] = np.where(keep[:, None], xs, x2)
+        f[active] = np.where(keep, fs, f2)
+        update[active] = np.where(keep[:, None], updates, update2)
+    raise OptimizerFailure(
+        f"profile maximization left {active.size} rows above the gradient "
+        f"tolerance {GRAD_TOL:g} after {MAX_CYCLES} SQUAREM cycles"
+    )
 
 
 def calibrate(

@@ -199,3 +199,38 @@ class TestExperimentCommand:
 
     def test_fig3_explicit_zero_n_refused(self, tmp_path):
         assert run(tmp_path, "experiment", "fig3", "--reps", "1000", "--n", "0") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--p", "3"],
+            ["fig3", "--lambda", "2,1"],
+            ["fig4", "--n", "3"],
+            ["fig4", "--p", "7"],
+            ["fig4", "--alpha", "0.9"],
+            ["fig4", "--theta-count", "3"],
+            ["fig4", "--ensemble", "equidistant:50"],
+            ["fig5", "--n", "3"],
+            ["fig5", "--lambda", "1,0.8"],
+            ["fig5", "--alpha", "0.9"],
+            ["fig6", "--p", "2"],
+            ["fig6", "--theta-count", "3"],
+            ["bias", "--alpha", "0.1"],
+            ["bias", "--theta-count", "3"],
+            ["bias", "--ensemble", "haar:10"],
+            ["bias", "--paper-scale"],
+            ["bias", "--plot"],
+        ],
+    )
+    def test_unused_flags_exit_2(self, tmp_path, argv, capsys):
+        assert run(tmp_path, "experiment", *argv, "--reps", "1000") == 2
+        assert f"does not use {argv[1]}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_fig3_rerun_identical_bytes(self, tmp_path):
+        argv = ["experiment", "fig3", "--reps", "1000", "--theta-count", "3", "--seed", "5"]
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--out", str(d1)]) == 0
+        assert main([*argv, "--out", str(d2)]) == 0
+        for name in ("fig3_power.csv", "fig3_calibration.csv"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()

@@ -185,6 +185,35 @@ class TestLambdaStar:
         vals = lambda_star_from_eigs(eigs, 10, ens, check_gaps=False)
         assert np.all(vals[:, 0] >= vals[:, 1])
 
+    def test_p3_matches_per_node_posterior_mean(self, rng):
+        # Weight and value on the same frame: node H gets log-weight
+        # -(n/2) trace(L^-1 H^T L H) and value diag(H^T L H) / n.
+        ens = haar_sample(3, 300, 21)
+        n = 8
+        for _ in range(3):
+            eigs = np.sort(rng.uniform(1.0, 30.0, 3))[::-1]
+            L = np.diag(eigs)
+            log_w, vals = [], []
+            for H in ens.matrices:
+                M = H.T @ L @ H
+                log_w.append(-0.5 * n * np.trace(np.linalg.inv(L) @ M))
+                vals.append(np.diag(M) / n)
+            w = np.exp(np.array(log_w) - max(log_w))
+            want = (w[:, None] * np.array(vals)).sum(axis=0) / w.sum()
+            assert_allclose(lambda_star_from_eigs(eigs, n, ens), want, rtol=1e-12)
+
+    def test_p2_values_match_earlier_pairing(self, rng):
+        # Before weights and values were paired on H^T L H, the weights used
+        # trace(L^-1 H L H^T); on the rotation grid the two agree.
+        ens = o2_equidistant(50)
+        eigs = np.sort(rng.uniform(1.0, 30.0, (200, 2)), axis=1)[:, ::-1]
+        W = ens.matrices**2
+        exponents = -5.0 * np.einsum("ri,kji,rj->rk", eigs, W, 1.0 / eigs)
+        rel = np.exp(exponents - exponents.max(axis=1, keepdims=True))
+        earlier = np.einsum("rk,rki->ri", rel, np.einsum("rj,kji->rki", eigs / 10, W))
+        earlier /= rel.sum(axis=1, keepdims=True)
+        assert_allclose(lambda_star_from_eigs(eigs, 10, ens), earlier, rtol=1e-12)
+
     def test_metadata(self, rng):
         ens = o2_equidistant(13)
         A = rng.standard_normal((8, 2))

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
+from scipy.special import logsumexp
 
 from eigengeo import (
     CriticalValue,
@@ -13,9 +17,12 @@ from eigengeo import (
     o2_equidistant,
     power_curve,
 )
+import eigengeo.hypothesis_tests as ht
+from eigengeo import OptimizerFailure
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
     FULL_LRT,
+    _profile_sup,
     _stat_batch,
     figure3_alternative,
     figure3_thetas,
@@ -102,6 +109,102 @@ class TestEigenLrt:
         ens = o2_equidistant(50)
         eigs = np.array([12.0, 4.0])
         assert eigen_lrt_stat(eigs, 10, ens).value == eigen_lrt_stat(eigs, 10, ens).value
+
+
+def node_diagonals(eigs, ensemble):
+    """diag(H_k^T L H_k) for every node, from explicit matrix products."""
+    H = ensemble.matrices
+    return np.diagonal(np.swapaxes(H, 1, 2) @ np.diag(eigs) @ H, axis1=1, axis2=2)
+
+
+def profile_objective(diags, n, ensemble, log_lam):
+    """The profile objective written out independently of the library's
+    posterior step: -(n/2) sum(log lam) + log sum_k w_k exp(-sum_i
+    diag_i(H_k^T L H_k) / (2 lam_i)), for one log_lam or a stack of them."""
+    log_lam = np.asarray(log_lam, dtype=float)
+    terms = np.log(ensemble.weights) - 0.5 * np.exp(-log_lam) @ diags.T
+    return -0.5 * n * log_lam.sum(axis=-1) + logsumexp(terms, axis=-1)
+
+
+def wishart_eig_rows(p, n, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        scale = np.sqrt(rng.uniform(0.3, 3.0, p))
+        x = rng.standard_normal((n, p)) * scale
+        rows.append(np.linalg.eigvalsh(x.T @ x)[::-1])
+    return np.array(rows)
+
+
+class TestProfileMaximizer:
+    def test_p2_not_below_dense_log_grid(self):
+        ens = o2_equidistant(100)
+        eigs = wishart_eig_rows(2, 10, 6, 11)
+        sup, _ = _profile_sup(eigs, 10, ens)
+        for row, best in zip(eigs, sup):
+            lo, hi = np.log(row.min() / 10) - 0.5, np.log(row.max() / 10) + 0.5
+            g = np.linspace(lo, hi, 301)
+            grid = np.stack([a.ravel() for a in np.meshgrid(g, g)], axis=1)
+            diags = node_diagonals(row, ens)
+            assert best >= profile_objective(diags, 10, ens, grid).max() - 1e-9
+
+    def test_p2_gradient_certificate(self):
+        ens = o2_equidistant(100)
+        eigs = wishart_eig_rows(2, 10, 8, 12)
+        _, argmax = _profile_sup(eigs, 10, ens)
+        h = 1e-5
+        for row, x in zip(eigs, argmax):
+            diags = node_diagonals(row, ens)
+            grad = [
+                (profile_objective(diags, 10, ens, x + h * e) - profile_objective(diags, 10, ens, x - h * e))
+                / (2 * h)
+                for e in np.eye(2)
+            ]
+            assert np.max(np.abs(grad)) <= 1e-6
+
+    def test_p3_not_below_nelder_mead(self):
+        ens = haar_sample(3, 1024, 5)
+        eigs = wishart_eig_rows(3, 10, 4, 13)
+        sup, _ = _profile_sup(eigs, 10, ens)
+        rng = np.random.default_rng(14)
+        for row, best in zip(eigs, sup):
+            diags = node_diagonals(row, ens)
+            base = np.log(row / 10)
+            starts = [base, base[::-1], np.full(3, base.mean())]
+            starts += [base + rng.normal(0.0, 0.5, 3) for _ in range(3)]
+            nm = max(
+                -minimize(lambda x: -profile_objective(diags, 10, ens, x), x0, method="Nelder-Mead",
+                          options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000}).fun
+                for x0 in starts
+            )
+            assert best >= nm - 1e-9
+
+    def test_p3_finds_mode_at_another_ordering(self):
+        # Nodes at the six permutation matrices, the heaviest reversing the
+        # order: the highest mode sits near the reversed l/n, which EM from
+        # the descending starts misses.
+        perms = np.array([np.eye(3)[list(o)] for o in itertools.permutations(range(3))])
+        ens = OrthogonalEnsemble(perms, np.array([0.17, 0.26, 0.01, 0.01, 0.14, 0.41]), "haar-mc")
+        row = np.array([60.0, 12.0, 3.0])
+        sup, _ = _profile_sup(row[None, :], 10, ens)
+        g = np.linspace(np.log(0.3) - 0.3, np.log(6.0) + 0.3, 81)
+        grid = np.stack([a.ravel() for a in np.meshgrid(g, g, g)], axis=1)
+        assert sup[0] >= profile_objective(node_diagonals(row, ens), 10, ens, grid).max() - 1e-9
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(ht, "MAX_CYCLES", 1)
+        eigs = wishart_eig_rows(2, 10, 20, 15)
+        with pytest.raises(OptimizerFailure, match="gradient tolerance"):
+            _profile_sup(eigs, 10, o2_equidistant(100))
+
+    def test_lost_ground_raises(self, monkeypatch):
+        def sinking(D, x, f, update, n, logw, lo, hi):
+            return x, f - 1.0
+
+        monkeypatch.setattr(ht, "_squarem", sinking)
+        eigs = wishart_eig_rows(2, 10, 3, 16)
+        with pytest.raises(OptimizerFailure, match="lost ground"):
+            _profile_sup(eigs, 10, o2_equidistant(100))
 
 
 class TestCalibration:
