@@ -34,7 +34,7 @@ from .estimators import (
     relative_weights,
 )
 from .spd_manifold import as_spd
-from .wishart_sim import parallel_points, sample_batch
+from .wishart_sim import color_batch, normal_batch, parallel_points, sample_batch
 
 FULL_LRT = "full-lrt"
 EIGEN_LRT = "eigen-lrt"
@@ -109,8 +109,10 @@ def _full_lrt_batch(S_batch: np.ndarray, n: int) -> np.ndarray:
 
 def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEnsemble) -> float:
     """Covariance-dependent part of the sample-eigenvalue log density:
-    -(n/2) log det Sigma + log of the group-averaged exp(-trace(H L H^T
-    Sigma^-1)/2).
+    -(n/2) log det Sigma + log of the group-averaged exp(-trace(H^T L H
+    Sigma^-1)/2).  At diagonal Sigma = diag(lam) this is the profile
+    objective of ``estimators.frame_posterior_step``, whose sup over lam the
+    eigen-LRT takes.
 
     The covariance-free factors (normalizing constant, eigenvalue powers,
     Vandermonde spread) are omitted: they cancel in every likelihood ratio
@@ -122,7 +124,7 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     Sigma = as_spd(Sigma)
     prec = np.linalg.inv(Sigma.matrix)
     H = ensemble.matrices
-    conj = np.einsum("kij,j,klj->kil", H, eigs, H)
+    conj = np.einsum("kji,j,kjl->kil", H, eigs, H)
     quad = 0.5 * np.einsum("kil,li->k", conj, prec)
     _, logdet = np.linalg.slogdet(Sigma.matrix)
     peak, _, total = relative_weights(np.log(ensemble.weights) - quad)
@@ -292,11 +294,16 @@ def power_curve(
     if kind != cv.kind:
         raise ValueError(f"critical value is for {cv.kind!r}, not {kind!r}")
     mats = [as_spd(S).matrix for S in alternatives]
-    if kind == EIGEN_LRT and ensemble is None and mats:
-        ensemble = default_test_ensemble(mats[0].shape[0], seed)
+    if not mats:
+        return []
+    p = mats[0].shape[0]
+    if kind == EIGEN_LRT and ensemble is None:
+        ensemble = default_test_ensemble(p, seed)
+    # Draw the shared substreams once and recolor them per alternative.
+    z = normal_batch(p, n, reps, seed, "power")
 
     def at(i: int) -> PowerPoint:
-        S_batch = sample_batch(mats[i], n, reps, seed, "power")
+        S_batch = color_batch(z, mats[i])
         stats = _stat_batch(kind, S_batch, n, ensemble, seed)
         rate = float(np.mean(stats < cv.threshold))
         stderr = float(np.sqrt(rate * (1.0 - rate) / reps))

@@ -3,9 +3,11 @@
 Sampling is reproducible by construction: every replication draws from its
 own counter-based Philox substream keyed by (seed, stream name, replication
 index), so serial runs, threaded runs, and re-runs all see identical
-numbers.  Grid points of an experiment reuse the same replication streams,
-which acts as common random numbers across the grid and sharpens the
-comparisons the experiments exist to make.
+numbers.  Batched draws re-key one Philox per stream instead of building a
+generator per replication; their bits equal ``replication_rng``'s.  Grid
+points of an experiment reuse the same replication streams, which acts as
+common random numbers across the grid and sharpens the comparisons the
+experiments exist to make.
 
 Risks are Kullback-Leibler losses of diagonal covariance estimates against
 the diagonal matrix of population eigenvalues; estimate vectors from
@@ -16,6 +18,7 @@ in frame order (they pair coordinate-wise with the population eigenvalues).
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 import os
 import zlib
 from dataclasses import dataclass
@@ -49,22 +52,49 @@ def worker_count() -> int:
     return count
 
 
+def _substreams(seed: int, stream: str):
+    """``rekey(rep)`` for the replication substreams of one named stream.
+
+    One Philox and one Generator serve every replication: ``rekey`` sets the
+    full generator state (key [seed, crc32(stream) << 32 ^ rep], counter 0,
+    empty buffer) and returns the same Generator, so draws equal those of a
+    freshly built ``Philox(key=...)``.  Keys that would alias are refused:
+    seed must lie in [0, 2**64) and rep in [0, 2**32), since a larger rep
+    would spill into the stream-name bits.
+    """
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    high = zlib.crc32(stream.encode()) << 32
+    empty = np.zeros(4, dtype=np.uint64)
+
+    def rekey(rep: int) -> np.random.Generator:
+        if not 0 <= rep < 1 << 32:
+            raise ValueError(f"replication index must be in [0, 2**32), got {rep}")
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": empty, "key": np.array([seed, high ^ rep], dtype=np.uint64)},
+            "buffer": empty,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+    return rekey
+
+
 def replication_rng(seed: int, stream: str, rep: int) -> np.random.Generator:
     """Generator for one replication of one named stream.
 
     Philox keyed by (seed, crc32(stream), rep): counter-based and splittable,
     so any replication can be regenerated in isolation and parallel runs are
-    bitwise identical to serial ones.
+    bitwise identical to serial ones.  Seed must lie in [0, 2**64) and rep
+    in [0, 2**32) (ValueError otherwise).
     """
-    key = np.array(
-        [
-            np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-            (np.uint64(zlib.crc32(stream.encode())) << np.uint64(32))
-            ^ np.uint64(rep),
-        ],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return _substreams(seed, stream)(rep)
 
 
 def sample_product_sum(Sigma, n: int, rng: np.random.Generator) -> SpdMatrix:
@@ -78,15 +108,20 @@ def sample_product_sum(Sigma, n: int, rng: np.random.Generator) -> SpdMatrix:
     return SpdMatrix(x.T @ x)
 
 
-def _normal_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
-    """Standard-normal draws, one (n, p) block per replication substream."""
+def normal_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
+    """Standard-normal draws, one (n, p) block per replication substream of
+    ``stream``: block r equals ``replication_rng(seed, stream, r)
+    .standard_normal((n, p))`` bit for bit."""
+    if n < p:
+        raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={p}")
+    rekey = _substreams(seed, stream)
     z = np.empty((reps, n, p))
     for r in range(reps):
-        z[r] = replication_rng(seed, stream, r).standard_normal((n, p))
+        rekey(r).standard_normal(out=z[r])
     return z
 
 
-def _color_batch(z: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
+def color_batch(z: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
     """Product-sum matrices from standard-normal blocks, colored by Sigma."""
     A = np.linalg.cholesky(Sigma_matrix)
     x = z @ A.T
@@ -98,10 +133,7 @@ def sample_batch(Sigma_matrix: np.ndarray, n: int, reps: int, seed: int, stream:
     one per replication substream of ``stream`` (batched
     ``sample_product_sum``; replication r draws from
     ``replication_rng(seed, stream, r)``)."""
-    p = Sigma_matrix.shape[0]
-    if n < p:
-        raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={p}")
-    return _color_batch(_normal_batch(p, n, reps, seed, stream), Sigma_matrix)
+    return color_batch(normal_batch(Sigma_matrix.shape[0], n, reps, seed, stream), Sigma_matrix)
 
 
 def kl_loss_diag(estimate: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -262,7 +294,7 @@ def _summarize(losses: np.ndarray, valid: np.ndarray, reps: int) -> RiskResult:
 
 
 def _risk_point(cfg: ExperimentConfig, z: np.ndarray, sigma: np.ndarray, target: np.ndarray, runners) -> tuple:
-    S_batch = _color_batch(z, sigma)
+    S_batch = color_batch(z, sigma)
     losses = {}
     valids = {}
     for tag, runner in runners:
@@ -301,7 +333,7 @@ def _run_risk_experiment(cfg: ExperimentConfig, sigma_of, target_of, param_name:
     runners = [(tag, _method_runner(tag, cfg)) for tag in cfg.methods]
     # Every grid point reuses the same replication substreams (common random
     # numbers): draw the standard-normal blocks once and recolor per point.
-    z = _normal_batch(cfg.p, cfg.n, cfg.reps, cfg.seed, cfg.experiment)
+    z = normal_batch(cfg.p, cfg.n, cfg.reps, cfg.seed, cfg.experiment)
 
     def at(i: int):
         value = cfg.grid[i]
@@ -366,9 +398,9 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
     target = np.linalg.eigvalsh(Sigma.matrix)[::-1]
     losses = np.empty(reps)
     valid = np.zeros(reps, dtype=bool)
+    rekey = _substreams(seed, stream)
     for r in range(reps):
-        rng = replication_rng(seed, stream, r)
-        S = sample_product_sum(Sigma, n, rng)
+        S = sample_product_sum(Sigma, n, rekey(r))
         try:
             est = estimator(S, n)
         except EigengeoError:

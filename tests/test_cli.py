@@ -178,6 +178,10 @@ class TestExperimentCommand:
             ["fig3", "--reps", "500"],
             ["fig6", "--ensemble", "equidistant:abc"],
             ["fig6", "--ensemble", "haar:10"],
+            # Substream seeds outside [0, 2**64) would alias other seeds.
+            ["fig4", "--seed", "-1"],
+            ["fig6", "--seed", str(2**64)],
+            ["bias", "--seed", "-1"],
         ],
     )
     def test_bad_arguments_exit_2(self, tmp_path, argv):

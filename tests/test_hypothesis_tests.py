@@ -19,6 +19,7 @@ from eigengeo import (
 )
 import eigengeo.hypothesis_tests as ht
 from eigengeo import OptimizerFailure
+from eigengeo.estimators import frame_posterior_step, projected_diagonals
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
     FULL_LRT,
@@ -80,6 +81,18 @@ class TestEigenDensityKernel:
         a = eigen_log_density_kernel(eigs, sigma, 6, base)
         b = eigen_log_density_kernel(eigs, sigma, 6, shifted)
         assert abs(a - b) < 0.05
+
+    def test_is_profile_objective_at_diagonal_sigma(self):
+        # The eigen-LRT takes its sup over lam of this function.
+        ens = haar_sample(3, 8192, 0)
+        eigs = np.array([40.0, 15.0, 5.0])
+        lam = np.array([3.0, 1.5, 0.6])
+        got = eigen_log_density_kernel(eigs, np.diag(lam), 10, ens)
+        objective, _ = frame_posterior_step(
+            projected_diagonals(eigs[None, :], ens), np.log(lam)[None, :], 10, np.log(ens.weights)
+        )
+        assert abs(got - objective[0]) < 1e-10
+        assert abs(got - (-25.0253)) < 5e-5
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -280,6 +293,27 @@ class TestPowerCurve:
         alts = [np.diag([1.5, 1.0]), np.diag([2.0, 1.0]), np.diag([3.0, 1.0])]
         power_curve(EIGEN_LRT, alts, cv, 10, 20, 0)
         assert built == [2]
+
+    def test_alternatives_recolor_one_shared_draw(self, monkeypatch):
+        # Same bits as drawing every alternative's batch afresh.
+        seen = []
+
+        def recording(kind, S_batch, n, ensemble, seed):
+            seen.append(S_batch)
+            return ht._full_lrt_batch(S_batch, n)
+
+        monkeypatch.setattr(ht, "_stat_batch", recording)
+        monkeypatch.setenv("EIGENGEO_THREADS", "1")
+        cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
+        alts = [np.eye(2), np.diag([2.0, 1.0]), np.array([[2.0, 0.5], [0.5, 1.0]])]
+        power_curve(FULL_LRT, alts, cv, 10, 200, 11)
+        assert len(seen) == len(alts)
+        for S_batch, alt in zip(seen, alts):
+            assert S_batch.tobytes() == sample_batch(alt, 10, 200, 11, "power").tobytes()
+
+    def test_no_alternatives(self):
+        cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
+        assert power_curve(FULL_LRT, [], cv, 10, 200, 0) == []
 
 
 class TestFigure3Protocol:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,14 +15,32 @@ from eigengeo import (
     replication_rng,
     sample_product_sum,
 )
+from eigengeo.cli import main
 from eigengeo.wishart_sim import (
     figure4_config,
     figure5_config,
     figure6_config,
     kl_loss_diag,
+    normal_batch,
     sample_batch,
     worker_count,
 )
+
+DRAW_SEEDS = (0, 7, 2**63 + 5)
+DRAW_STREAMS = ("bias", "power")
+
+
+def fresh_philox_normals(p, n, reps, seed, stream):
+    """Reference draws: a Philox built afresh for every replication, keyed
+    [seed, crc32(stream) << 32 ^ rep]."""
+    high = zlib.crc32(stream.encode()) << 32
+    return np.stack(
+        [
+            np.random.Generator(np.random.Philox(key=np.array([seed, high ^ r], dtype=np.uint64)))
+            .standard_normal((n, p))
+            for r in range(reps)
+        ]
+    )
 
 
 class TestSampling:
@@ -56,6 +76,60 @@ class TestSampling:
     def test_batch_requires_enough_observations(self):
         with pytest.raises(ValueError):
             sample_batch(np.eye(3), 2, 10, 0, "s")
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    @pytest.mark.parametrize("stream", DRAW_STREAMS)
+    def test_batch_matches_per_replication_generators(self, p, seed, stream):
+        n, reps = 10, 40
+        want = fresh_philox_normals(p, n, reps, seed, stream)
+        assert normal_batch(p, n, reps, seed, stream).tobytes() == want.tobytes()
+        loop = [replication_rng(seed, stream, r).standard_normal((n, p)) for r in range(reps)]
+        assert np.stack(loop).tobytes() == want.tobytes()
+        # Same draws as sample_product_sum, up to its summation order.
+        sigma = np.diag(np.arange(p, 0, -1.0))
+        S_want = np.stack(
+            [sample_product_sum(sigma, n, replication_rng(seed, stream, r)).matrix for r in range(reps)]
+        )
+        assert_allclose(sample_batch(sigma, n, reps, seed, stream), S_want, rtol=1e-13)
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_kl_risk_draws_match_per_replication_generators(self, seed):
+        sigma = np.diag([3.0, 2.0, 1.0])
+        seen = []
+
+        def recording(S, n):
+            seen.append(S.matrix)
+            return np.diag(S.matrix) / n
+
+        kl_risk(recording, sigma, 10, 30, seed, stream="kl-check")
+        A = np.linalg.cholesky(sigma)
+        xs = [z @ A.T for z in fresh_philox_normals(3, 10, 30, seed, "kl-check")]
+        want = [x.T @ x for x in xs]
+        assert np.stack(seen).tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, rep", [(-1, 0), (2**64, 0), (0, -1), (0, 2**32)]
+    )
+    def test_aliasing_keys_refused(self, seed, rep):
+        # seed -1 would wrap onto 2**64 - 1, and rep 2**32 would spill into
+        # the stream-name bits of the key.
+        with pytest.raises(ValueError, match=r"2\*\*"):
+            replication_rng(seed, "s", rep)
+
+    def test_key_range_edges_accepted(self):
+        replication_rng(0, "s", 0).standard_normal(3)
+        replication_rng(2**64 - 1, "s", 2**32 - 1).standard_normal(3)
+
+    def test_batched_paths_refuse_bad_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            sample_batch(np.eye(2), 10, 5, -1, "s")
+        with pytest.raises(ValueError, match="seed"):
+            kl_risk(lambda S, n: np.ones(2), np.eye(2), 10, 5, 2**64)
+        with pytest.raises(ValueError, match="seed"):
+            figure4_experiment(figure4_config(reps=5, seed=-1))
 
 
 class TestKlRisk:
@@ -194,3 +268,12 @@ class TestExperiments:
         monkeypatch.setenv("EIGENGEO_THREADS", value)
         with pytest.raises(ValueError, match="EIGENGEO_THREADS"):
             worker_count()
+
+    def test_fig4_csv_bytes_independent_of_thread_count(self, monkeypatch, tmp_path):
+        argv = ["experiment", "fig4", "--reps", "300", "--seed", "4"]
+        out = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("EIGENGEO_THREADS", threads)
+            assert main([*argv, "--out", str(tmp_path / threads)]) == 0
+            out[threads] = (tmp_path / threads / "fig4.csv").read_bytes()
+        assert out["1"] == out["2"]
