@@ -146,10 +146,8 @@ def _parse_ensemble(text: str | None, p: int, seed: int) -> OrthogonalEnsemble:
     raise CliInputError(f"unknown ensemble kind {kind!r} (use equidistant:K or haar:m)")
 
 
-def read_matrix(path: str) -> SpdMatrix:
-    """Plain-text matrix: first line p, then p rows of p values.  Symmetry is
-    enforced by averaging with the transpose; asymmetry beyond 1e-9 is an
-    input error."""
+def _read_square(path: str) -> np.ndarray:
+    """Plain-text matrix: first line p, then p rows of p values."""
     try:
         with open(path) as fh:
             tokens = fh.read().split()
@@ -166,7 +164,13 @@ def read_matrix(path: str) -> SpdMatrix:
         raise CliInputError(
             f"matrix file {path} declares p={p} but holds {len(values)} values"
         )
-    m = np.array(values).reshape(p, p)
+    return np.array(values).reshape(p, p)
+
+
+def read_matrix(path: str) -> SpdMatrix:
+    """An SPD ``_read_square`` matrix: symmetry is enforced by averaging with
+    the transpose; asymmetry beyond 1e-9 is an input error."""
+    m = _read_square(path)
     asym = np.abs(m - m.T).max()
     if asym >= 1e-9:
         raise CliInputError(f"matrix in {path} has asymmetry {asym:.3e} >= 1e-9")
@@ -248,17 +252,16 @@ def cmd_info_loss(args) -> list[str]:
 
 def cmd_estimate(args) -> list[str]:
     S = read_matrix(args.input)
-    if args.n is None:
-        raise CliInputError("estimate requires --n (the number of observations)")
-    methods = args.method
     rows = []
     p = S.dim
-    for method in methods:
+    for method in args.method:
         try:
             if method == "lbar":
                 est = lbar(S, args.n)
             elif method == "gamma-frame":
-                gamma = np.eye(p) if args.gamma == "identity" else read_matrix(args.gamma).matrix
+                gamma = np.eye(p) if args.gamma == "identity" else _read_square(args.gamma)
+                if gamma.shape != (p, p):
+                    raise CliInputError(f"--gamma frame is {len(gamma)}x{len(gamma)}, input is {p}x{p}")
                 if np.abs(gamma.T @ gamma - np.eye(p)).max() > 1e-8:
                     raise CliInputError("--gamma matrix is not orthogonal")
                 est = lambda_hat(S, args.n, gamma)
@@ -341,11 +344,16 @@ def _refuse_unused_flags(args) -> None:
 def cmd_experiment(args) -> list[str]:
     name = args.name
     _refuse_unused_flags(args)
+    if args.paper_scale:
+        if args.reps is not None or args.theta_count is not None:
+            raise CliInputError("--paper-scale cannot be combined with --reps or --theta-count")
+        # The paper's counts; fig3's default fan already has its 51 angles.
+        args.reps = {"fig3": 100_000, "fig4": 100_000, "fig5": 100_000, "fig6": 10_000}[name]
     outputs = []
     if name in ("fig4", "fig5", "fig6"):
         builders = {"fig4": figure4_config, "fig5": figure5_config, "fig6": figure6_config}
         runners = {"fig4": figure4_experiment, "fig5": figure5_experiment, "fig6": figure6_experiment}
-        kwargs = {"reps": args.reps, "seed": args.seed, "paper_scale": args.paper_scale}
+        kwargs = {"reps": args.reps, "seed": args.seed}
         if name == "fig6" and args.ensemble is not None:
             ensemble = _parse_ensemble(args.ensemble, 2, 0)
             if ensemble.kind != EQUIDISTANT_O2:
@@ -375,7 +383,6 @@ def cmd_experiment(args) -> list[str]:
             n=_given(args.n, 10),
             theta_count=_given(args.theta_count, 51),
             ensemble=ensemble,
-            paper_scale=args.paper_scale,
         )
         header = ["theta", "lambda_1", "lambda_2", "power_full", "stderr_full",
                   "power_eigen", "stderr_eigen", "reps"]
@@ -478,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fig3: thin the 51-angle fan to this many points (default 51)")
     exp.add_argument("--ensemble", default=None, help="equidistant:K or haar:m")
     exp.add_argument("--paper-scale", action="store_true",
-                     help="restore the full replication counts (slow)")
+                     help="the paper's replication counts (slow; not with --reps or --theta-count)")
     exp.add_argument("--plot", action="store_true", help="emit a gnuplot script")
     exp.add_argument("--out", default=".")
     return parser
@@ -501,13 +508,10 @@ def main(argv=None) -> int:
     except (CliNumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (CliInputError, ValueError) as exc:
-        # ValueError: an argument outside the library's domain, e.g. too
-        # few replications for calibration.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NearDegenerateSpectrum, NotPositiveDefinite) as exc:
-        # Domain preconditions on user input, e.g. tied eigenvalues.
+    except (CliInputError, ValueError, NearDegenerateSpectrum, NotPositiveDefinite) as exc:
+        # ValueError: an argument outside the library's domain, e.g. too few
+        # replications for calibration; the spectrum errors: domain
+        # preconditions on user input, e.g. tied eigenvalues.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EigengeoError as exc:

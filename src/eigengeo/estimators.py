@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureUnderflow
-from .spd_manifold import ORTHOGONALITY_TOLERANCE, as_spd, check_eigenvalue_gaps
+from .spd_manifold import (
+    ORTHOGONALITY_TOLERANCE, as_spd, check_eigenvalue_gaps, kl_project, separated_rows,
+)
 
 LBAR = "lbar"
 GAMMA_FRAME = "gamma-frame"
@@ -147,22 +149,16 @@ def lbar(S, n: int) -> EigenEstimate:
 
 
 def lambda_hat(S, n: int, gamma: np.ndarray) -> EigenEstimate:
-    """Diagonal of S/n in the frame ``gamma``.
+    """Diagonal of S/n in the frame ``gamma``: the KL projection
+    ``kl_project(S, gamma)`` scaled by 1/n.
 
     Unbiased for the population eigenvalues when ``gamma`` is the true
     eigenvector matrix; with the sample eigenvector frame it reproduces
     ``lbar`` exactly.  Components keep the frame's index order.
     """
-    S = as_spd(S)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (S.dim, S.dim):
-        raise DimensionMismatch(
-            f"frame shape {gamma.shape} does not match dim {S.dim}"
-        )
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    vals = np.einsum("ij,ik,kj->j", gamma, S.matrix, gamma) / n
-    return EigenEstimate(vals, GAMMA_FRAME)
+    return EigenEstimate(kl_project(S, gamma) / n, GAMMA_FRAME)
 
 
 def lambda_star(S, n: int, ensemble: OrthogonalEnsemble) -> EigenEstimate:
@@ -199,9 +195,8 @@ def lambda_star_from_eigs(
     eigs = np.asarray(sample_eigs, dtype=float)
     single = eigs.ndim == 1
     batch = np.atleast_2d(eigs)
-    if check_gaps:
-        for row in batch:
-            check_eigenvalue_gaps(row, "lambda_star")
+    if check_gaps and not (ok := separated_rows(batch)).all():
+        check_eigenvalue_gaps(batch[np.argmin(ok)], "lambda_star")  # the first bad row
     _, result = frame_posterior_step(
         projected_diagonals(batch, ensemble), np.log(batch / n), n, np.log(ensemble.weights)
     )

@@ -247,6 +247,8 @@ def calibrate(
     simulated null statistics, so the calibration sample itself rejects with
     frequency exactly floor(alpha * reps) / reps.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if reps < 1000:
         raise ValueError(f"calibration needs reps >= 1000, got {reps}")
     if kind not in (FULL_LRT, EIGEN_LRT):
@@ -358,7 +360,6 @@ def figure3_experiment(
     n: int = 10,
     theta_count: int = 51,
     ensemble: OrthogonalEnsemble | None = None,
-    paper_scale: bool = False,
 ) -> PowerStudy:
     """Power comparison of the two tests along the alternative fan, both
     tests evaluated on the same draws at every angle.
@@ -367,8 +368,6 @@ def figure3_experiment(
     calibration stream, so the reported sizes are honest out-of-sample
     rejection rates.
     """
-    if paper_scale:
-        reps, theta_count = 100_000, 51
     p = 2
     if ensemble is None:
         ensemble = default_test_ensemble(p, seed)

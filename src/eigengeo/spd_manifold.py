@@ -63,24 +63,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def separated_rows(eig_rows: np.ndarray) -> np.ndarray:
+    """Row mask of the gap policy: True where a row of eigenvalues is positive
+    with every consecutive gap >= GAP_TOLERANCE_REL * its first entry."""
+    gaps = eig_rows[:, :-1] - eig_rows[:, 1:]
+    floor = GAP_TOLERANCE_REL * eig_rows[:, :1]
+    return (eig_rows > 0.0).all(axis=1) & (gaps >= floor).all(axis=1)
+
+
 def check_eigenvalue_gaps(eigenvalues: np.ndarray, what: str = "spectrum") -> None:
     """Raise NearDegenerateSpectrum unless eigenvalues are strictly descending
     with all consecutive gaps >= GAP_TOLERANCE_REL * largest eigenvalue."""
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise DimensionMismatch("eigenvalues must be a 1-d vector")
-    if np.any(lam <= 0.0):
-        raise NotPositiveDefinite(f"{what}: eigenvalues must be positive, got {lam}")
-    if lam.size == 1:
+    if separated_rows(lam[None])[0]:
         return
+    if not np.all(lam > 0.0):
+        raise NotPositiveDefinite(f"{what}: eigenvalues must be positive, got {lam}")
     gaps = lam[:-1] - lam[1:]
-    floor = GAP_TOLERANCE_REL * lam[0]
-    if np.any(gaps < floor):
-        j = int(np.argmin(gaps))
-        raise NearDegenerateSpectrum(
-            f"{what}: eigenvalue gap {gaps[j]:.3e} between positions {j} and "
-            f"{j + 1} is below the tolerance {floor:.3e}"
-        )
+    j = int(np.argmin(gaps))
+    raise NearDegenerateSpectrum(
+        f"{what}: eigenvalue gap {gaps[j]:.3e} between positions {j} and "
+        f"{j + 1} is below the tolerance {GAP_TOLERANCE_REL * lam[0]:.3e}"
+    )
 
 
 @dataclass(frozen=True)

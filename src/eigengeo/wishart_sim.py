@@ -34,7 +34,7 @@ from .estimators import (
     default_ensemble,
     lambda_star_from_eigs,
 )
-from .spd_manifold import GAP_TOLERANCE_REL, SpdMatrix, as_spd
+from .spd_manifold import SpdMatrix, as_spd, separated_rows
 
 
 def worker_count() -> int:
@@ -99,13 +99,11 @@ def replication_rng(seed: int, stream: str, rep: int) -> np.random.Generator:
 
 def sample_product_sum(Sigma, n: int, rng: np.random.Generator) -> SpdMatrix:
     """Sum of n outer products of independent zero-mean Gaussian draws with
-    covariance Sigma (factored once, lower-triangular)."""
+    covariance Sigma: one replication of ``color_batch``."""
     Sigma = as_spd(Sigma)
     if n < Sigma.dim:
         raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={Sigma.dim}")
-    A = np.linalg.cholesky(Sigma.matrix)
-    x = rng.standard_normal((n, Sigma.dim)) @ A.T
-    return SpdMatrix(x.T @ x)
+    return SpdMatrix(color_batch(rng.standard_normal((1, n, Sigma.dim)), Sigma.matrix)[0])
 
 
 def normal_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
@@ -122,7 +120,8 @@ def normal_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarra
 
 
 def color_batch(z: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
-    """Product-sum matrices from standard-normal blocks, colored by Sigma."""
+    """Product-sum matrices from standard-normal blocks, colored by Sigma
+    (factored once, lower-triangular)."""
     A = np.linalg.cholesky(Sigma_matrix)
     x = z @ A.T
     return np.einsum("rni,rnj->rij", x, x)
@@ -197,14 +196,14 @@ class RiskReport:
     config: ExperimentConfig
 
 
-def figure4_config(reps: int = 10_000, seed: int = 0, paper_scale: bool = False) -> ExperimentConfig:
+def figure4_config(reps: int = 10_000, seed: int = 0) -> ExperimentConfig:
     """Risk of scaled sample eigenvalues vs. the identity-frame diagonal as
     the eigenvalue ratio c walks from 1.00 down to 0.02 in steps of 0.02."""
     grid = tuple(np.round(np.arange(50, 0, -1) * 0.02, 10))
     return ExperimentConfig(
         p=2,
         n=10,
-        reps=100_000 if paper_scale else reps,
+        reps=reps,
         seed=seed,
         grid=grid,
         methods=(LBAR, GAMMA_FRAME),
@@ -212,14 +211,14 @@ def figure4_config(reps: int = 10_000, seed: int = 0, paper_scale: bool = False)
     )
 
 
-def figure5_config(reps: int = 10_000, seed: int = 0, paper_scale: bool = False) -> ExperimentConfig:
+def figure5_config(reps: int = 10_000, seed: int = 0) -> ExperimentConfig:
     """Same estimator pair at fixed eigenvalues (1, 0.8) while the true
     frame rotates by theta in [0, pi/2] (26 equidistant angles)."""
     grid = tuple(np.arange(26) * (np.pi / 50.0))
     return ExperimentConfig(
         p=2,
         n=10,
-        reps=100_000 if paper_scale else reps,
+        reps=reps,
         seed=seed,
         grid=grid,
         methods=(LBAR, GAMMA_FRAME),
@@ -227,16 +226,14 @@ def figure5_config(reps: int = 10_000, seed: int = 0, paper_scale: bool = False)
     )
 
 
-def figure6_config(
-    reps: int = 1_000, seed: int = 0, ensemble_size: int = 50, paper_scale: bool = False
-) -> ExperimentConfig:
+def figure6_config(reps: int = 1_000, seed: int = 0, ensemble_size: int = 50) -> ExperimentConfig:
     """Scaled sample eigenvalues vs. the frame-averaged shrinkage estimator
     over c from 0.04 to 1.00 in steps of 0.04."""
     grid = tuple(np.round(np.arange(1, 26) * 0.04, 10))
     return ExperimentConfig(
         p=2,
         n=10,
-        reps=10_000 if paper_scale else reps,
+        reps=reps,
         seed=seed,
         grid=grid,
         methods=(LBAR, STAR),
@@ -261,15 +258,10 @@ def _batch_gamma_frame(gamma: np.ndarray):
 def _batch_star(ensemble: OrthogonalEnsemble):
     def run(S_batch: np.ndarray, n: int):
         eigs = np.linalg.eigvalsh(S_batch)[:, ::-1]
-        gaps = eigs[:, :-1] - eigs[:, 1:]
-        valid = (eigs[:, -1] > 0.0) & np.all(
-            gaps >= GAP_TOLERANCE_REL * eigs[:, :1], axis=1
-        )
+        valid = separated_rows(eigs)
         vals = np.full_like(eigs, np.nan)
         if valid.any():
-            vals[valid] = lambda_star_from_eigs(
-                eigs[valid], n, ensemble, check_gaps=False
-            )
+            vals[valid] = lambda_star_from_eigs(eigs[valid], n, ensemble, check_gaps=False)
         return vals, valid
 
     return run
@@ -391,16 +383,18 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
 
     ``estimator(S, n)`` must return an estimate vector (or an object with a
     ``values`` attribute) ordered against the descending population
-    eigenvalues.  Domain errors raised by the estimator on individual
-    replications are counted as failures and excluded, never hidden.
+    eigenvalues; it runs on ``sample_batch(Sigma, n, reps, seed, stream)[r]``
+    for each replication r.  Domain errors raised by the estimator on
+    individual replications are counted as failures and excluded, never hidden.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     Sigma = as_spd(Sigma)
     target = np.linalg.eigvalsh(Sigma.matrix)[::-1]
     losses = np.empty(reps)
     valid = np.zeros(reps, dtype=bool)
-    rekey = _substreams(seed, stream)
-    for r in range(reps):
-        S = sample_product_sum(Sigma, n, rekey(r))
+    for r, S_r in enumerate(sample_batch(Sigma.matrix, n, reps, seed, stream)):
+        S = SpdMatrix(S_r)
         try:
             est = estimator(S, n)
         except EigengeoError:

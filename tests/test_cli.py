@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from eigengeo import cli
 from eigengeo.cli import main, read_matrix
 from eigengeo.cli import CliInputError
 
@@ -102,6 +103,31 @@ class TestEstimateCommand:
                    "--method", "gamma-frame", "--gamma", "identity") == 0
         _, rows = read_rows(tmp_path / "estimate.csv")
         assert float(rows[0]["value_1"]) == 2.0
+
+    def test_gamma_frame_rotation_file(self, tmp_path):
+        S = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
+        c, s = np.cos(0.4), np.sin(0.4)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+            [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
+        )
+        path = write_matrix(tmp_path, "S.txt", S)
+        frame = write_matrix(tmp_path, "R.txt", R)
+        assert run(tmp_path, "estimate", "--input", path, "--n", "4",
+                   "--method", "gamma-frame", "--gamma", frame) == 0
+        _, rows = read_rows(tmp_path / "estimate.csv")
+        got = [float(rows[0][f"value_{i}"]) for i in (1, 2, 3)]
+        np.testing.assert_allclose(got, np.diag(R.T @ S @ R) / 4, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [np.eye(3), np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]) * 1.001],
+    )
+    def test_gamma_frame_bad_file_exit_2(self, tmp_path, frame):
+        path = write_matrix(tmp_path, "S.txt", np.diag([2.0, 1.0]))
+        gamma = write_matrix(tmp_path, "G.txt", frame)
+        assert run(tmp_path, "estimate", "--input", path, "--n", "4",
+                   "--method", "gamma-frame", "--gamma", gamma) == 2
+        assert not (tmp_path / "estimate.csv").exists()
 
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -230,6 +256,50 @@ class TestExperimentCommand:
         assert run(tmp_path, "experiment", *argv, "--reps", "1000") == 2
         assert f"does not use {argv[1]}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("alpha", ["1.0", "0", "-0.5"])
+    def test_fig3_alpha_outside_unit_interval_exit_2(self, tmp_path, alpha):
+        assert run(tmp_path, "experiment", "fig3", "--reps", "1000", "--theta-count", "2",
+                   "--alpha", alpha) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--reps", "1000"],
+            ["fig3", "--theta-count", "3"],
+            ["fig4", "--reps", "5"],
+            ["fig5", "--reps", "5"],
+            ["fig6", "--reps", "5"],
+        ],
+    )
+    def test_paper_scale_with_counts_exit_2(self, tmp_path, argv, capsys):
+        assert run(tmp_path, "experiment", *argv, "--paper-scale") == 2
+        assert "--paper-scale" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "name, runner, reps",
+        [
+            ("fig3", "figure3_experiment", 100_000),
+            ("fig4", "figure4_experiment", 100_000),
+            ("fig5", "figure5_experiment", 100_000),
+            ("fig6", "figure6_experiment", 10_000),
+        ],
+    )
+    def test_paper_scale_counts(self, tmp_path, monkeypatch, name, runner, reps):
+        seen = {}
+
+        def stop(*args, **kwargs):
+            seen.update(kwargs, cfg=args[0] if args else None)
+            raise CliInputError("stopped before running")
+
+        monkeypatch.setattr(cli, runner, stop)
+        assert run(tmp_path, "experiment", name, "--paper-scale") == 2
+        if name == "fig3":
+            assert (seen["reps"], seen["theta_count"]) == (reps, 51)
+        else:
+            assert seen["cfg"].reps == reps
 
     def test_fig3_rerun_identical_bytes(self, tmp_path):
         argv = ["experiment", "fig3", "--reps", "1000", "--theta-count", "3", "--seed", "5"]

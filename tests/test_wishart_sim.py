@@ -17,6 +17,7 @@ from eigengeo import (
 )
 from eigengeo.cli import main
 from eigengeo.wishart_sim import (
+    color_batch,
     figure4_config,
     figure5_config,
     figure6_config,
@@ -88,12 +89,12 @@ class TestSubstreams:
         assert normal_batch(p, n, reps, seed, stream).tobytes() == want.tobytes()
         loop = [replication_rng(seed, stream, r).standard_normal((n, p)) for r in range(reps)]
         assert np.stack(loop).tobytes() == want.tobytes()
-        # Same draws as sample_product_sum, up to its summation order.
+        # sample_product_sum is one replication of the batch, bit for bit.
         sigma = np.diag(np.arange(p, 0, -1.0))
         S_want = np.stack(
             [sample_product_sum(sigma, n, replication_rng(seed, stream, r)).matrix for r in range(reps)]
         )
-        assert_allclose(sample_batch(sigma, n, reps, seed, stream), S_want, rtol=1e-13)
+        assert sample_batch(sigma, n, reps, seed, stream).tobytes() == S_want.tobytes()
 
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
     def test_kl_risk_draws_match_per_replication_generators(self, seed):
@@ -105,10 +106,8 @@ class TestSubstreams:
             return np.diag(S.matrix) / n
 
         kl_risk(recording, sigma, 10, 30, seed, stream="kl-check")
-        A = np.linalg.cholesky(sigma)
-        xs = [z @ A.T for z in fresh_philox_normals(3, 10, 30, seed, "kl-check")]
-        want = [x.T @ x for x in xs]
-        assert np.stack(seen).tobytes() == np.stack(want).tobytes()
+        want = color_batch(fresh_philox_normals(3, 10, 30, seed, "kl-check"), sigma)
+        assert np.stack(seen).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "seed, rep", [(-1, 0), (2**64, 0), (0, -1), (0, 2**32)]
@@ -176,6 +175,10 @@ class TestKlRisk:
         res = kl_risk(flaky, np.eye(2), 10, 30, 0)
         assert res.failures == 10
         assert res.reps == 20
+
+    def test_no_replications_refused(self):
+        with pytest.raises(ValueError, match="reps"):
+            kl_risk(lambda S, n: np.ones(2), np.eye(2), 10, 0, 0)
 
 
 class TestKlLossDiag:
