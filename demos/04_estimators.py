@@ -9,7 +9,6 @@ over the orthogonal group, which shrinks the estimates toward their mean.
 import numpy as np
 
 import eigengeo as eg
-from eigengeo.wishart_sim import figure4_config, figure6_config
 
 rng = eg.replication_rng(7, "demo-estimators", 0)
 S = eg.sample_product_sum(np.diag([1.0, 0.8]), 10, rng)
@@ -27,7 +26,7 @@ print("\nmean scaled sample eigenvalue partial sums at identity covariance:",
 
 # Risk comparison, known frame: the frame-diagonal estimator wins and its
 # risk does not depend on the eigenvalue ratio at all.
-fig4 = eg.figure4_experiment(figure4_config(reps=4000, seed=7))
+fig4 = eg.figure4_experiment(reps=4000, seed=7)
 c = fig4.param_values
 lbar_risk = np.array([r.mean for r in fig4.risks["lbar"]])
 frame_risk = np.array([r.mean for r in fig4.risks["gamma-frame"]])
@@ -37,7 +36,7 @@ for i in (0, 24, 49):
 
 # Risk comparison, unknown frame: the shrinkage estimator beats the sample
 # eigenvalues, most where eigenvalues are close.
-fig6 = eg.figure6_experiment(figure6_config(reps=1000, seed=7))
+fig6 = eg.figure6_experiment(reps=1000, seed=7)
 c = fig6.param_values
 lbar_risk = np.array([r.mean for r in fig6.risks["lbar"]])
 star_risk = np.array([r.mean for r in fig6.risks["star"]])

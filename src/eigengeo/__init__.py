@@ -86,7 +86,6 @@ from .spd_manifold import (
     to_natural,
 )
 from .wishart_sim import (
-    ExperimentConfig,
     MajorizationReport,
     RiskReport,
     RiskResult,

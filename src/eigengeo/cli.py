@@ -50,11 +50,8 @@ from .information_loss import info_carried_by_l, loss_first_order
 from .spd_manifold import SpdMatrix, Spectrum, index_pairs
 from .wishart_sim import (
     bias_majorization_check,
-    figure4_config,
     figure4_experiment,
-    figure5_config,
     figure5_experiment,
-    figure6_config,
     figure6_experiment,
 )
 
@@ -287,17 +284,15 @@ def _risk_report_rows(report) -> tuple[list[str], list[list]]:
     header = [report.param_name]
     for tag in report.methods:
         header += [f"risk_{tag}", f"stderr_{tag}", f"reps_{tag}", f"failures_{tag}"]
-    if report.diff is not None:
-        t1, t2 = report.methods[0], report.methods[1]
-        header += [f"diff_{t1}_minus_{t2}", "diff_stderr"]
+    t1, t2 = report.methods
+    header += [f"diff_{t1}_minus_{t2}", "diff_stderr"]
     rows = []
     for i, value in enumerate(report.param_values):
         row = [value]
         for tag in report.methods:
             r = report.risks[tag][i]
             row += [r.mean, r.stderr, r.reps, r.failures]
-        if report.diff is not None:
-            row += [report.diff[i].mean, report.diff[i].stderr]
+        row += [report.diff[i].mean, report.diff[i].stderr]
         rows.append(row)
     return header, rows
 
@@ -351,16 +346,13 @@ def cmd_experiment(args) -> list[str]:
         args.reps = {"fig3": 100_000, "fig4": 100_000, "fig5": 100_000, "fig6": 10_000}[name]
     outputs = []
     if name in ("fig4", "fig5", "fig6"):
-        builders = {"fig4": figure4_config, "fig5": figure5_config, "fig6": figure6_config}
         runners = {"fig4": figure4_experiment, "fig5": figure5_experiment, "fig6": figure6_experiment}
         kwargs = {"reps": args.reps, "seed": args.seed}
         if name == "fig6" and args.ensemble is not None:
-            ensemble = _parse_ensemble(args.ensemble, 2, 0)
-            if ensemble.kind != EQUIDISTANT_O2:
+            kwargs["ensemble"] = _parse_ensemble(args.ensemble, 2, 0)
+            if kwargs["ensemble"].kind != EQUIDISTANT_O2:
                 raise CliInputError("fig6 uses an equidistant ensemble (p=2)")
-            kwargs["ensemble_size"] = ensemble.size
-        cfg = builders[name](**{k: v for k, v in kwargs.items() if v is not None})
-        report = runners[name](cfg)
+        report = runners[name](**{k: v for k, v in kwargs.items() if v is not None})
         header, rows = _risk_report_rows(report)
         out = os.path.join(args.out, f"{name}.csv")
         _write_csv(out, header, rows)

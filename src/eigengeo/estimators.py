@@ -132,11 +132,12 @@ def haar_sample(p: int, count: int, rng) -> OrthogonalEnsemble:
     return OrthogonalEnsemble(q, np.full(count, 1.0 / count), HAAR_MC)
 
 
-def default_ensemble(p: int, rng=0, o2_count: int = 50, haar_count: int = 4096) -> OrthogonalEnsemble:
-    """Ensemble policy: equidistant grid for p = 2, Haar sample for p >= 3."""
+def default_ensemble(p: int, rng=0) -> OrthogonalEnsemble:
+    """Ensemble policy: a 50-point equidistant grid for p = 2, 4096 Haar
+    draws for p >= 3."""
     if p == 2:
-        return o2_equidistant(o2_count)
-    return haar_sample(p, haar_count, rng)
+        return o2_equidistant(50)
+    return haar_sample(p, 4096, rng)
 
 
 def lbar(S, n: int) -> EigenEstimate:
@@ -174,10 +175,6 @@ def lambda_star(S, n: int, ensemble: OrthogonalEnsemble) -> EigenEstimate:
     S = as_spd(S)
     if n < S.dim:
         raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
-    if ensemble.dim != S.dim:
-        raise DimensionMismatch(
-            f"ensemble dim {ensemble.dim} does not match matrix dim {S.dim}"
-        )
     sample_eigs = np.linalg.eigvalsh(S.matrix)[::-1]
     values = lambda_star_from_eigs(sample_eigs, n, ensemble)
     return EigenEstimate(values, STAR, {"ensemble_kind": ensemble.kind, "ensemble_size": ensemble.size})
@@ -205,7 +202,13 @@ def lambda_star_from_eigs(
 
 def projected_diagonals(eig_rows: np.ndarray, ensemble: OrthogonalEnsemble) -> np.ndarray:
     """D[r, k, i] = diag_i(H_k^T L_r H_k) for L_r = diag(eig_rows[r]) and the
-    ensemble's nodes H_k: each node's frame-diagonal of the sample matrix."""
+    ensemble's nodes H_k: each node's frame-diagonal of the sample matrix.
+    Every frame integral passes through here, so the ensemble's dimension is
+    checked here (DimensionMismatch)."""
+    if ensemble.dim != eig_rows.shape[1]:
+        raise DimensionMismatch(
+            f"ensemble dim {ensemble.dim} does not match {eig_rows.shape[1]} eigenvalues"
+        )
     # (H^T L H)_ii = sum_j H[j, i]^2 l_j, a plain contraction with H**2.
     return np.einsum("kji,rj->rki", ensemble.matrices**2, eig_rows)
 

@@ -20,20 +20,19 @@ power comparisons are paired.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OptimizerFailure
+from .errors import DimensionMismatch, OptimizerFailure
 from .estimators import (
     OrthogonalEnsemble,
     frame_posterior_step,
     haar_sample,
     o2_equidistant,
     projected_diagonals,
-    relative_weights,
 )
-from .spd_manifold import as_spd
+from .spd_manifold import GAP_TOLERANCE_REL, as_spd, separated_rows
 from .wishart_sim import color_batch, normal_batch, parallel_points, sample_batch
 
 FULL_LRT = "full-lrt"
@@ -79,12 +78,12 @@ class CriticalValue:
         return value < self.threshold
 
 
-def default_test_ensemble(p: int, seed: int = 0, o2_count: int = 100, haar_count: int = 8192) -> OrthogonalEnsemble:
+def default_test_ensemble(p: int, seed: int = 0) -> OrthogonalEnsemble:
     """Quadrature policy for the eigenvalue test: a 100-point equidistant
-    grid for p = 2, a Haar Monte-Carlo sample for p >= 3."""
+    grid for p = 2, 8192 Haar draws for p >= 3."""
     if p == 2:
-        return o2_equidistant(o2_count)
-    return haar_sample(p, haar_count, seed)
+        return o2_equidistant(100)
+    return haar_sample(p, 8192, seed)
 
 
 def full_lrt_stat(S, n: int) -> TestStatistic:
@@ -118,17 +117,31 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     Vandermonde spread) are omitted: they cancel in every likelihood ratio
     this kernel feeds, so the value is not a normalized density.
     """
-    eigs = np.asarray(sample_eigs, dtype=float)
-    if np.any(eigs <= 0.0) or np.any(np.diff(eigs) >= 0.0):
-        raise ValueError("sample eigenvalues must be positive and strictly descending")
+    eigs = _separated(sample_eigs)
     Sigma = as_spd(Sigma)
-    prec = np.linalg.inv(Sigma.matrix)
-    H = ensemble.matrices
-    conj = np.einsum("kji,j,kjl->kil", H, eigs, H)
-    quad = 0.5 * np.einsum("kil,li->k", conj, prec)
-    _, logdet = np.linalg.slogdet(Sigma.matrix)
-    peak, _, total = relative_weights(np.log(ensemble.weights) - quad)
-    return float(-0.5 * n * logdet + (peak + np.log(total)))
+    if ensemble.dim != Sigma.dim:
+        raise DimensionMismatch(f"ensemble dim {ensemble.dim} does not match Sigma dim {Sigma.dim}")
+    # With Sigma = G diag(lam) G^T, trace(H^T L H Sigma^-1) is
+    # sum_i diag_i((H G)^T L (H G)) / lam_i: the profile objective at lam
+    # over the nodes rotated into Sigma's eigenframe.
+    lam, G = np.linalg.eigh(Sigma.matrix)
+    frames = replace(ensemble, matrices=ensemble.matrices @ G)
+    objective, _ = frame_posterior_step(
+        projected_diagonals(eigs[None, :], frames), np.log(lam)[None, :], n, np.log(ensemble.weights)
+    )
+    return float(objective[0])
+
+
+def _separated(sample_eigs) -> np.ndarray:
+    """The sample eigenvalues as floats; ValueError unless they pass the gap
+    policy of ``spd_manifold.separated_rows``."""
+    eigs = np.asarray(sample_eigs, dtype=float)
+    if not separated_rows(eigs[None, :])[0]:
+        raise ValueError(
+            f"sample eigenvalues must be positive and descending with relative gaps of at least "
+            f"{GAP_TOLERANCE_REL:g}, got {eigs}"
+        )
+    return eigs
 
 
 def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble) -> TestStatistic:
@@ -139,9 +152,7 @@ def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble) -> TestSta
     The null point is always among the maximizer's starts, so the statistic
     is never positive.
     """
-    eigs = np.asarray(sample_eigs, dtype=float)
-    if np.any(eigs <= 0.0) or np.any(np.diff(eigs) >= 0.0):
-        raise ValueError("sample eigenvalues must be positive and strictly descending")
+    eigs = _separated(sample_eigs)
     value = _eigen_lrt_batch(eigs[None, :], n, ensemble)[0]
     return TestStatistic(float(value), EIGEN_LRT, n, eigs.size)
 

@@ -33,7 +33,6 @@ from .errors import (
 GAP_TOLERANCE_REL = 1e-8
 PD_TOLERANCE = 1e-12
 ORTHOGONALITY_TOLERANCE = 1e-10
-ROUNDTRIP_TOLERANCE = 1e-10
 
 
 def index_pairs(p: int) -> list[tuple[int, int]]:
@@ -202,13 +201,6 @@ class SkewParams:
     def zero(cls, p: int) -> "SkewParams":
         return cls(p, np.zeros(p * (p - 1) // 2))
 
-    @classmethod
-    def from_matrix(cls, U: np.ndarray) -> "SkewParams":
-        U = np.asarray(U, dtype=float)
-        p = U.shape[0]
-        iu = np.triu_indices(p, k=1)
-        return cls(p, U[iu])
-
     def to_matrix(self) -> np.ndarray:
         U = np.zeros((self.dim, self.dim))
         iu = np.triu_indices(self.dim, k=1)
@@ -257,10 +249,7 @@ def spectral_decompose(S) -> Spectrum:
     """
     S = as_spd(S)
     w, v = np.linalg.eigh(S.matrix)
-    lam = w[::-1].copy()
-    gamma = v[:, ::-1].copy()
-    check_eigenvalue_gaps(lam, "spectral_decompose")
-    return Spectrum(lam, gamma)
+    return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
 
 
 def compose(sp: Spectrum) -> SpdMatrix:

@@ -155,91 +155,17 @@ class RiskResult:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Inputs of one Monte-Carlo experiment.
-
-    ``grid`` holds the scenario parameter (eigenvalue ratio c, or frame
-    angle theta); ``methods`` the estimator tags; the ensemble fields apply
-    only when the frame-averaged estimator participates.
-    """
-
-    p: int
-    n: int
-    reps: int
-    seed: int
-    grid: tuple[float, ...]
-    methods: tuple[str, ...]
-    ensemble_size: int = 50
-    experiment: str = "custom"
-
-    def __post_init__(self):
-        if self.n < self.p:
-            raise ValueError(f"need n >= p, got n={self.n}, p={self.p}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
-
-
-@dataclass(frozen=True)
 class RiskReport:
-    """Per-grid-point risks for each estimator, plus the paired difference
-    between the first two estimators (same draws, so the difference is
-    estimated far more precisely than the individual risks)."""
+    """Per-grid-point risks of two estimators, plus the paired difference of
+    the first minus the second (same draws, so the difference is estimated
+    far more precisely than the individual risks)."""
 
     experiment: str
     param_name: str
     param_values: np.ndarray
     methods: tuple[str, ...]
     risks: dict
-    diff: list | None
-    config: ExperimentConfig
-
-
-def figure4_config(reps: int = 10_000, seed: int = 0) -> ExperimentConfig:
-    """Risk of scaled sample eigenvalues vs. the identity-frame diagonal as
-    the eigenvalue ratio c walks from 1.00 down to 0.02 in steps of 0.02."""
-    grid = tuple(np.round(np.arange(50, 0, -1) * 0.02, 10))
-    return ExperimentConfig(
-        p=2,
-        n=10,
-        reps=reps,
-        seed=seed,
-        grid=grid,
-        methods=(LBAR, GAMMA_FRAME),
-        experiment="fig4",
-    )
-
-
-def figure5_config(reps: int = 10_000, seed: int = 0) -> ExperimentConfig:
-    """Same estimator pair at fixed eigenvalues (1, 0.8) while the true
-    frame rotates by theta in [0, pi/2] (26 equidistant angles)."""
-    grid = tuple(np.arange(26) * (np.pi / 50.0))
-    return ExperimentConfig(
-        p=2,
-        n=10,
-        reps=reps,
-        seed=seed,
-        grid=grid,
-        methods=(LBAR, GAMMA_FRAME),
-        experiment="fig5",
-    )
-
-
-def figure6_config(reps: int = 1_000, seed: int = 0, ensemble_size: int = 50) -> ExperimentConfig:
-    """Scaled sample eigenvalues vs. the frame-averaged shrinkage estimator
-    over c from 0.04 to 1.00 in steps of 0.04."""
-    grid = tuple(np.round(np.arange(1, 26) * 0.04, 10))
-    return ExperimentConfig(
-        p=2,
-        n=10,
-        reps=reps,
-        seed=seed,
-        grid=grid,
-        methods=(LBAR, STAR),
-        ensemble_size=ensemble_size,
-        experiment="fig6",
-    )
+    diff: list
 
 
 def _batch_lbar(S_batch: np.ndarray, n: int):
@@ -247,12 +173,9 @@ def _batch_lbar(S_batch: np.ndarray, n: int):
     return vals, np.ones(S_batch.shape[0], dtype=bool)
 
 
-def _batch_gamma_frame(gamma: np.ndarray):
-    def run(S_batch: np.ndarray, n: int):
-        vals = np.einsum("ij,rik,kj->rj", gamma, S_batch, gamma) / n
-        return vals, np.ones(S_batch.shape[0], dtype=bool)
-
-    return run
+def _batch_identity_frame(S_batch: np.ndarray, n: int):
+    vals = np.diagonal(S_batch, axis1=1, axis2=2) / n
+    return vals, np.ones(S_batch.shape[0], dtype=bool)
 
 
 def _batch_star(ensemble: OrthogonalEnsemble):
@@ -267,16 +190,6 @@ def _batch_star(ensemble: OrthogonalEnsemble):
     return run
 
 
-def _method_runner(tag: str, cfg: ExperimentConfig):
-    if tag == LBAR:
-        return _batch_lbar
-    if tag == GAMMA_FRAME:
-        return _batch_gamma_frame(np.eye(cfg.p))
-    if tag == STAR:
-        return _batch_star(default_ensemble(cfg.p, rng=cfg.seed, o2_count=cfg.ensemble_size))
-    raise ValueError(f"unknown estimator tag {tag!r}")
-
-
 def _summarize(losses: np.ndarray, valid: np.ndarray, reps: int) -> RiskResult:
     kept = losses[valid]
     count = int(valid.sum())
@@ -285,23 +198,19 @@ def _summarize(losses: np.ndarray, valid: np.ndarray, reps: int) -> RiskResult:
     return RiskResult(mean, stderr, count, reps - count)
 
 
-def _risk_point(cfg: ExperimentConfig, z: np.ndarray, sigma: np.ndarray, target: np.ndarray, runners) -> tuple:
+def _risk_point(z: np.ndarray, sigma: np.ndarray, target: np.ndarray, runners) -> tuple:
+    reps, n = z.shape[:2]
     S_batch = color_batch(z, sigma)
     losses = {}
     valids = {}
     for tag, runner in runners:
-        vals, valid = runner(S_batch, cfg.n)
+        vals, valid = runner(S_batch, n)
         with np.errstate(invalid="ignore"):
             losses[tag] = kl_loss_diag(vals, target)
         valids[tag] = valid
-    results = {
-        tag: _summarize(losses[tag], valids[tag], cfg.reps) for tag, _ in runners
-    }
-    diff = None
-    if len(runners) >= 2:
-        t1, t2 = runners[0][0], runners[1][0]
-        both = valids[t1] & valids[t2]
-        diff = _summarize(losses[t1] - losses[t2], both, cfg.reps)
+    results = {tag: _summarize(losses[tag], valids[tag], reps) for tag in losses}
+    t1, t2 = losses
+    diff = _summarize(losses[t1] - losses[t2], valids[t1] & valids[t2], reps)
     return results, diff
 
 
@@ -316,66 +225,67 @@ def parallel_points(fn, count: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _risk_grid(experiment: str, reps: int, seed: int, param_name: str, grid: np.ndarray,
+               scenario, runners) -> RiskReport:
+    """KL risks of two batched estimators at p = 2, n = 10 along ``grid``.
 
-
-def _run_risk_experiment(cfg: ExperimentConfig, sigma_of, target_of, param_name: str) -> RiskReport:
-    runners = [(tag, _method_runner(tag, cfg)) for tag in cfg.methods]
+    ``scenario(value)`` returns the population covariance at a grid value
+    and the eigenvalue target its estimates are scored against; ``runners``
+    holds two (tag, batched estimator) pairs.  The experiment name is the
+    replication stream name.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     # Every grid point reuses the same replication substreams (common random
     # numbers): draw the standard-normal blocks once and recolor per point.
-    z = normal_batch(cfg.p, cfg.n, cfg.reps, cfg.seed, cfg.experiment)
-
-    def at(i: int):
-        value = cfg.grid[i]
-        return _risk_point(cfg, z, sigma_of(value), target_of(value), runners)
-
-    outcomes = parallel_points(at, len(cfg.grid))
-    risks = {tag: [res[tag] for res, _ in outcomes] for tag in cfg.methods}
-    diffs = [d for _, d in outcomes]
+    z = normal_batch(2, 10, reps, seed, experiment)
+    outcomes = parallel_points(lambda i: _risk_point(z, *scenario(grid[i]), runners), len(grid))
     return RiskReport(
-        experiment=cfg.experiment,
+        experiment=experiment,
         param_name=param_name,
-        param_values=np.array(cfg.grid),
-        methods=cfg.methods,
-        risks=risks,
-        diff=diffs if all(d is not None for d in diffs) else None,
-        config=cfg,
+        param_values=grid,
+        methods=tuple(tag for tag, _ in runners),
+        risks={tag: [res[tag] for res, _ in outcomes] for tag, _ in runners},
+        diff=[d for _, d in outcomes],
     )
 
 
-def figure4_experiment(cfg: ExperimentConfig | None = None) -> RiskReport:
-    cfg = cfg or figure4_config()
-    return _run_risk_experiment(
-        cfg,
-        sigma_of=lambda c: np.diag([1.0, c]),
-        target_of=lambda c: np.array([1.0, c]),
-        param_name="c",
-    )
+def _ratio_scenario(c: float):
+    """Population covariance diag(1, c) and its eigenvalues."""
+    return np.diag([1.0, c]), np.array([1.0, c])
 
 
-def figure5_experiment(cfg: ExperimentConfig | None = None) -> RiskReport:
-    cfg = cfg or figure5_config()
+def figure4_experiment(reps: int = 10_000, seed: int = 0) -> RiskReport:
+    """Risk of scaled sample eigenvalues vs. the identity-frame diagonal as
+    the eigenvalue ratio c walks from 1.00 down to 0.02 in steps of 0.02."""
+    grid = np.round(np.arange(50, 0, -1) * 0.02, 10)
+    runners = ((LBAR, _batch_lbar), (GAMMA_FRAME, _batch_identity_frame))
+    return _risk_grid("fig4", reps, seed, "c", grid, _ratio_scenario, runners)
+
+
+def figure5_experiment(reps: int = 10_000, seed: int = 0) -> RiskReport:
+    """Same estimator pair at fixed eigenvalues (1, 0.8) while the true
+    frame rotates by theta in [0, pi/2] (26 equidistant angles)."""
     lam = np.array([1.0, 0.8])
 
-    def sigma_of(theta: float) -> np.ndarray:
-        R = _rotation(theta)
-        return (R * lam) @ R.T
+    def scenario(theta: float):
+        c, s = np.cos(theta), np.sin(theta)
+        R = np.array([[c, -s], [s, c]])
+        return (R * lam) @ R.T, lam
 
-    return _run_risk_experiment(
-        cfg, sigma_of=sigma_of, target_of=lambda theta: lam, param_name="theta"
-    )
+    runners = ((LBAR, _batch_lbar), (GAMMA_FRAME, _batch_identity_frame))
+    return _risk_grid("fig5", reps, seed, "theta", np.arange(26) * (np.pi / 50.0), scenario, runners)
 
 
-def figure6_experiment(cfg: ExperimentConfig | None = None) -> RiskReport:
-    cfg = cfg or figure6_config()
-    return _run_risk_experiment(
-        cfg,
-        sigma_of=lambda c: np.diag([1.0, c]),
-        target_of=lambda c: np.array([1.0, c]),
-        param_name="c",
-    )
+def figure6_experiment(reps: int = 1_000, seed: int = 0, ensemble: OrthogonalEnsemble | None = None) -> RiskReport:
+    """Scaled sample eigenvalues vs. the frame-averaged shrinkage estimator
+    over c from 0.04 to 1.00 in steps of 0.04, integrating the frame over
+    ``ensemble`` (default ``default_ensemble(2, rng=seed)``)."""
+    if ensemble is None:
+        ensemble = default_ensemble(2, rng=seed)
+    grid = np.round(np.arange(1, 26) * 0.04, 10)
+    runners = ((LBAR, _batch_lbar), (STAR, _batch_star(ensemble)))
+    return _risk_grid("fig6", reps, seed, "c", grid, _ratio_scenario, runners)
 
 
 def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-risk") -> RiskResult:

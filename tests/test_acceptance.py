@@ -35,7 +35,6 @@ from eigengeo import (
     tangent_u,
 )
 from eigengeo.cli import main as cli_main
-from eigengeo.wishart_sim import figure4_config, figure6_config
 from conftest import random_spectrum
 from test_fisher_geometry import brute_force_statistical_curvature
 from test_information_loss import brute_force_loss
@@ -130,7 +129,7 @@ def test_criterion_4_bias_majorization():
 
 def test_criterion_5_figure4_headline():
     start = time.perf_counter()
-    rep = figure4_experiment(figure4_config(reps=10_000, seed=SEED))
+    rep = figure4_experiment(reps=10_000, seed=SEED)
     lbar_risks = np.array([r.mean for r in rep.risks["lbar"]])
     frame_risks = np.array([r.mean for r in rep.risks["gamma-frame"]])
     frame_se = np.array([r.stderr for r in rep.risks["gamma-frame"]])
@@ -171,7 +170,7 @@ def test_criterion_6_figure3_headline():
 
 def test_criterion_7_figure6_headline():
     start = time.perf_counter()
-    rep = figure6_experiment(figure6_config(reps=1_000, seed=SEED, ensemble_size=50))
+    rep = figure6_experiment(reps=1_000, seed=SEED, ensemble=o2_equidistant(50))
     ok = True
     for c, diff in zip(rep.param_values, rep.diff):
         if c >= 0.5:

@@ -299,7 +299,7 @@ class TestExperimentCommand:
         if name == "fig3":
             assert (seen["reps"], seen["theta_count"]) == (reps, 51)
         else:
-            assert seen["cfg"].reps == reps
+            assert seen["reps"] == reps
 
     def test_fig3_rerun_identical_bytes(self, tmp_path):
         argv = ["experiment", "fig3", "--reps", "1000", "--theta-count", "3", "--seed", "5"]

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigengeo import (
+    DimensionMismatch,
     NearDegenerateSpectrum,
     OrthogonalEnsemble,
     haar_sample,
@@ -139,6 +140,12 @@ class TestLambdaStar:
         ens = o2_equidistant(50)
         with pytest.raises(NearDegenerateSpectrum):
             lambda_star_from_eigs(np.array([10.0, 10.0]), 10, ens)
+
+    def test_wrong_sized_ensemble_refused(self):
+        with pytest.raises(DimensionMismatch, match="2.*3"):
+            lambda_star_from_eigs(np.array([30.0, 10.0, 4.0]), 10, o2_equidistant(10))
+        with pytest.raises(DimensionMismatch, match="2.*3"):
+            lambda_star(np.diag([3.0, 1.0, 0.4]), 10, o2_equidistant(10))
 
     def test_large_n_recovers_lbar(self):
         ens = o2_equidistant(50)

@@ -18,7 +18,7 @@ from eigengeo import (
     power_curve,
 )
 import eigengeo.hypothesis_tests as ht
-from eigengeo import OptimizerFailure
+from eigengeo import DimensionMismatch, OptimizerFailure
 from eigengeo.estimators import frame_posterior_step, projected_diagonals
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
@@ -97,6 +97,28 @@ class TestEigenDensityKernel:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             eigen_log_density_kernel(np.array([1.0, 3.0]), np.eye(2), 5, o2_equidistant(10))
+
+
+class TestSampleEigenvalueGuards:
+    # The eigenvalue-only test and its kernel follow the gap policy of
+    # spd_manifold.separated_rows, as lambda_star_from_eigs does.
+    def test_near_tie_refused(self):
+        eigs = np.array([10.0, 10.0 - 1e-9])
+        ens = o2_equidistant(100)
+        with pytest.raises(ValueError, match="gaps"):
+            eigen_lrt_stat(eigs, 10, ens)
+        with pytest.raises(ValueError, match="gaps"):
+            eigen_log_density_kernel(eigs, np.eye(2), 10, ens)
+
+    def test_wrong_sized_ensemble_refused(self):
+        eigs = np.array([30.0, 10.0, 4.0])
+        ens = o2_equidistant(10)
+        with pytest.raises(DimensionMismatch, match="2.*3"):
+            eigen_lrt_stat(eigs, 10, ens)
+        with pytest.raises(DimensionMismatch, match="2.*3"):
+            eigen_log_density_kernel(eigs, np.eye(3), 10, ens)
+        with pytest.raises(DimensionMismatch, match="2.*3"):
+            calibrate(EIGEN_LRT, 0.05, 3, 10, 1000, 0, ens)
 
 
 class TestEigenLrt:

@@ -74,6 +74,20 @@ class TestSpectralDecompose:
         with pytest.raises(NearDegenerateSpectrum):
             spectral_decompose(np.diag([1.0, 1.0 - 1e-10]))
 
+    def test_one_gap_check_per_decomposition(self, monkeypatch):
+        import eigengeo.spd_manifold as sm
+
+        calls = []
+        check = sm.check_eigenvalue_gaps
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(sm, "check_eigenvalue_gaps", counting)
+        spectral_decompose(np.diag([3.0, 2.0, 1.0]))
+        assert len(calls) == 1
+
     def test_sign_convention_deterministic(self, rng):
         S = random_spd(rng, 4)
         sp = spectral_decompose(S)

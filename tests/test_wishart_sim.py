@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigengeo import (
-    ExperimentConfig,
     bias_majorization_check,
     figure4_experiment,
     figure5_experiment,
@@ -18,9 +17,6 @@ from eigengeo import (
 from eigengeo.cli import main
 from eigengeo.wishart_sim import (
     color_batch,
-    figure4_config,
-    figure5_config,
-    figure6_config,
     kl_loss_diag,
     normal_batch,
     sample_batch,
@@ -128,7 +124,7 @@ class TestSubstreams:
         with pytest.raises(ValueError, match="seed"):
             kl_risk(lambda S, n: np.ones(2), np.eye(2), 10, 5, 2**64)
         with pytest.raises(ValueError, match="seed"):
-            figure4_experiment(figure4_config(reps=5, seed=-1))
+            figure4_experiment(reps=5, seed=-1)
 
 
 class TestKlRisk:
@@ -215,16 +211,13 @@ class TestMajorization:
 class TestExperiments:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(p=2, n=1, reps=10, seed=0, grid=(1.0,), methods=("lbar",))
-        with pytest.raises(ValueError):
-            ExperimentConfig(p=2, n=10, reps=10, seed=0, grid=(), methods=("lbar",))
+            figure4_experiment(reps=0)
 
     def test_figure4_reference_shape(self):
-        cfg = figure4_config(reps=400, seed=5)
-        assert len(cfg.grid) == 50
-        assert cfg.grid[0] == 1.0
-        assert cfg.grid[-1] == 0.02
-        report = figure4_experiment(cfg)
+        report = figure4_experiment(reps=400, seed=5)
+        assert len(report.param_values) == 50
+        assert report.param_values[0] == 1.0
+        assert report.param_values[-1] == 0.02
         assert report.param_name == "c"
         assert set(report.risks) == {"lbar", "gamma-frame"}
         frame_risks = np.array([r.mean for r in report.risks["gamma-frame"]])
@@ -232,15 +225,13 @@ class TestExperiments:
         assert np.ptp(frame_risks) < 1e-12
 
     def test_figure4_determinism(self):
-        cfg = figure4_config(reps=300, seed=11)
-        a = figure4_experiment(cfg)
-        b = figure4_experiment(cfg)
+        a = figure4_experiment(reps=300, seed=11)
+        b = figure4_experiment(reps=300, seed=11)
         for tag in a.methods:
             assert [r.mean for r in a.risks[tag]] == [r.mean for r in b.risks[tag]]
 
     def test_figure5_shape(self):
-        cfg = figure5_config(reps=400, seed=5)
-        report = figure5_experiment(cfg)
+        report = figure5_experiment(reps=400, seed=5)
         assert report.param_name == "theta"
         assert report.param_values[0] == 0.0
         assert report.param_values[-1] == pytest.approx(np.pi / 2)
@@ -249,19 +240,17 @@ class TestExperiments:
         assert np.ptp(lbar_risks) < 6 * stderrs.max()
 
     def test_figure6_star_beats_lbar_when_close(self):
-        cfg = figure6_config(reps=400, seed=5)
-        report = figure6_experiment(cfg)
+        report = figure6_experiment(reps=400, seed=5)
         last = report.diff[-1]  # c = 1.0, eigenvalues as close as possible
         assert last.mean > 2 * last.stderr
 
     def test_thread_cap_does_not_change_results(self, monkeypatch):
-        cfg = figure6_config(reps=200, seed=2)
         monkeypatch.setenv("EIGENGEO_THREADS", "1")
         assert worker_count() == 1
-        serial = figure6_experiment(cfg)
+        serial = figure6_experiment(reps=200, seed=2)
         monkeypatch.setenv("EIGENGEO_THREADS", "4")
-        threaded = figure6_experiment(cfg)
-        for tag in cfg.methods:
+        threaded = figure6_experiment(reps=200, seed=2)
+        for tag in serial.methods:
             assert [r.mean for r in serial.risks[tag]] == [
                 r.mean for r in threaded.risks[tag]
             ]
