@@ -29,7 +29,7 @@ from .errors import (
     NotPositiveDefiniteWarning,
 )
 from .estimators import (
-    EQUIDISTANT_O2,
+    ExactO2,
     OrthogonalEnsemble,
     default_ensemble,
     haar_sample,
@@ -126,7 +126,7 @@ def _parse_lambda(text: str) -> np.ndarray:
     return lam
 
 
-def _parse_ensemble(text: str | None, p: int, seed: int) -> OrthogonalEnsemble:
+def _parse_ensemble(text: str | None, p: int, seed: int) -> OrthogonalEnsemble | ExactO2:
     if text is None:
         return default_ensemble(p, rng=seed)
     kind, _, size = text.partition(":")
@@ -349,9 +349,10 @@ def cmd_experiment(args) -> list[str]:
         runners = {"fig4": figure4_experiment, "fig5": figure5_experiment, "fig6": figure6_experiment}
         kwargs = {"reps": args.reps, "seed": args.seed}
         if name == "fig6" and args.ensemble is not None:
+            # Refuse other kinds from the flag text, before anything is built.
+            if args.ensemble.partition(":")[0] != "equidistant":
+                raise CliInputError("fig6 takes only --ensemble equidistant:K")
             kwargs["ensemble"] = _parse_ensemble(args.ensemble, 2, 0)
-            if kwargs["ensemble"].kind != EQUIDISTANT_O2:
-                raise CliInputError("fig6 uses an equidistant ensemble (p=2)")
         report = runners[name](**{k: v for k, v in kwargs.items() if v is not None})
         header, rows = _risk_report_rows(report)
         out = os.path.join(args.out, f"{name}.csv")
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="estimator (repeatable)")
     est.add_argument("--gamma", default="identity",
                      help="frame for gamma-frame: 'identity' or a matrix file")
-    est.add_argument("--ensemble", default=None, help="equidistant:K or haar:m (star only)")
+    est.add_argument("--ensemble", default=None, help="equidistant:K or haar:m (star only; default exact at p=2)")
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", default=".")
 
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--alpha", type=float, default=None, help="fig3: test level (default 0.05)")
     exp.add_argument("--theta-count", type=int, default=None,
                      help="fig3: thin the 51-angle fan to this many points (default 51)")
-    exp.add_argument("--ensemble", default=None, help="equidistant:K or haar:m")
+    exp.add_argument("--ensemble", default=None, help="equidistant:K or haar:m (default: exact at p=2)")
     exp.add_argument("--paper-scale", action="store_true",
                      help="the paper's replication counts (slow; not with --reps or --theta-count)")
     exp.add_argument("--plot", action="store_true", help="emit a gnuplot script")

@@ -10,14 +10,17 @@ S of n observations:
 * ``lambda_star``: a frame-averaged shrinkage estimator that integrates
   the frame out against its plug-in posterior over the orthogonal group.
 
-The group integrals are evaluated by quadrature over an
-``OrthogonalEnsemble``: an equidistant rotation grid for p = 2 (exact for
-trigonometric polynomials) or a Haar Monte-Carlo sample for p >= 3.
+At p = 2 the group integral is exact, exp(-a) I0(b) (``ExactO2``; James,
+Ann. Math. Statist. 1964).  For p >= 3 it is a quadrature over an
+``OrthogonalEnsemble`` of Haar draws; ``o2_equidistant`` grids cross-check p = 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,6 +35,7 @@ STAR = "star"
 
 EQUIDISTANT_O2 = "equidistant-o2"
 HAAR_MC = "haar-mc"
+EXACT_O2 = "exact-o2"
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,19 @@ class OrthogonalEnsemble:
     def size(self) -> int:
         return self.matrices.shape[0]
 
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        return np.log(self.weights)
+
+
+@dataclass(frozen=True)
+class ExactO2:
+    """The p = 2 frame integral in closed form, exp(-a) I0(b): no nodes."""
+
+    kind: ClassVar[str] = EXACT_O2
+    dim: ClassVar[int] = 2
+    size: ClassVar[int] = 0
+
 
 def o2_equidistant(count: int) -> OrthogonalEnsemble:
     """Equidistant rotation grid on [0, pi) with uniform weights.
@@ -132,11 +149,11 @@ def haar_sample(p: int, count: int, rng) -> OrthogonalEnsemble:
     return OrthogonalEnsemble(q, np.full(count, 1.0 / count), HAAR_MC)
 
 
-def default_ensemble(p: int, rng=0) -> OrthogonalEnsemble:
-    """Ensemble policy: a 50-point equidistant grid for p = 2, 4096 Haar
-    draws for p >= 3."""
+def default_ensemble(p: int, rng=0) -> OrthogonalEnsemble | ExactO2:
+    """The one frame-integral policy, for the estimators and the tests: the
+    exact integral for p = 2, 4096 Haar draws (seeded by ``rng``) for p >= 3."""
     if p == 2:
-        return o2_equidistant(50)
+        return ExactO2()
     return haar_sample(p, 4096, rng)
 
 
@@ -162,7 +179,7 @@ def lambda_hat(S, n: int, gamma: np.ndarray) -> EigenEstimate:
     return EigenEstimate(kl_project(S, gamma) / n, GAMMA_FRAME)
 
 
-def lambda_star(S, n: int, ensemble: OrthogonalEnsemble) -> EigenEstimate:
+def lambda_star(S, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> EigenEstimate:
     """Frame-averaged shrinkage estimator.
 
     Averages the frame-diagonal diag(H^T L H)/n over orthogonal frames H
@@ -181,7 +198,7 @@ def lambda_star(S, n: int, ensemble: OrthogonalEnsemble) -> EigenEstimate:
 
 
 def lambda_star_from_eigs(
-    sample_eigs, n: int, ensemble: OrthogonalEnsemble, check_gaps: bool = True
+    sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2, check_gaps: bool = True
 ) -> np.ndarray:
     """Quadrature core of ``lambda_star`` operating on sample eigenvalues.
 
@@ -194,30 +211,31 @@ def lambda_star_from_eigs(
     batch = np.atleast_2d(eigs)
     if check_gaps and not (ok := separated_rows(batch)).all():
         check_eigenvalue_gaps(batch[np.argmin(ok)], "lambda_star")  # the first bad row
-    _, result = frame_posterior_step(
-        projected_diagonals(batch, ensemble), np.log(batch / n), n, np.log(ensemble.weights)
-    )
+    D = projected_diagonals(batch, ensemble)
+    _, result = frame_posterior_step(D, np.log(batch / n), n, ensemble)
     return result[0] if single else result
 
 
-def projected_diagonals(eig_rows: np.ndarray, ensemble: OrthogonalEnsemble) -> np.ndarray:
+def projected_diagonals(eig_rows: np.ndarray, ensemble: OrthogonalEnsemble | ExactO2) -> np.ndarray:
     """D[r, k, i] = diag_i(H_k^T L_r H_k) for L_r = diag(eig_rows[r]) and the
-    ensemble's nodes H_k: each node's frame-diagonal of the sample matrix.
-    Every frame integral passes through here, so the ensemble's dimension is
-    checked here (DimensionMismatch)."""
+    ensemble's nodes H_k (``ExactO2``: the rows themselves).  Every frame
+    integral passes through here, so the ensemble's dimension is checked
+    here (DimensionMismatch)."""
     if ensemble.dim != eig_rows.shape[1]:
         raise DimensionMismatch(
             f"ensemble dim {ensemble.dim} does not match {eig_rows.shape[1]} eigenvalues"
         )
+    if ensemble.kind == EXACT_O2:
+        return eig_rows
     # (H^T L H)_ii = sum_j H[j, i]^2 l_j, a plain contraction with H**2.
     return np.einsum("kji,rj->rki", ensemble.matrices**2, eig_rows)
 
 
-def frame_posterior_step(D: np.ndarray, log_lam: np.ndarray, n: int, log_weights: np.ndarray):
+def frame_posterior_step(D: np.ndarray, log_lam: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2):
     """One posterior step over the frame for population eigenvalues
     exp(log_lam) (one row per row of ``D``, see ``projected_diagonals``).
 
-    The frame posterior puts log-weight log_weights[k] - sum_i D[r, k, i] /
+    The frame posterior puts log-weight log w_k - sum_i D[r, k, i] /
     (2 lam_i) on node k.  Returns ``(objective, update)``: the profile
     log-likelihood -(n/2) sum(log lam) + log sum_k w_k exp(-sum_i D_i /
     (2 lam_i)), and the posterior mean of D / n, which is the EM map for
@@ -225,10 +243,23 @@ def frame_posterior_step(D: np.ndarray, log_lam: np.ndarray, n: int, log_weights
     (n/2) (update / lam - 1).  All weights are combined in log scale with
     the maximum subtracted (``relative_weights``), so the average stays
     finite even though the raw exponents scale like -n p / 2.
+
+    For ``ExactO2``, D is l: at rotation theta the diagonal is m +/- h
+    cos(2 theta) (m, h: mean and half-difference of l), so the log average
+    is -a + log I0(b), a = m (1/lam_1 + 1/lam_2) / 2, b = h (1/lam_1 -
+    1/lam_2) / 2, and the update is (m -/+ h I1(b) / I0(b)) / n.
     """
+    if ensemble.kind == EXACT_O2:
+        inv = np.exp(-log_lam)
+        m, h = 0.5 * (D[:, 0] + D[:, 1]), 0.5 * (D[:, 0] - D[:, 1])
+        b = 0.5 * h * (inv[:, 0] - inv[:, 1])
+        log_i0, ratio = log_i0_and_ratio(np.abs(b))
+        objective = -0.5 * n * log_lam.sum(axis=1) - 0.5 * m * (inv[:, 0] + inv[:, 1]) + log_i0
+        shift = h * np.copysign(ratio, b)
+        return objective, np.stack([m - shift, m + shift], axis=1) / n
     # Batched matmul runs these contractions ~4x faster than einsum.
     log_terms = (D @ (-0.5 * np.exp(-log_lam))[:, :, None])[:, :, 0]
-    log_terms += log_weights
+    log_terms += ensemble.log_weights
     peak, rel, total = relative_weights(log_terms)
     objective = -0.5 * n * log_lam.sum(axis=1) + (peak + np.log(total))
     update = (rel[:, None, :] @ D)[:, 0, :] / (n * total[:, None])
@@ -250,3 +281,48 @@ def relative_weights(log_terms: np.ndarray):
     if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
         raise QuadratureUnderflow("all quadrature weights underflowed")
     return peak[..., 0], rel, total
+
+
+def _bessel_coefficients():
+    """Highest power first: Q, P with I0 = 1 + y Q(y), I1 = (x/2) P(y), y = x^2/4,
+    and the asymptotic series of I0, I1 in 1/x (Abramowitz and Stegun 9.7.1)."""
+    f = [math.factorial(k) for k in range(35)]
+    series = [[1.0 / f[k + 1] ** 2, 1.0 / (f[k] * f[k + 1])] for k in range(34)]
+    asymptotic = [[1.0, 1.0]]
+    for k in range(1, 22):
+        a, b = asymptotic[-1]
+        asymptotic.append([a * (2 * k - 1) ** 2 / (8 * k), b * ((2 * k - 1) ** 2 - 4) / (8 * k)])
+    return (np.array(c)[::-1, :, None] for c in (series, asymptotic))
+
+
+_BESSEL_SEAM = 20.0
+_I_SERIES, _I_ASYMPTOTIC = _bessel_coefficients()
+
+
+def _horner(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Both columns of ``coef`` as polynomials in t, in one Horner pass."""
+    acc = coef[0] * t
+    for c in coef[1:-1]:
+        acc += c
+        acc *= t
+    return acc + coef[-1]
+
+
+def log_i0_and_ratio(x: np.ndarray):
+    """log I0(x) and I1(x) / I0(x) for a vector x >= 0, both to about 1e-15
+    relative: power series up to x = 20, asymptotic series above.
+    ``np.i0`` overflows near x = 710, and numpy has no I1."""
+    log_i0, ratio = np.empty_like(x), np.empty_like(x)
+    small = x <= _BESSEL_SEAM
+    xs = x[small]
+    y = 0.25 * xs * xs
+    q, p = _horner(_I_SERIES, y)
+    yq = y * q
+    log_i0[small] = np.log1p(yq)  # log1p keeps log I0 ~ x^2/4 accurate at tiny x
+    ratio[small] = 0.5 * xs * p / (1.0 + yq)
+    if not small.all():
+        xl = x[~small]
+        s0, s1 = _horner(_I_ASYMPTOTIC, 1.0 / xl)
+        log_i0[~small] = xl - 0.5 * np.log(2.0 * np.pi * xl) + np.log(s0)
+        ratio[~small] = s1 / s0
+    return log_i0, ratio

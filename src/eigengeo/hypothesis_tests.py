@@ -3,13 +3,13 @@
 Two tests of the null "covariance equals the identity": the classical test
 on the full product-sum matrix, and a test that sees only its eigenvalues.
 The eigenvalue test needs the density of the sample eigenvalues, whose
-frame integral is evaluated by quadrature over an orthogonal ensemble, and
-a profile maximization over candidate population eigenvalues.  Treating
-the frame as missing data makes that maximization an EM iteration,
-lam <- E_post[diag(H^T L H)] / n (``estimators.frame_posterior_step``),
-run in log space from several starts and accelerated by SQUAREM
-(Varadhan and Roland, Scand. J. Stat. 2008); each maximum carries a
-gradient certificate or raises ``OptimizerFailure``.
+frame integral is exact at p = 2 and a Haar quadrature above
+(``estimators.default_ensemble``), and a profile maximization over
+candidate population eigenvalues.  Treating the frame as missing data makes
+that maximization an EM iteration, lam <- E_post[diag(H^T L H)] / n
+(``estimators.frame_posterior_step``), run in log space from a few starts
+and accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 2008);
+each maximum carries a gradient certificate or raises ``OptimizerFailure``.
 
 Critical values are calibrated by Monte-Carlo under the null (no
 asymptotic approximations), and powers come from fresh replication
@@ -26,10 +26,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, OptimizerFailure
 from .estimators import (
+    EXACT_O2,
+    ExactO2,
     OrthogonalEnsemble,
+    default_ensemble,
     frame_posterior_step,
-    haar_sample,
-    o2_equidistant,
     projected_diagonals,
 )
 from .spd_manifold import GAP_TOLERANCE_REL, as_spd, separated_rows
@@ -78,14 +79,6 @@ class CriticalValue:
         return value < self.threshold
 
 
-def default_test_ensemble(p: int, seed: int = 0) -> OrthogonalEnsemble:
-    """Quadrature policy for the eigenvalue test: a 100-point equidistant
-    grid for p = 2, 8192 Haar draws for p >= 3."""
-    if p == 2:
-        return o2_equidistant(100)
-    return haar_sample(p, 8192, seed)
-
-
 def full_lrt_stat(S, n: int) -> TestStatistic:
     """Log likelihood-ratio statistic of the full-data test:
     (pn/2)(1 - log n) - trace(S)/2 + (n/2) log det S.
@@ -106,7 +99,7 @@ def _full_lrt_batch(S_batch: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * p * n * (1.0 - np.log(n)) - 0.5 * traces + 0.5 * n * logdet
 
 
-def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEnsemble) -> float:
+def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> float:
     """Covariance-dependent part of the sample-eigenvalue log density:
     -(n/2) log det Sigma + log of the group-averaged exp(-trace(H^T L H
     Sigma^-1)/2).  At diagonal Sigma = diag(lam) this is the profile
@@ -123,11 +116,13 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
         raise DimensionMismatch(f"ensemble dim {ensemble.dim} does not match Sigma dim {Sigma.dim}")
     # With Sigma = G diag(lam) G^T, trace(H^T L H Sigma^-1) is
     # sum_i diag_i((H G)^T L (H G)) / lam_i: the profile objective at lam
-    # over the nodes rotated into Sigma's eigenframe.
+    # over the nodes rotated into Sigma's eigenframe.  The exact integral is
+    # Haar-invariant, so G drops out of it.
     lam, G = np.linalg.eigh(Sigma.matrix)
-    frames = replace(ensemble, matrices=ensemble.matrices @ G)
+    if ensemble.kind != EXACT_O2:
+        ensemble = replace(ensemble, matrices=ensemble.matrices @ G)
     objective, _ = frame_posterior_step(
-        projected_diagonals(eigs[None, :], frames), np.log(lam)[None, :], n, np.log(ensemble.weights)
+        projected_diagonals(eigs[None, :], ensemble), np.log(lam)[None, :], n, ensemble
     )
     return float(objective[0])
 
@@ -144,43 +139,48 @@ def _separated(sample_eigs) -> np.ndarray:
     return eigs
 
 
-def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble) -> TestStatistic:
+def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> TestStatistic:
     """Log likelihood-ratio statistic of the eigenvalue-only test.
 
     Numerator: the null log density kernel, -sum(l)/2.  Denominator: the
     profile supremum over population eigenvalues of the alternative kernel.
-    The null point is always among the maximizer's starts, so the statistic
-    is never positive.
+    The maximizer starts from the mean of l/n, which scores at least as
+    high as the null point, so the statistic is never positive.
     """
     eigs = _separated(sample_eigs)
     value = _eigen_lrt_batch(eigs[None, :], n, ensemble)[0]
     return TestStatistic(float(value), EIGEN_LRT, n, eigs.size)
 
 
-def _eigen_lrt_batch(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble) -> np.ndarray:
+def _eigen_lrt_batch(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> np.ndarray:
     numerator = -0.5 * eig_rows.sum(axis=1)
     sup, _ = _profile_sup(eig_rows, n, ensemble)
     return numerator - sup
 
 
-def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble):
+def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2):
     """Batched sup over population eigenvalues of the profile objective
     -(n/2) sum(log lam) + log group-average exp(-diag-quadratic/2).
 
     Returns the sup and its log-eigenvalue argmax per row.  Each start runs
     SQUAREM-accelerated EM to a gradient certificate; the best end point per
-    row wins.  The starts are every ordering of l/n (the exact group
-    integral is symmetric under permuting lam, a quadrature ensemble only
-    nearly so, and its modes reach different heights), the mean, the
-    midpoint of the two in log space, and the null point.
+    row wins.  A quadrature starts from every ordering of l/n (it is only
+    nearly symmetric under permuting lam, and its modes reach different
+    heights), the mean, their midpoint in log space, and the null point.
+    ``ExactO2`` needs only l/n and the mean: it is symmetric in lam, one EM
+    step takes the null point to the mean (which scores higher), and on the
+    trace line lam = m (1 +/- t) the EM map is increasing in t, so EM from
+    l/n climbs to the largest fixed point.
     """
     reps, p = eig_rows.shape
     D = projected_diagonals(eig_rows, ensemble)
-    logw = np.log(ensemble.weights)
     log_l = np.log(eig_rows / n)
     mean_log = np.log(eig_rows.mean(axis=1) / n)[:, None]
-    starts = [log_l[:, list(order)] for order in itertools.permutations(range(p))]
-    starts += [np.repeat(mean_log, p, axis=1), 0.5 * (log_l + mean_log), np.zeros((reps, p))]
+    if ensemble.kind == EXACT_O2:
+        starts = [log_l, np.repeat(mean_log, p, axis=1)]
+    else:
+        starts = [log_l[:, list(order)] for order in itertools.permutations(range(p))]
+        starts += [np.repeat(mean_log, p, axis=1), 0.5 * (log_l + mean_log), np.zeros((reps, p))]
     # Every EM image is a posterior mean of convex combinations of l/n, so
     # the image, and with it the sup, lies in this box.
     lo, hi = log_l.min(axis=1, keepdims=True), log_l.max(axis=1, keepdims=True)
@@ -188,9 +188,9 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble):
     start_best = np.full(reps, -np.inf)
     argmax = np.zeros((reps, p))
     for x in starts:
-        f, update = frame_posterior_step(D, x, n, logw)
+        f, update = frame_posterior_step(D, x, n, ensemble)
         start_best = np.maximum(start_best, f)
-        x, f = _squarem(D, x, f, update, n, logw, lo, hi)
+        x, f = _squarem(D, x, f, update, n, ensemble, lo, hi)
         better = f > best
         best[better] = f[better]
         argmax[better] = x[better]
@@ -199,7 +199,7 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble):
     return best, argmax
 
 
-def _squarem(D, x, f, update, n, logw, lo, hi):
+def _squarem(D, x, f, update, n, ensemble, lo, hi):
     """SQUAREM-accelerated EM in log-eigenvalue space from ``x``, where the
     objective is ``f`` and the EM map gives ``update``.
 
@@ -224,15 +224,15 @@ def _squarem(D, x, f, update, n, logw, lo, hi):
             break
         x0 = x[active]
         x1 = np.log(update[active])
-        _, update1 = frame_posterior_step(Da, x1, n, logw)
+        _, update1 = frame_posterior_step(Da, x1, n, ensemble)
         x2 = np.log(update1)
-        f2, update2 = frame_posterior_step(Da, x2, n, logw)
+        f2, update2 = frame_posterior_step(Da, x2, n, ensemble)
         r = x1 - x0
         v = x2 - x1 - r
         step = np.sqrt((r * r).sum(axis=1) / np.maximum((v * v).sum(axis=1), np.finfo(float).tiny))
         step = np.maximum(step, 1.0)[:, None]
         xs = np.clip(x0 + 2.0 * step * r + step**2 * v, lo[active], hi[active])
-        fs, updates = frame_posterior_step(Da, xs, n, logw)
+        fs, updates = frame_posterior_step(Da, xs, n, ensemble)
         keep = fs >= f[active]
         x[active] = np.where(keep[:, None], xs, x2)
         f[active] = np.where(keep, fs, f2)
@@ -250,7 +250,7 @@ def calibrate(
     n: int,
     reps: int,
     seed: int,
-    ensemble: OrthogonalEnsemble | None = None,
+    ensemble: OrthogonalEnsemble | ExactO2 | None = None,
 ) -> CriticalValue:
     """Empirical lower-tail critical value under the null (unit covariance).
 
@@ -264,17 +264,29 @@ def calibrate(
         raise ValueError(f"calibration needs reps >= 1000, got {reps}")
     if kind not in (FULL_LRT, EIGEN_LRT):
         raise ValueError(f"unknown test kind {kind!r}")
+    ensemble = _test_ensemble(kind, ensemble, p, seed)
     S_batch = sample_batch(np.eye(p), n, reps, seed, "h0-calibration")
     order = np.sort(_stat_batch(kind, S_batch, n, ensemble, seed))
     threshold = float(order[int(np.floor(alpha * reps))])
     return CriticalValue(alpha, threshold, reps, seed, kind)
 
 
+def _test_ensemble(kind, ensemble, p, seed):
+    """The eigen-LRT's integral (default ``default_ensemble(p)``), checked before any draw."""
+    if kind != EIGEN_LRT:
+        return None
+    if ensemble is None:
+        ensemble = default_ensemble(p, seed)
+    if ensemble.dim != p:
+        raise DimensionMismatch(f"ensemble dim {ensemble.dim} does not match p = {p}")
+    return ensemble
+
+
 def _stat_batch(kind, S_batch, n, ensemble, seed) -> np.ndarray:
     if kind == FULL_LRT:
         return _full_lrt_batch(S_batch, n)
     if ensemble is None:
-        ensemble = default_test_ensemble(S_batch.shape[1], seed)
+        ensemble = default_ensemble(S_batch.shape[1], seed)
     eig_rows = np.linalg.eigvalsh(S_batch)[:, ::-1]
     return _eigen_lrt_batch(eig_rows, n, ensemble)
 
@@ -296,7 +308,7 @@ def power_curve(
     n: int,
     reps: int,
     seed: int,
-    ensemble: OrthogonalEnsemble | None = None,
+    ensemble: OrthogonalEnsemble | ExactO2 | None = None,
 ) -> list[PowerPoint]:
     """Rejection frequency of the calibrated test at each alternative
     covariance, with binomial standard errors.
@@ -310,8 +322,7 @@ def power_curve(
     if not mats:
         return []
     p = mats[0].shape[0]
-    if kind == EIGEN_LRT and ensemble is None:
-        ensemble = default_test_ensemble(p, seed)
+    ensemble = _test_ensemble(kind, ensemble, p, seed)
     # Draw the shared substreams once and recolor them per alternative.
     z = normal_batch(p, n, reps, seed, "power")
 
@@ -370,7 +381,7 @@ def figure3_experiment(
     alpha: float = 0.05,
     n: int = 10,
     theta_count: int = 51,
-    ensemble: OrthogonalEnsemble | None = None,
+    ensemble: OrthogonalEnsemble | ExactO2 | None = None,
 ) -> PowerStudy:
     """Power comparison of the two tests along the alternative fan, both
     tests evaluated on the same draws at every angle.
@@ -380,8 +391,7 @@ def figure3_experiment(
     rejection rates.
     """
     p = 2
-    if ensemble is None:
-        ensemble = default_test_ensemble(p, seed)
+    ensemble = _test_ensemble(EIGEN_LRT, ensemble, p, seed)
     thetas = figure3_thetas(theta_count)
     fan = [figure3_alternative(theta) for theta in thetas]
     S_null = sample_batch(np.eye(p), n, reps, seed, "size-check")

@@ -30,6 +30,7 @@ from .estimators import (
     GAMMA_FRAME,
     LBAR,
     STAR,
+    ExactO2,
     OrthogonalEnsemble,
     default_ensemble,
     lambda_star_from_eigs,
@@ -178,7 +179,7 @@ def _batch_identity_frame(S_batch: np.ndarray, n: int):
     return vals, np.ones(S_batch.shape[0], dtype=bool)
 
 
-def _batch_star(ensemble: OrthogonalEnsemble):
+def _batch_star(ensemble: OrthogonalEnsemble | ExactO2):
     def run(S_batch: np.ndarray, n: int):
         eigs = np.linalg.eigvalsh(S_batch)[:, ::-1]
         valid = separated_rows(eigs)
@@ -277,10 +278,12 @@ def figure5_experiment(reps: int = 10_000, seed: int = 0) -> RiskReport:
     return _risk_grid("fig5", reps, seed, "theta", np.arange(26) * (np.pi / 50.0), scenario, runners)
 
 
-def figure6_experiment(reps: int = 1_000, seed: int = 0, ensemble: OrthogonalEnsemble | None = None) -> RiskReport:
+def figure6_experiment(
+    reps: int = 1_000, seed: int = 0, ensemble: OrthogonalEnsemble | ExactO2 | None = None
+) -> RiskReport:
     """Scaled sample eigenvalues vs. the frame-averaged shrinkage estimator
     over c from 0.04 to 1.00 in steps of 0.04, integrating the frame over
-    ``ensemble`` (default ``default_ensemble(2, rng=seed)``)."""
+    ``ensemble`` (default ``default_ensemble(2)``, the exact integral)."""
     if ensemble is None:
         ensemble = default_ensemble(2, rng=seed)
     grid = np.round(np.arange(1, 26) * 0.04, 10)

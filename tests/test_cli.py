@@ -97,6 +97,12 @@ class TestEstimateCommand:
         total = float(rows[0]["value_1"]) + float(rows[0]["value_2"])
         assert abs(total - 7.0 / 10.0) < 1e-10
 
+    def test_star_default_is_exact_at_p2(self, tmp_path):
+        path = write_matrix(tmp_path, "S.txt", np.array([[5.0, 1.0], [1.0, 2.0]]))
+        assert run(tmp_path, "estimate", "--input", path, "--n", "10", "--method", "star") == 0
+        _, rows = read_rows(tmp_path / "estimate.csv")
+        assert (rows[0]["ensemble_kind"], rows[0]["ensemble_size"]) == ("exact-o2", "0")
+
     def test_gamma_frame_identity(self, tmp_path):
         path = write_matrix(tmp_path, "S.txt", np.array([[2.0, 0.5], [0.5, 1.0]]))
         assert run(tmp_path, "estimate", "--input", path, "--n", "1",
@@ -212,6 +218,14 @@ class TestExperimentCommand:
     )
     def test_bad_arguments_exit_2(self, tmp_path, argv):
         assert run(tmp_path, "experiment", *argv) == 2
+
+    def test_fig6_refuses_haar_before_building_it(self, tmp_path, monkeypatch):
+        def never(*args):
+            raise AssertionError("built the refused Haar ensemble")
+
+        monkeypatch.setattr(cli, "haar_sample", never)
+        assert run(tmp_path, "experiment", "fig6", "--reps", "5", "--ensemble", "haar:400000") == 2
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "argv",

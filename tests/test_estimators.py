@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import i0e, i1e
 
 from eigengeo import (
     DimensionMismatch,
@@ -15,7 +16,10 @@ from eigengeo import (
     sample_product_sum,
     replication_rng,
 )
-from eigengeo.estimators import EQUIDISTANT_O2, GAMMA_FRAME, HAAR_MC, LBAR, STAR
+from eigengeo.estimators import (
+    EQUIDISTANT_O2, EXACT_O2, GAMMA_FRAME, HAAR_MC, LBAR, STAR,
+    ExactO2, default_ensemble, frame_posterior_step, log_i0_and_ratio, projected_diagonals,
+)
 from eigengeo.wishart_sim import sample_batch
 from conftest import random_orthogonal, rotation
 
@@ -227,3 +231,86 @@ class TestLambdaStar:
         est = lambda_star(A.T @ A, 8, ens)
         assert est.method == STAR
         assert est.meta["ensemble_size"] == 13
+
+
+# Bessel arguments: 0, tiny values, both sides of the series/asymptotic seam
+# at 20, and a sweep up to 1e4.
+BESSEL_X = np.concatenate([
+    [0.0, 1e-300, 1e-20, 1e-8, 1e-5, 1e-3],
+    np.linspace(0.01, 40.0, 2000),
+    np.nextafter(20.0, [0.0, 20.0, 40.0]),
+    np.linspace(19.9, 20.1, 41),
+    np.geomspace(40.0, 1e4, 300),
+])
+
+
+class TestBesselHelpers:
+    def test_ratio_matches_scipy(self):
+        _, ratio = log_i0_and_ratio(BESSEL_X)
+        assert_allclose(ratio, i1e(BESSEL_X) / i0e(BESSEL_X), rtol=1e-13, atol=0.0)
+
+    def test_log_i0_matches_scipy(self):
+        log_i0, _ = log_i0_and_ratio(BESSEL_X)
+        big = BESSEL_X >= 1.0
+        # log(i0e) + x cancels below x = 1, so compare I0 e^-x there.
+        assert_allclose(log_i0[big], np.log(i0e(BESSEL_X[big])) + BESSEL_X[big], rtol=1e-13, atol=0.0)
+        assert_allclose(np.exp(log_i0[~big] - BESSEL_X[~big]), i0e(BESSEL_X[~big]), rtol=1e-13, atol=0.0)
+
+    def test_log_i0_relative_at_tiny_x(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([[1e-300, 1e-20, 1e-8, 1e-5, 1e-3], np.linspace(0.01, 1.0, 50)])
+        with mpmath.workdps(60):
+            want = [float(mpmath.log(mpmath.besseli(0, mpmath.mpf(float(v))))) for v in x]
+        assert_allclose(log_i0_and_ratio(x)[0], want, rtol=1e-13, atol=0.0)
+
+    def test_no_overflow_where_np_i0_does(self):
+        x = np.array([700.0, 800.0, 1e6, 1e300])
+        log_i0, ratio = log_i0_and_ratio(x)
+        assert np.all(np.isfinite(log_i0)) and np.all((ratio > 0.99) & (ratio <= 1.0))
+
+
+def exact_and_grid_rows(seed, count=50, n=10):
+    """Wishart sample eigenvalue rows and population eigenvalues near l/n."""
+    rng = np.random.default_rng(seed)
+    eigs = np.empty((count, 2))
+    for r in range(count):
+        x = rng.standard_normal((n, 2)) * np.sqrt(rng.uniform(0.2, 3.0, 2))
+        eigs[r] = np.linalg.eigvalsh(x.T @ x)[::-1]
+    log_lam = np.log(eigs / n) + rng.normal(0.0, 0.5, (count, 2))
+    return eigs, log_lam
+
+
+class TestExactO2:
+    def test_is_the_p2_default_and_has_no_nodes(self):
+        ens = default_ensemble(2)
+        assert isinstance(ens, ExactO2) and ens.kind == EXACT_O2
+        assert ens.dim == 2 and ens.size == 0
+        assert default_ensemble(3).size == 4096
+
+    def test_step_matches_dense_grid(self):
+        grid = o2_equidistant(400)
+        eigs, log_lam = exact_and_grid_rows(31)
+        f, update = frame_posterior_step(projected_diagonals(eigs, ExactO2()), log_lam, 10, ExactO2())
+        g, grid_update = frame_posterior_step(projected_diagonals(eigs, grid), log_lam, 10, grid)
+        assert_allclose(f, g, rtol=0.0, atol=1e-12)
+        assert_allclose(update, grid_update, rtol=1e-12, atol=0.0)
+
+    def test_symmetric_under_swapping_lambda(self):
+        # The objective is symmetric and the EM map equivariant.
+        eigs, log_lam = exact_and_grid_rows(32)
+        f, update = frame_posterior_step(eigs, log_lam, 10, ExactO2())
+        g, swapped = frame_posterior_step(eigs, log_lam[:, ::-1], 10, ExactO2())
+        assert_allclose(f, g, rtol=1e-15, atol=0.0)
+        assert_allclose(update, swapped[:, ::-1], rtol=1e-15, atol=0.0)
+
+    def test_lambda_star_matches_dense_grid(self):
+        eigs, _ = exact_and_grid_rows(33)
+        got = lambda_star_from_eigs(eigs, 10, ExactO2())
+        assert_allclose(got, lambda_star_from_eigs(eigs, 10, o2_equidistant(400)), rtol=1e-12, atol=0.0)
+        assert_allclose(got.sum(axis=1), eigs.sum(axis=1) / 10, rtol=1e-14)
+
+    def test_metadata_and_dimension(self):
+        est = lambda_star(np.diag([20.0, 10.0]), 10, ExactO2())
+        assert est.meta == {"ensemble_kind": EXACT_O2, "ensemble_size": 0}
+        with pytest.raises(DimensionMismatch, match="2.*3"):
+            lambda_star(np.diag([3.0, 1.0, 0.4]), 10, ExactO2())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
-from scipy.special import logsumexp
+from scipy.special import i0e, logsumexp
 
 from eigengeo import (
     CriticalValue,
@@ -19,7 +19,7 @@ from eigengeo import (
 )
 import eigengeo.hypothesis_tests as ht
 from eigengeo import DimensionMismatch, OptimizerFailure
-from eigengeo.estimators import frame_posterior_step, projected_diagonals
+from eigengeo.estimators import ExactO2, frame_posterior_step, projected_diagonals
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
     FULL_LRT,
@@ -89,7 +89,7 @@ class TestEigenDensityKernel:
         lam = np.array([3.0, 1.5, 0.6])
         got = eigen_log_density_kernel(eigs, np.diag(lam), 10, ens)
         objective, _ = frame_posterior_step(
-            projected_diagonals(eigs[None, :], ens), np.log(lam)[None, :], 10, np.log(ens.weights)
+            projected_diagonals(eigs[None, :], ens), np.log(lam)[None, :], 10, ens
         )
         assert abs(got - objective[0]) < 1e-10
         assert abs(got - (-25.0253)) < 5e-5
@@ -242,6 +242,55 @@ class TestProfileMaximizer:
             _profile_sup(eigs, 10, o2_equidistant(100))
 
 
+def exact_objective_on_trace_line(row, n, t):
+    """The exact p = 2 profile objective at lam = m (1 + t, 1 - t), m the
+    mean of l/n, written out with scipy's i0e: -(n/2) sum(log lam) - a +
+    log I0(b)."""
+    m = row.mean() / n
+    lam = m * np.stack([1.0 + t, 1.0 - t], axis=-1)
+    a = 0.25 * row.sum() * (1.0 / lam).sum(axis=-1)
+    b = np.abs(0.25 * (row[0] - row[1]) * (1.0 / lam[..., 0] - 1.0 / lam[..., 1]))
+    return -0.5 * n * np.log(lam).sum(axis=-1) - a + np.log(i0e(b)) + b
+
+
+class TestExactProfile:
+    # The exact integral runs the profile search from two starts, l/n and
+    # the mean; every stationary point lies on the trace line, so a dense
+    # 1-D grid over its half t in [0, c] is an oracle for the sup.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 50, 1000])
+    def test_two_start_sup_not_below_dense_trace_line(self, n):
+        rng = np.random.default_rng(n)
+        knee = np.sqrt(2.0 / n)  # where the mean turns from maximum to saddle
+        cs = np.concatenate([knee * np.array([0.9, 0.99, 1.01, 1.1, 1.5]), rng.uniform(0.01, 0.99, 25)])
+        cs = cs[cs < 0.999]
+        rows = 10.0 * n * np.stack([1.0 + cs, 1.0 - cs], axis=1)
+        sup, _ = _profile_sup(rows, n, ExactO2())
+        for row, c, best in zip(rows, cs, sup):
+            oracle = exact_objective_on_trace_line(row, n, np.linspace(0.0, c, 20_001)).max()
+            assert best >= oracle - 1e-10
+
+    def test_sup_matches_grid_sup(self):
+        eigs = wishart_eig_rows(2, 10, 40, 17)
+        exact, _ = _profile_sup(eigs, 10, ExactO2())
+        grid, _ = _profile_sup(eigs, 10, o2_equidistant(100))
+        assert_allclose(exact, grid, rtol=0.0, atol=1e-10)
+
+    def test_statistic_never_positive(self):
+        for row in wishart_eig_rows(2, 10, 200, 18):
+            assert eigen_lrt_stat(row, 10, ExactO2()).value <= 0.0
+
+    def test_kernel_at_rotated_sigma_matches_grid(self, rng):
+        # The exact integral is Haar-invariant: its kernel at Sigma is the
+        # profile objective at Sigma's eigenvalues.
+        eigs = np.array([14.0, 6.0])
+        for _ in range(5):
+            R = random_orthogonal(rng, 2)
+            sigma = (R * rng.uniform(0.3, 3.0, 2)) @ R.T
+            got = eigen_log_density_kernel(eigs, sigma, 10, ExactO2())
+            want = eigen_log_density_kernel(eigs, sigma, 10, o2_equidistant(400))
+            assert abs(got - want) < 1e-12
+
+
 class TestCalibration:
     def test_threshold_is_order_statistic(self):
         reps, alpha = 2000, 0.05
@@ -273,6 +322,19 @@ class TestCalibration:
         fresh = sample_batch(np.eye(2), 10, reps, 99, "fresh-size")
         rate = np.mean(_stat_batch(EIGEN_LRT, fresh, 10, ens, 7) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps) + 0.01
+
+    def test_wrong_sized_ensemble_refused_before_drawing(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("drew replications for a refused ensemble")
+
+        monkeypatch.setattr(ht, "sample_batch", never)
+        monkeypatch.setattr(ht, "normal_batch", never)
+        cv = CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT)
+        for ens in (o2_equidistant(10), ExactO2()):
+            with pytest.raises(DimensionMismatch, match="2.*3"):
+                calibrate(EIGEN_LRT, 0.05, 3, 10, 100_000, 0, ens)
+            with pytest.raises(DimensionMismatch, match="2.*3"):
+                power_curve(EIGEN_LRT, [np.eye(3)], cv, 10, 100_000, 0, ens)
 
     def test_rejects_small_reps(self):
         with pytest.raises(ValueError):
@@ -310,7 +372,7 @@ class TestPowerCurve:
             built.append(p)
             return o2_equidistant(100)
 
-        monkeypatch.setattr(ht, "default_test_ensemble", counting)
+        monkeypatch.setattr(ht, "default_ensemble", counting)
         cv = CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT)
         alts = [np.diag([1.5, 1.0]), np.diag([2.0, 1.0]), np.diag([3.0, 1.0])]
         power_curve(EIGEN_LRT, alts, cv, 10, 20, 0)
