@@ -161,6 +161,8 @@ def _read_square(path: str) -> np.ndarray:
         raise CliInputError(
             f"matrix file {path} declares p={p} but holds {len(values)} values"
         )
+    if not np.isfinite(values).all():
+        raise CliInputError(f"matrix file {path} holds non-finite values")
     return np.array(values).reshape(p, p)
 
 

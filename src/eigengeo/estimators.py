@@ -104,6 +104,17 @@ class OrthogonalEnsemble:
     def log_weights(self) -> np.ndarray:
         return np.log(self.weights)
 
+    @cached_property
+    def squared_nodes(self) -> np.ndarray:
+        """Read-only (p, K p) array Q[j, k p + i] = H_k[j, i]^2, one allocation."""
+        return _squared_layout(self.matrices)
+
+
+def _squared_layout(matrices: np.ndarray) -> np.ndarray:
+    out = np.square(matrices.transpose(1, 0, 2), order="C").reshape(matrices.shape[1], -1)
+    out.setflags(write=False)
+    return out
+
 
 @dataclass(frozen=True)
 class ExactO2:
@@ -217,18 +228,18 @@ def lambda_star_from_eigs(
 
 
 def projected_diagonals(eig_rows: np.ndarray, ensemble: OrthogonalEnsemble | ExactO2) -> np.ndarray:
-    """D[r, k, i] = diag_i(H_k^T L_r H_k) for L_r = diag(eig_rows[r]) and the
-    ensemble's nodes H_k (``ExactO2``: the rows themselves).  Every frame
-    integral passes through here, so the ensemble's dimension is checked
-    here (DimensionMismatch)."""
+    """D[r, k, i] = diag_i(H_k^T L_r H_k) = sum_j H_k[j, i]^2 l_rj for L_r =
+    diag(eig_rows[r]) and the ensemble's nodes H_k: one matmul with the cached
+    ``squared_nodes`` (``ExactO2``: the rows themselves).  Every frame
+    integral passes through here, so the ensemble's dimension is checked here
+    (DimensionMismatch)."""
     if ensemble.dim != eig_rows.shape[1]:
         raise DimensionMismatch(
             f"ensemble dim {ensemble.dim} does not match {eig_rows.shape[1]} eigenvalues"
         )
     if ensemble.kind == EXACT_O2:
         return eig_rows
-    # (H^T L H)_ii = sum_j H[j, i]^2 l_j, a plain contraction with H**2.
-    return np.einsum("kji,rj->rki", ensemble.matrices**2, eig_rows)
+    return (eig_rows @ ensemble.squared_nodes).reshape(eig_rows.shape[0], ensemble.size, ensemble.dim)
 
 
 def frame_posterior_step(D: np.ndarray, log_lam: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2):

@@ -20,7 +20,7 @@ power comparisons are paired.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .estimators import (
     EXACT_O2,
     ExactO2,
     OrthogonalEnsemble,
+    _squared_layout,
     default_ensemble,
     frame_posterior_step,
     projected_diagonals,
@@ -112,18 +113,17 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     """
     eigs = _separated(sample_eigs)
     Sigma = as_spd(Sigma)
-    if ensemble.dim != Sigma.dim:
-        raise DimensionMismatch(f"ensemble dim {ensemble.dim} does not match Sigma dim {Sigma.dim}")
+    if not ensemble.dim == Sigma.dim == eigs.size:
+        raise DimensionMismatch(f"ensemble dim {ensemble.dim}, Sigma dim {Sigma.dim}, {eigs.size} eigenvalues")
     # With Sigma = G diag(lam) G^T, trace(H^T L H Sigma^-1) is
     # sum_i diag_i((H G)^T L (H G)) / lam_i: the profile objective at lam
-    # over the nodes rotated into Sigma's eigenframe.  The exact integral is
-    # Haar-invariant, so G drops out of it.
+    # over the nodes rotated into Sigma's eigenframe (same weights).  The
+    # exact integral is Haar-invariant, so G drops out of it.
     lam, G = np.linalg.eigh(Sigma.matrix)
+    D = eigs[None, :]
     if ensemble.kind != EXACT_O2:
-        ensemble = replace(ensemble, matrices=ensemble.matrices @ G)
-    objective, _ = frame_posterior_step(
-        projected_diagonals(eigs[None, :], ensemble), np.log(lam)[None, :], n, ensemble
-    )
+        D = (D @ _squared_layout(ensemble.matrices @ G)).reshape(1, ensemble.size, ensemble.dim)
+    objective, _ = frame_posterior_step(D, np.log(lam)[None, :], n, ensemble)
     return float(objective[0])
 
 

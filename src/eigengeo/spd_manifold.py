@@ -108,8 +108,10 @@ class SpdMatrix:
         p = m.shape[0]
         if p < 1:
             raise DimensionMismatch("matrix must be at least 1 x 1")
+        if not np.isfinite(m).all():
+            raise NotPositiveDefinite("matrix has non-finite entries")
         sym = 0.5 * (m + m.T)
-        if not np.allclose(m, sym, rtol=0.0, atol=1e-9 * max(1.0, np.abs(m).max())):
+        if np.abs(m - sym).max() > 1e-9 * max(1.0, np.abs(m).max()):
             raise NotPositiveDefinite("matrix is not symmetric")
         eigs = np.linalg.eigvalsh(sym)
         tr = float(np.trace(sym))

@@ -147,6 +147,17 @@ class TestEstimateCommand:
         assert run(tmp_path, "estimate", "--input", path, "--n", "2",
                    "--method", "star") == 3
 
+    @pytest.mark.parametrize("frame", [False, True])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_matrix_exit_2(self, tmp_path, bad, frame):
+        bad_file = tmp_path / "bad.txt"
+        bad_file.write_text(f"2\n1 {bad}\n{bad} 1\n")
+        good = write_matrix(tmp_path, "S.txt", np.diag([2.0, 1.0]))
+        args = ("--input", good, "--method", "gamma-frame", "--gamma", str(bad_file)) if frame else (
+            "--input", str(bad_file), "--method", "lbar")
+        assert run(tmp_path, "estimate", "--n", "10", *args) == 2
+        assert not (tmp_path / "estimate.csv").exists()
+
     def test_read_matrix_asymmetry_rejected(self, tmp_path):
         path = tmp_path / "asym.txt"
         path.write_text("2\n1.0 0.5\n0.4 1.0\n")

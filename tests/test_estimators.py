@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -132,6 +134,57 @@ class TestOrthogonalEnsemble:
         mats[4] *= 1.001
         with pytest.raises(ValueError, match="member 4 is not orthogonal"):
             OrthogonalEnsemble(mats, np.full(6, 1.0 / 6), HAAR_MC)
+
+
+class TestProjectedDiagonals:
+    ENSEMBLES = [
+        pytest.param(lambda: haar_sample(3, 512, 1), id="haar-p3"),
+        pytest.param(lambda: haar_sample(4, 512, 2), id="haar-p4"),
+        pytest.param(lambda: haar_sample(5, 512, 3), id="haar-p5"),
+        pytest.param(lambda: o2_equidistant(100), id="equidistant-p2"),
+    ]
+
+    @staticmethod
+    def einsum_oracle(eig_rows, ens):
+        # Reference: square every node, then contract with einsum.
+        return np.einsum("kji,rj->rki", ens.matrices**2, eig_rows)
+
+    @pytest.mark.parametrize("make", ENSEMBLES)
+    def test_one_row_bit_equal(self, make, rng):
+        # A descending view of eigvalsh output, the row lambda_star and
+        # eigen_lrt_stat pass, contracts in the einsum's order; a contiguous
+        # row goes through BLAS and agrees to rounding.
+        ens = make()
+        row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
+        got = projected_diagonals(row, ens)
+        assert got.shape == (1, ens.size, ens.dim)
+        assert np.array_equal(got, self.einsum_oracle(row, ens))
+        brute = np.array([np.diagonal(H.T @ np.diag(row[0]) @ H) for H in ens.matrices])
+        assert_allclose(got[0], brute, rtol=1e-14)
+        contiguous = np.ascontiguousarray(row)
+        assert_allclose(projected_diagonals(contiguous, ens), got, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("make", ENSEMBLES)
+    def test_batch_within_rounding(self, make, rng):
+        ens = make()
+        rows = np.sort(rng.uniform(1.0, 20.0, (200, ens.dim)), axis=1)[:, ::-1]
+        assert_allclose(projected_diagonals(rows, ens), self.einsum_oracle(rows, ens), rtol=1e-15, atol=0)
+
+    def test_squared_nodes_read_only_layout(self):
+        ens = haar_sample(3, 7, 4)
+        q = ens.squared_nodes
+        assert q.shape == (3, 7 * 3) and q.dtype == np.float64
+        assert not q.flags.writeable
+        assert ens.squared_nodes is q
+        assert np.array_equal(q.reshape(3, 7, 3), np.transpose(ens.matrices**2, (1, 0, 2)))
+
+    def test_replaced_ensemble_gets_fresh_squares(self):
+        ens = haar_sample(3, 64, 4)
+        row = np.array([[9.0, 4.0, 1.0]])
+        projected_diagonals(row, ens)  # fills the cache
+        other = replace(ens, matrices=haar_sample(3, 64, 5).matrices)
+        assert_allclose(projected_diagonals(row, other), self.einsum_oracle(row, other), rtol=1e-15, atol=0)
+        assert not np.array_equal(other.squared_nodes, ens.squared_nodes)
 
 
 class TestLambdaStar:

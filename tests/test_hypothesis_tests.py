@@ -118,6 +118,8 @@ class TestSampleEigenvalueGuards:
         with pytest.raises(DimensionMismatch, match="2.*3"):
             eigen_log_density_kernel(eigs, np.eye(3), 10, ens)
         with pytest.raises(DimensionMismatch, match="2.*3"):
+            eigen_log_density_kernel(eigs, np.eye(2), 10, ens)
+        with pytest.raises(DimensionMismatch, match="2.*3"):
             calibrate(EIGEN_LRT, 0.05, 3, 10, 1000, 0, ens)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -37,6 +39,16 @@ class TestSpdMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotPositiveDefinite):
             SpdMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        m = np.eye(2)
+        m[where] = m[where[::-1]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="non-finite"):
+                SpdMatrix(m)
 
     def test_immutable(self):
         S = SpdMatrix(np.eye(2))
