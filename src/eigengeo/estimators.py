@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, QuadratureUnderflow
 from .spd_manifold import (
-    ORTHOGONALITY_TOLERANCE, as_spd, check_eigenvalue_gaps, kl_project, separated_rows,
+    ORTHOGONALITY_TOLERANCE, as_spd, check_eigenvalue_gaps, descending_eigenvalues, kl_project,
+    separated_rows,
 )
 
 LBAR = "lbar"
@@ -173,7 +174,7 @@ def lbar(S, n: int) -> EigenEstimate:
     S = as_spd(S)
     if n < S.dim:
         raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
-    eigs = np.linalg.eigvalsh(S.matrix)[::-1] / n
+    eigs = descending_eigenvalues(S.matrix[None])[0] / n
     return EigenEstimate(eigs, LBAR)
 
 
@@ -203,7 +204,7 @@ def lambda_star(S, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> EigenEstim
     S = as_spd(S)
     if n < S.dim:
         raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
-    sample_eigs = np.linalg.eigvalsh(S.matrix)[::-1]
+    sample_eigs = descending_eigenvalues(S.matrix[None])[0]
     values = lambda_star_from_eigs(sample_eigs, n, ensemble)
     return EigenEstimate(values, STAR, {"ensemble_kind": ensemble.kind, "ensemble_size": ensemble.size})
 

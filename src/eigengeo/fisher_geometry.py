@@ -51,7 +51,9 @@ class SymTangent:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(m).max())):
+        if not np.isfinite(m).all():
+            raise ValueError("tangent matrix has non-finite entries")
+        if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
             raise DimensionMismatch("tangent matrix must be symmetric")
         sym = 0.5 * (m + m.T)
         sym.setflags(write=False)

@@ -34,8 +34,8 @@ from .estimators import (
     frame_posterior_step,
     projected_diagonals,
 )
-from .spd_manifold import GAP_TOLERANCE_REL, as_spd, separated_rows
-from .wishart_sim import color_batch, normal_batch, parallel_points, sample_batch
+from .spd_manifold import GAP_TOLERANCE_REL, as_spd, descending_eigenvalues, separated_rows
+from .wishart_sim import color_batch, parallel_points, sample_batch, white_batch
 
 FULL_LRT = "full-lrt"
 EIGEN_LRT = "eigen-lrt"
@@ -287,7 +287,7 @@ def _stat_batch(kind, S_batch, n, ensemble, seed) -> np.ndarray:
         return _full_lrt_batch(S_batch, n)
     if ensemble is None:
         ensemble = default_ensemble(S_batch.shape[1], seed)
-    eig_rows = np.linalg.eigvalsh(S_batch)[:, ::-1]
+    eig_rows = descending_eigenvalues(S_batch)
     return _eigen_lrt_batch(eig_rows, n, ensemble)
 
 
@@ -323,11 +323,11 @@ def power_curve(
         return []
     p = mats[0].shape[0]
     ensemble = _test_ensemble(kind, ensemble, p, seed)
-    # Draw the shared substreams once and recolor them per alternative.
-    z = normal_batch(p, n, reps, seed, "power")
+    # Draw the shared white Grams once and recolour them per alternative.
+    W = white_batch(p, n, reps, seed, "power")
 
     def at(i: int) -> PowerPoint:
-        S_batch = color_batch(z, mats[i])
+        S_batch = color_batch(W, mats[i])
         stats = _stat_batch(kind, S_batch, n, ensemble, seed)
         rate = float(np.mean(stats < cv.threshold))
         stderr = float(np.sqrt(rate * (1.0 - rate) / reps))

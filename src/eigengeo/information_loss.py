@@ -35,7 +35,9 @@ class LossMatrix:
         m = np.asarray(self.B, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
+        if not np.isfinite(m).all():
+            raise ValueError("loss matrix has non-finite entries")
+        if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             raise DimensionMismatch("loss matrix must be symmetric")
         p = m.shape[0]
         sym = 0.5 * (m + m.T)

@@ -70,6 +70,23 @@ def separated_rows(eig_rows: np.ndarray) -> np.ndarray:
     return (eig_rows > 0.0).all(axis=1) & (gaps >= floor).all(axis=1)
 
 
+def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each symmetric matrix in a (reps, p, p) stack, one
+    descending row per matrix (read from the lower triangle, as ``eigvalsh``
+    does).
+
+    At p = 2 this is the closed form: large = m + hypot((a - d)/2, b) with m
+    the mean of the diagonal, small = det / large (never above large).  At
+    p != 2 it is the reversed view of ``eigvalsh``; that view, not a copy,
+    is what ``estimators.projected_diagonals`` expects bit for bit.
+    """
+    if S_batch.shape[-1] != 2:
+        return np.linalg.eigvalsh(S_batch)[:, ::-1]
+    a, b, d = S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]
+    large = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    return np.stack([large, np.minimum((a * d - b * b) / large, large)], axis=1)
+
+
 def check_eigenvalue_gaps(eigenvalues: np.ndarray, what: str = "spectrum") -> None:
     """Raise NearDegenerateSpectrum unless eigenvalues are strictly descending
     with all consecutive gaps >= GAP_TOLERANCE_REL * largest eigenvalue."""

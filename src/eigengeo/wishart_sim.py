@@ -3,9 +3,13 @@
 Sampling is reproducible by construction: every replication draws from its
 own counter-based Philox substream keyed by (seed, stream name, replication
 index), so serial runs, threaded runs, and re-runs all see identical
-numbers.  Batched draws re-key one Philox per stream instead of building a
-generator per replication; their bits equal ``replication_rng``'s.  Grid
-points of an experiment reuse the same replication streams, which acts as
+numbers.  The one thing drawn is the white Wishart Gram W_r = Z_r^T Z_r of
+each replication's (n, p) standard-normal block (``white_batch``): the
+blocks are drawn a chunk at a time into one reused buffer by re-keying one
+Philox per stream, so only O(reps p^2) numbers are held, and their bits
+equal ``replication_rng``'s.  A covariance Sigma = A A^T (A its Cholesky
+factor) recolours a Gram by congruence, A W A^T (``color_batch``).  Grid
+points of an experiment recolour the same white Grams, which acts as
 common random numbers across the grid and sharpens the comparisons the
 experiments exist to make.
 
@@ -35,7 +39,7 @@ from .estimators import (
     default_ensemble,
     lambda_star_from_eigs,
 )
-from .spd_manifold import SpdMatrix, as_spd, separated_rows
+from .spd_manifold import SpdMatrix, as_spd, descending_eigenvalues, separated_rows
 
 
 def worker_count() -> int:
@@ -53,15 +57,22 @@ def worker_count() -> int:
     return count
 
 
+# Replications per chunk of white_batch's reused standard-normal buffer: it
+# holds DRAW_CHUNK * n * p numbers (320 KiB at n = 10, p = 2), not reps * n * p.
+DRAW_CHUNK = 2048
+
+
 def _substreams(seed: int, stream: str):
     """``rekey(rep)`` for the replication substreams of one named stream.
 
     One Philox and one Generator serve every replication: ``rekey`` sets the
     full generator state (key [seed, crc32(stream) << 32 ^ rep], counter 0,
     empty buffer) and returns the same Generator, so draws equal those of a
-    freshly built ``Philox(key=...)``.  Keys that would alias are refused:
-    seed must lie in [0, 2**64) and rep in [0, 2**32), since a larger rep
-    would spill into the stream-name bits.
+    freshly built ``Philox(key=...)``.  The state dict and its key are built
+    once and rewritten in place: the state setter copies them word by word,
+    and reads Python ints faster than numpy scalars, so they are lists.
+    Keys that would alias are refused: seed must lie in [0, 2**64) and rep
+    in [0, 2**32), since a larger rep would spill into the stream-name bits.
     """
     seed = operator.index(seed)
     if not 0 <= seed < 1 << 64:
@@ -69,19 +80,22 @@ def _substreams(seed: int, stream: str):
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     high = zlib.crc32(stream.encode()) << 32
-    empty = np.zeros(4, dtype=np.uint64)
+    empty = [0, 0, 0, 0]
+    key = [seed, high]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": empty, "key": key},
+        "buffer": empty,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def rekey(rep: int) -> np.random.Generator:
         if not 0 <= rep < 1 << 32:
             raise ValueError(f"replication index must be in [0, 2**32), got {rep}")
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": empty, "key": np.array([seed, high ^ rep], dtype=np.uint64)},
-            "buffer": empty,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        key[1] = high ^ rep
+        bits.state = state
         return rng
 
     return rekey
@@ -100,40 +114,60 @@ def replication_rng(seed: int, stream: str, rep: int) -> np.random.Generator:
 
 def sample_product_sum(Sigma, n: int, rng: np.random.Generator) -> SpdMatrix:
     """Sum of n outer products of independent zero-mean Gaussian draws with
-    covariance Sigma: one replication of ``color_batch``."""
+    covariance Sigma: one replication of ``sample_batch``, drawn from ``rng``."""
     Sigma = as_spd(Sigma)
     if n < Sigma.dim:
         raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={Sigma.dim}")
-    return SpdMatrix(color_batch(rng.standard_normal((1, n, Sigma.dim)), Sigma.matrix)[0])
+    z = rng.standard_normal((1, n, Sigma.dim))
+    return SpdMatrix(color_batch(z.swapaxes(1, 2) @ z, Sigma.matrix)[0])
 
 
-def normal_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
-    """Standard-normal draws, one (n, p) block per replication substream of
-    ``stream``: block r equals ``replication_rng(seed, stream, r)
-    .standard_normal((n, p))`` bit for bit."""
+def white_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
+    """White Wishart Grams, one per replication substream of ``stream``:
+    W[r] = Z_r^T Z_r for Z_r = ``replication_rng(seed, stream, r)
+    .standard_normal((n, p))``, bit for bit.
+
+    The blocks are drawn DRAW_CHUNK replications at a time into one reused
+    buffer, so the (reps, n, p) normals never exist at once.  The result is
+    read-only: experiments share it across grid-point threads.
+    """
     if n < p:
         raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={p}")
     rekey = _substreams(seed, stream)
-    z = np.empty((reps, n, p))
-    for r in range(reps):
-        rekey(r).standard_normal(out=z[r])
-    return z
+    W = np.empty((reps, p, p))
+    z = np.empty((min(reps, DRAW_CHUNK), n, p))
+    for start in range(0, reps, DRAW_CHUNK):
+        block = z[: min(DRAW_CHUNK, reps - start)]
+        for r, out in enumerate(block, start):
+            rekey(r).standard_normal(out=out)
+        np.matmul(block.swapaxes(1, 2), block, out=W[start : start + len(block)])
+    W.setflags(write=False)
+    return W
 
 
-def color_batch(z: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
-    """Product-sum matrices from standard-normal blocks, colored by Sigma
-    (factored once, lower-triangular)."""
+def color_batch(W: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
+    """Product-sum matrices with covariance Sigma_matrix from white Grams:
+    A W[r] A^T for the lower Cholesky factor A, factored once.
+
+    Both products are single (reps p, p) @ A^T GEMMs over the stacked rows;
+    the result is averaged with its transpose, so it is exactly symmetric.
+    """
     A = np.linalg.cholesky(Sigma_matrix)
-    x = z @ A.T
-    return np.einsum("rni,rnj->rij", x, x)
+    reps, p = W.shape[:2]
+    # W A^T for every replication at once; W is symmetric, so its transpose is A W.
+    AW = (W.reshape(reps * p, p) @ A.T).reshape(reps, p, p).swapaxes(1, 2)
+    S = (AW.reshape(reps * p, p) @ A.T).reshape(reps, p, p)
+    S += S.swapaxes(1, 2)  # numpy reads the overlapping operand as if copied first
+    S *= 0.5
+    return S
 
 
 def sample_batch(Sigma_matrix: np.ndarray, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
     """Stack of product-sum matrices of n draws with covariance Sigma_matrix,
-    one per replication substream of ``stream`` (batched
-    ``sample_product_sum``; replication r draws from
-    ``replication_rng(seed, stream, r)``)."""
-    return color_batch(normal_batch(Sigma_matrix.shape[0], n, reps, seed, stream), Sigma_matrix)
+    one per replication substream of ``stream``: the white Grams of
+    ``white_batch`` recoloured by ``color_batch``.  Slice r equals
+    ``sample_product_sum(Sigma, n, replication_rng(seed, stream, r))``."""
+    return color_batch(white_batch(Sigma_matrix.shape[0], n, reps, seed, stream), Sigma_matrix)
 
 
 def kl_loss_diag(estimate: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -170,7 +204,7 @@ class RiskReport:
 
 
 def _batch_lbar(S_batch: np.ndarray, n: int):
-    vals = np.linalg.eigvalsh(S_batch)[:, ::-1] / n
+    vals = descending_eigenvalues(S_batch) / n
     return vals, np.ones(S_batch.shape[0], dtype=bool)
 
 
@@ -181,7 +215,7 @@ def _batch_identity_frame(S_batch: np.ndarray, n: int):
 
 def _batch_star(ensemble: OrthogonalEnsemble | ExactO2):
     def run(S_batch: np.ndarray, n: int):
-        eigs = np.linalg.eigvalsh(S_batch)[:, ::-1]
+        eigs = descending_eigenvalues(S_batch)
         valid = separated_rows(eigs)
         vals = np.full_like(eigs, np.nan)
         if valid.any():
@@ -199,9 +233,9 @@ def _summarize(losses: np.ndarray, valid: np.ndarray, reps: int) -> RiskResult:
     return RiskResult(mean, stderr, count, reps - count)
 
 
-def _risk_point(z: np.ndarray, sigma: np.ndarray, target: np.ndarray, runners) -> tuple:
-    reps, n = z.shape[:2]
-    S_batch = color_batch(z, sigma)
+def _risk_point(W: np.ndarray, n: int, sigma: np.ndarray, target: np.ndarray, runners) -> tuple:
+    reps = W.shape[0]
+    S_batch = color_batch(W, sigma)
     losses = {}
     valids = {}
     for tag, runner in runners:
@@ -238,9 +272,10 @@ def _risk_grid(experiment: str, reps: int, seed: int, param_name: str, grid: np.
     if reps < 1:
         raise ValueError("reps must be >= 1")
     # Every grid point reuses the same replication substreams (common random
-    # numbers): draw the standard-normal blocks once and recolor per point.
-    z = normal_batch(2, 10, reps, seed, experiment)
-    outcomes = parallel_points(lambda i: _risk_point(z, *scenario(grid[i]), runners), len(grid))
+    # numbers): draw the white Grams once and recolour them per point.
+    n = 10
+    W = white_batch(2, n, reps, seed, experiment)
+    outcomes = parallel_points(lambda i: _risk_point(W, n, *scenario(grid[i]), runners), len(grid))
     return RiskReport(
         experiment=experiment,
         param_name=param_name,
@@ -344,7 +379,7 @@ def bias_majorization_check(Sigma, n: int, reps: int, seed: int) -> Majorization
     Sigma = as_spd(Sigma)
     lam = np.linalg.eigvalsh(Sigma.matrix)[::-1]
     S_batch = sample_batch(Sigma.matrix, n, reps, seed, "bias")
-    lbars = np.linalg.eigvalsh(S_batch)[:, ::-1] / n
+    lbars = descending_eigenvalues(S_batch) / n
     traces = np.trace(S_batch, axis1=1, axis2=2) / n
     trace_dev = np.abs(lbars.sum(axis=1) - traces) / traces
     partial = np.cumsum(lbars, axis=1)

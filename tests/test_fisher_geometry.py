@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigengeo import (
+    DimensionMismatch,
     IndexOutOfRange,
     NearDegenerateSpectrum,
     SpdMatrix,
@@ -90,6 +91,21 @@ class TestMetricSigma:
         raw = rng.standard_normal((3, 3))
         A = SymTangent(0.5 * (raw + raw.T))
         assert metric_sigma(S, A, A) > 0.0
+
+
+class TestSymTangent:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        m = np.eye(2)
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SymTangent(m)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(DimensionMismatch, match="symmetric"):
+            SymTangent(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+        assert SymTangent(np.array([[1.0, 1e-12], [0.0, 1.0]])).matrix[0, 1] == 5e-13
 
 
 class TestTangents:

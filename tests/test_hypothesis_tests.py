@@ -330,7 +330,7 @@ class TestCalibration:
             raise AssertionError("drew replications for a refused ensemble")
 
         monkeypatch.setattr(ht, "sample_batch", never)
-        monkeypatch.setattr(ht, "normal_batch", never)
+        monkeypatch.setattr(ht, "white_batch", never)
         cv = CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT)
         for ens in (o2_equidistant(10), ExactO2()):
             with pytest.raises(DimensionMismatch, match="2.*3"):

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigengeo import (
+    DimensionMismatch,
+    LossMatrix,
     NearDegenerateSpectrum,
     NotPositiveDefiniteWarning,
     embedding_curvature_M,
@@ -41,6 +43,20 @@ def brute_force_loss(lam):
                                 * ginv_pair[k1]
                             )
     return e_term + 0.5 * brute_force_curvature_contraction(lam)
+
+
+class TestLossMatrix:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        m = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LossMatrix(m)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(DimensionMismatch, match="symmetric"):
+            LossMatrix(np.array([[1.0, -0.5], [-0.4, 1.0]]))
 
 
 class TestLossFirstOrder:

@@ -18,11 +18,16 @@ from eigengeo import (
     index_pairs,
     kl_divergence,
     kl_project,
+    lambda_star,
+    lbar,
     pair_offset,
     sigma_of_coords,
     spectral_decompose,
     to_natural,
 )
+from eigengeo.estimators import ExactO2
+from eigengeo.spd_manifold import descending_eigenvalues, separated_rows
+from eigengeo.wishart_sim import _batch_lbar, _batch_star, sample_batch
 from conftest import random_orthogonal, random_spd, rotation
 
 
@@ -54,6 +59,49 @@ class TestSpdMatrix:
         S = SpdMatrix(np.eye(2))
         with pytest.raises(ValueError):
             S.matrix[0, 0] = 2.0
+
+
+class TestDescendingEigenvalues:
+    @pytest.mark.parametrize("c", [1.0, 0.02])
+    def test_p2_closed_form_matches_eigvalsh_on_wishart_rows(self, c):
+        S = sample_batch(np.diag([1.0, c]), 10, 100_000, 3, "spectrum-oracle")
+        got = descending_eigenvalues(S)
+        want = np.linalg.eigvalsh(S)[:, ::-1]
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert np.array_equal(separated_rows(got), separated_rows(want))
+
+    @pytest.mark.parametrize(
+        "S",
+        [
+            np.diag([3.0, 1.0]),
+            np.diag([1.0, 3.0]),
+            2.0 * np.eye(2),
+            np.array([[2.0, 1.0], [1.0, 2.0]]),
+            np.diag([1.0, 1e-6]),
+            (rotation(0.5) * [1.0, 1e-6]) @ rotation(0.5).T,
+        ],
+        ids=["diagonal", "ascending-diagonal", "equal", "equal-diagonal", "cond-1e6", "rotated-cond-1e6"],
+    )
+    def test_p2_edge_rows(self, S):
+        got = descending_eigenvalues(S[None])[0]
+        want = np.linalg.eigvalsh(S)[::-1]
+        assert got[0] >= got[1]
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_other_dimensions_are_the_reversed_eigvalsh_view(self, rng):
+        S = np.stack([random_spd(rng, 3).matrix for _ in range(4)])
+        got = descending_eigenvalues(S)
+        assert got.strides[1] < 0
+        assert np.array_equal(got, np.linalg.eigvalsh(S)[:, ::-1])
+
+    def test_per_matrix_estimators_share_the_batched_rows(self):
+        S_batch = sample_batch(np.diag([1.0, 0.3]), 10, 200, 4, "spectrum-share")
+        lbars, _ = _batch_lbar(S_batch, 10)
+        stars, valid = _batch_star(ExactO2())(S_batch, 10)
+        assert valid.all()
+        for r, S in enumerate(S_batch):
+            assert np.array_equal(lbar(S, 10).values, lbars[r])
+            assert np.array_equal(lambda_star(S, 10, ExactO2()).values, stars[r])
 
 
 class TestSpectralDecompose:

@@ -16,10 +16,11 @@ from eigengeo import (
 )
 from eigengeo.cli import main
 from eigengeo.wishart_sim import (
+    DRAW_CHUNK,
     color_batch,
     kl_loss_diag,
-    normal_batch,
     sample_batch,
+    white_batch,
     worker_count,
 )
 
@@ -38,6 +39,11 @@ def fresh_philox_normals(p, n, reps, seed, stream):
             for r in range(reps)
         ]
     )
+
+
+def gram(z):
+    """Z^T Z of each (n, p) block, one 2-d matmul per replication."""
+    return np.stack([block.T @ block for block in z])
 
 
 class TestSampling:
@@ -73,6 +79,8 @@ class TestSampling:
     def test_batch_requires_enough_observations(self):
         with pytest.raises(ValueError):
             sample_batch(np.eye(3), 2, 10, 0, "s")
+        with pytest.raises(ValueError, match="n >= p"):
+            white_batch(3, 2, 10, 0, "s")
 
 
 class TestSubstreams:
@@ -80,17 +88,28 @@ class TestSubstreams:
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
     @pytest.mark.parametrize("stream", DRAW_STREAMS)
     def test_batch_matches_per_replication_generators(self, p, seed, stream):
-        n, reps = 10, 40
-        want = fresh_philox_normals(p, n, reps, seed, stream)
-        assert normal_batch(p, n, reps, seed, stream).tobytes() == want.tobytes()
+        # Three replications past the first chunk of the draw buffer.
+        n, reps = 10, DRAW_CHUNK + 3
+        z = fresh_philox_normals(p, n, reps, seed, stream)
+        W = white_batch(p, n, reps, seed, stream)
+        assert W.tobytes() == gram(z).tobytes()
+        assert not W.flags.writeable
         loop = [replication_rng(seed, stream, r).standard_normal((n, p)) for r in range(reps)]
-        assert np.stack(loop).tobytes() == want.tobytes()
+        assert np.stack(loop).tobytes() == z.tobytes()
         # sample_product_sum is one replication of the batch, bit for bit.
-        sigma = np.diag(np.arange(p, 0, -1.0))
+        sigma = np.diag(np.arange(p, 0, -1.0)) + 0.1 * (1.0 - np.eye(p))
         S_want = np.stack(
             [sample_product_sum(sigma, n, replication_rng(seed, stream, r)).matrix for r in range(reps)]
         )
-        assert sample_batch(sigma, n, reps, seed, stream).tobytes() == S_want.tobytes()
+        S = sample_batch(sigma, n, reps, seed, stream)
+        assert S.tobytes() == S_want.tobytes()
+        assert np.array_equal(S, S.swapaxes(1, 2))
+
+    def test_color_batch_is_the_congruence_of_the_gram(self):
+        z = fresh_philox_normals(3, 10, 50, 3, "congruence")
+        sigma = np.array([[2.0, 0.4, 0.1], [0.4, 1.0, -0.3], [0.1, -0.3, 0.7]])
+        x = z @ np.linalg.cholesky(sigma).T
+        assert_allclose(color_batch(gram(z), sigma), gram(x), rtol=1e-13, atol=1e-12)
 
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
     def test_kl_risk_draws_match_per_replication_generators(self, seed):
@@ -102,7 +121,7 @@ class TestSubstreams:
             return np.diag(S.matrix) / n
 
         kl_risk(recording, sigma, 10, 30, seed, stream="kl-check")
-        want = color_batch(fresh_philox_normals(3, 10, 30, seed, "kl-check"), sigma)
+        want = color_batch(gram(fresh_philox_normals(3, 10, 30, seed, "kl-check")), sigma)
         assert np.stack(seen).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -121,6 +140,8 @@ class TestSubstreams:
     def test_batched_paths_refuse_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
             sample_batch(np.eye(2), 10, 5, -1, "s")
+        with pytest.raises(ValueError, match="seed"):
+            white_batch(2, 10, 5, 2**64, "s")
         with pytest.raises(ValueError, match="seed"):
             kl_risk(lambda S, n: np.ones(2), np.eye(2), 10, 5, 2**64)
         with pytest.raises(ValueError, match="seed"):
@@ -262,10 +283,30 @@ class TestExperiments:
             worker_count()
 
     def test_fig4_csv_bytes_independent_of_thread_count(self, monkeypatch, tmp_path):
-        argv = ["experiment", "fig4", "--reps", "300", "--seed", "4"]
-        out = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("EIGENGEO_THREADS", threads)
-            assert main([*argv, "--out", str(tmp_path / threads)]) == 0
-            out[threads] = (tmp_path / threads / "fig4.csv").read_bytes()
-        assert out["1"] == out["2"]
+        argv = ["fig4", "--reps", "300", "--seed", "4"]
+        assert_thread_count_free(monkeypatch, tmp_path, argv, ["fig4.csv"])
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["fig5", "--reps", "300", "--seed", "4"], ["fig5.csv"]),
+            (
+                ["fig3", "--reps", "1000", "--theta-count", "3", "--seed", "4"],
+                ["fig3_power.csv", "fig3_calibration.csv"],
+            ),
+        ],
+        ids=["fig5", "fig3"],
+    )
+    def test_csv_bytes_independent_of_thread_count(self, monkeypatch, tmp_path, argv, names):
+        # Grid points and alternatives recolour one shared white batch.
+        assert_thread_count_free(monkeypatch, tmp_path, argv, names)
+
+
+def assert_thread_count_free(monkeypatch, tmp_path, argv, names):
+    """The experiment's CSVs are byte-identical with EIGENGEO_THREADS 1 and 2."""
+    out = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("EIGENGEO_THREADS", threads)
+        assert main(["experiment", *argv, "--out", str(tmp_path / threads)]) == 0
+        out[threads] = [(tmp_path / threads / name).read_bytes() for name in names]
+    assert out["1"] == out["2"]
