@@ -213,10 +213,10 @@ def cmd_geometry(args) -> list[str]:
         row("metric_pair", "", s + 1, t + 1, "", "", metric.pair_diag[k],
             metric_fd.pair_diag[k] if check else None)
     for k, (s, t) in enumerate(index_pairs(p)):
+        oracles = curvature_oracle_A(base, (s, t), (s, t), range(p)) if check else [None] * p
         for a in range(p):
-            oracle = curvature_oracle_A(base, (s, t), (s, t), a) if check else None
             row("curvature", a + 1, s + 1, t + 1, s + 1, t + 1,
-                tensor.slabs[k, a], oracle)
+                tensor.slabs[k, a], oracles[a])
     row("statistical_curvature", "", "", "", "", "", gamma_a)
     if check:
         rows.append(["fd_max_abs_deviation", "", "", "", "", "",

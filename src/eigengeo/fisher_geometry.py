@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, IndexOutOfRange
 from .spd_manifold import (
     SkewParams,
     Spectrum,
+    _triu,
     as_spd,
     check_eigenvalue_gaps,
     compose,
@@ -332,21 +333,31 @@ def metric_spectral_fd(base: Spectrum, h: float | None = None) -> SpectralMetric
     return SpectralMetric(base.dim, eigen_diag, pair_diag)
 
 
-def curvature_oracle_A(base: Spectrum, pair1, pair2, a: int, h: float | None = None) -> float:
+def curvature_oracle_A(
+    base: Spectrum, pair1, pair2, a, h: float | None = None
+) -> float | list[float]:
     """Finite-difference oracle for ``embedding_curvature_A``.
 
     Differentiates the coordinate map twice along the rotation directions,
     then contracts -1/2 * trace with the eigenvalue derivative of the
     precision matrix (-lam_a^-2 g_a g_a^T).  Independent of the closed form
     and, like it, independent of the frame.
+
+    ``a`` is one eigenvalue index (the result is a float) or a sequence of
+    them (the result is a list of floats, one per entry, each the same bits
+    as the scalar call).  The sequence form builds the rotation stencil
+    once, since only the final contraction depends on ``a``.
     """
     p = base.dim
     s, t = pair1
     u, v = pair2
     if not (0 <= s < t < p and 0 <= u < v < p):
         raise IndexOutOfRange(f"pairs {pair1}, {pair2} invalid for p={p}")
-    if not 0 <= a < p:
-        raise IndexOutOfRange(f"index {a} outside 0..{p - 1}")
+    scalar = np.ndim(a) == 0
+    legs = [a] if scalar else list(a)
+    for b in legs:
+        if not 0 <= b < p:
+            raise IndexOutOfRange(f"index {b} outside 0..{p - 1}")
     h = _second_step(base, h)
     n_u = p * (p - 1) // 2
     e1 = np.zeros(n_u)
@@ -362,9 +373,12 @@ def curvature_oracle_A(base: Spectrum, pair1, pair2, a: int, h: float | None = N
             - _sigma_at(base, -e1 + e2)
             + _sigma_at(base, -e1 - e2)
         ) / (4.0 * h**2)
-    g_a = base.eigenvectors[:, a]
-    B = -np.outer(g_a, g_a) / base.eigenvalues[a] ** 2
-    return -0.5 * float(np.sum(A * B.T))
+    values = []
+    for b in legs:
+        g_b = base.eigenvectors[:, b]
+        B = -np.outer(g_b, g_b) / base.eigenvalues[b] ** 2
+        values.append(-0.5 * float(np.sum(A * B.T)))
+    return values[0] if scalar else values
 
 
 def curvature_oracle_M(
@@ -404,7 +418,7 @@ def _covariance(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarr
 
 
 def _sigma_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-    return _covariance(base, lam, u_flat)[np.triu_indices(base.dim)]
+    return _covariance(base, lam, u_flat)[_triu(base.dim)]
 
 
 def _theta_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefiniteWarning
-from .fisher_geometry import embedding_curvature_A, inverse_metric_pair
-from .spd_manifold import check_eigenvalue_gaps, index_pairs
+from .fisher_geometry import curvature_tensor_A, inverse_metric_pair
+from .spd_manifold import check_eigenvalue_gaps
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,10 @@ def loss_first_order(eigenvalues) -> LossMatrix:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     check_eigenvalue_gaps(lam, "loss_first_order")
-    p = lam.size
-    B = np.zeros((p, p))
-    for a in range(p):
-        acc = 0.0
-        for t in range(p):
-            if t != a:
-                acc += lam[t] ** 2 / (lam[t] - lam[a]) ** 2
-        B[a, a] = acc / (2.0 * lam[a] ** 2)
-    for a in range(p):
-        for b in range(p):
-            if a != b:
-                B[a, b] = -0.5 / (lam[a] - lam[b]) ** 2
+    gap2 = np.subtract.outer(lam, lam) ** 2
+    np.fill_diagonal(gap2, np.inf)
+    B = -0.5 / gap2
+    np.fill_diagonal(B, (lam**2 / gap2).sum(axis=1) / (2.0 * lam**2))
     return LossMatrix(B)
 
 
@@ -86,30 +78,15 @@ def loss_contraction(eigenvalues) -> LossMatrix:
     (``embedding_curvature_M``, checked against ``curvature_oracle_M``) is
     zero.  What remains is half the double contraction of the
     fixed-eigenvalue embedding curvature with the inverse rotation metric.
+    Only coincident pairs carry curvature and the inverse rotation metric
+    is diagonal, so the contraction is one product of the
+    ``curvature_tensor_A`` slabs: B = (1/2) slabs^T diag(ginv_pair^2) slabs.
     Must agree with ``loss_first_order`` to near machine precision.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     check_eigenvalue_gaps(lam, "loss_contraction")
-    p = lam.size
-    pairs = index_pairs(p)
-    ginv_pair = inverse_metric_pair(lam)
-
-    B = np.zeros((p, p))
-    for a in range(p):
-        for b in range(a, p):
-            # The inverse rotation metric is diagonal, so only matched
-            # indices survive the contraction.
-            m_term = 0.0
-            for k1, pr1 in enumerate(pairs):
-                for k2, pr2 in enumerate(pairs):
-                    m_term += (
-                        embedding_curvature_A(lam, pr1, pr2, a)
-                        * embedding_curvature_A(lam, pr1, pr2, b)
-                        * ginv_pair[k1]
-                        * ginv_pair[k2]
-                    )
-            B[a, b] = B[b, a] = 0.5 * m_term
-    return LossMatrix(B)
+    slabs = curvature_tensor_A(lam).slabs
+    return LossMatrix(0.5 * (slabs.T * inverse_metric_pair(lam) ** 2) @ slabs)
 
 
 def info_carried_by_l(eigenvalues, n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ flattened row-major (same order as ``numpy.triu_indices(p, k=1)``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -38,6 +39,15 @@ ORTHOGONALITY_TOLERANCE = 1e-10
 def index_pairs(p: int) -> list[tuple[int, int]]:
     """All index pairs (s, t) with s < t, in row-major (flattened) order."""
     return [(s, t) for s in range(p - 1) for t in range(s + 1, p)]
+
+
+@cache
+def _triu(p: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.triu_indices(p, k)``, built once per (p, k) and read-only."""
+    rows, cols = np.triu_indices(p, k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def pair_offset(s: int, t: int, p: int) -> int:
@@ -222,8 +232,7 @@ class SkewParams:
 
     def to_matrix(self) -> np.ndarray:
         U = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim, k=1)
-        U[iu] = self.coords
+        U[_triu(self.dim, 1)] = self.coords
         return U - U.T
 
 
@@ -329,26 +338,19 @@ def to_natural(S) -> NaturalCoords:
     S = as_spd(S)
     prec = np.linalg.inv(S.matrix)
     prec = 0.5 * (prec + prec.T)
-    p = S.dim
-    packed = []
-    for i in range(p):
-        packed.append(-0.5 * prec[i, i])
-        packed.extend(-prec[i, i + 1 :])
-    return NaturalCoords(p, np.array(packed))
+    rows, cols = _triu(S.dim)
+    packed = -prec[rows, cols]
+    packed[rows == cols] *= 0.5
+    return NaturalCoords(S.dim, packed)
 
 
 def from_natural(coords: NaturalCoords) -> SpdMatrix:
     """Invert to_natural.  Raises NotPositiveDefinite when the implied
     precision matrix is not SPD."""
-    p = coords.dim
-    prec = np.zeros((p, p))
-    k = 0
-    for i in range(p):
-        prec[i, i] = -2.0 * coords.theta[k]
-        k += 1
-        for j in range(i + 1, p):
-            prec[i, j] = prec[j, i] = -coords.theta[k]
-            k += 1
+    rows, cols = _triu(coords.dim)
+    prec = np.zeros((coords.dim, coords.dim))
+    prec[rows, cols] = prec[cols, rows] = -coords.theta
+    prec[np.diag_indices_from(prec)] *= 2.0
     eigs = np.linalg.eigvalsh(prec)
     if eigs[0] <= 0.0:
         raise NotPositiveDefinite(

@@ -92,6 +92,8 @@ def _substreams(seed: int, stream: str):
     }
 
     def rekey(rep: int) -> np.random.Generator:
+        # A numpy-integer rep would make the xor below fixed-width.
+        rep = operator.index(rep)
         if not 0 <= rep < 1 << 32:
             raise ValueError(f"replication index must be in [0, 2**32), got {rep}")
         key[1] = high ^ rep

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eigengeo import cli
+from eigengeo import Spectrum, cli, curvature_oracle_A
 from eigengeo.cli import main, read_matrix
 from eigengeo.cli import CliInputError
 
@@ -45,6 +45,18 @@ class TestGeometryCommand:
         summary = [r for r in rows if r["kind"] == "fd_max_abs_deviation"]
         assert len(summary) == 1
         assert float(summary[0]["value"]) < 1e-5
+
+    def test_check_fd_oracle_cells_are_the_scalar_oracle(self, tmp_path):
+        lam = np.array([4.0, 2.5, 1.5, 0.5])
+        assert run(tmp_path, "geometry", "--lambda", "4,2.5,1.5,0.5", "--check-fd") == 0
+        _, rows = read_rows(tmp_path / "geometry.csv")
+        curv = [r for r in rows if r["kind"] == "curvature"]
+        assert len(curv) == 6 * 4
+        base = Spectrum(lam, np.eye(4))
+        for r in curv:
+            pair = (int(r["s"]) - 1, int(r["t"]) - 1)
+            want = curvature_oracle_A(base, pair, pair, int(r["a"]) - 1)
+            assert float(r["oracle"]) == want
 
     def test_tied_eigenvalues_exit_2(self, tmp_path):
         assert run(tmp_path, "geometry", "--lambda", "1,1") == 2

@@ -243,6 +243,23 @@ class TestEmbeddingCurvature:
                         got = curvature_oracle_A(sp, pr1, pr2, a)
                         assert abs(got - want) < 1e-5 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_oracle_sequence_form_is_the_scalar_calls(self, rng, p):
+        sp = random_spectrum(rng, p)
+        pairs = index_pairs(p)
+        for pr1, pr2 in [(pairs[0], pairs[0]), (pairs[-1], pairs[-1]), (pairs[0], pairs[-1])]:
+            want = [curvature_oracle_A(sp, pr1, pr2, a) for a in range(p)]
+            got = curvature_oracle_A(sp, pr1, pr2, range(p))
+            assert isinstance(got, list) and all(type(w) is float for w in want)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert curvature_oracle_A(sp, pr1, pr2, [p - 1, 0]) == [want[-1], want[0]]
+
+    @pytest.mark.parametrize("legs", [[0, 3], [-1], (1, 2, 7)])
+    def test_oracle_sequence_refuses_out_of_range_entry(self, rng, legs):
+        sp = random_spectrum(rng, 3)
+        with pytest.raises(IndexOutOfRange):
+            curvature_oracle_A(sp, (0, 1), (0, 1), legs)
+
     def test_oracle_frame_independent(self, rng):
         lam = np.array([2.0, 1.0])
         values = [

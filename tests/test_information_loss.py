@@ -88,6 +88,23 @@ class TestLossFirstOrder:
             off = B[~np.eye(p, dtype=bool)]
             assert np.all(off <= 0.0)
 
+    def test_matches_scalar_loop(self, rng):
+        # Scalar reference: squaring a numpy scalar goes through libm pow,
+        # an array squares exactly, so cells may differ by about an ulp.
+        for p in range(2, 8):
+            for _ in range(20):
+                lam = np.sort(rng.uniform(0.1, 10.0, p))[::-1]
+                if np.min(lam[:-1] - lam[1:]) < 1e-3:
+                    continue
+                loop = np.zeros((p, p))
+                for a in range(p):
+                    for t in range(p):
+                        if t != a:
+                            loop[a, a] += lam[t] ** 2 / (lam[t] - lam[a]) ** 2
+                            loop[a, t] = -0.5 / (lam[a] - lam[t]) ** 2
+                    loop[a, a] /= 2.0 * lam[a] ** 2
+                assert_allclose(loss_first_order(lam).B, loop, rtol=1e-15, atol=0.0)
+
     def test_degenerate_rejected(self):
         with pytest.raises(NearDegenerateSpectrum):
             loss_first_order([1.0, 1.0])

@@ -248,6 +248,28 @@ class TestNaturalCoords:
             rel = np.linalg.norm(back.matrix - S.matrix) / np.linalg.norm(S.matrix)
             assert rel < 1e-10
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_packing_is_the_row_major_loop(self, rng, p):
+        S = random_spd(rng, p)
+        prec = np.linalg.inv(S.matrix)
+        prec = 0.5 * (prec + prec.T)
+        loop = []
+        for i in range(p):
+            loop.append(-0.5 * prec[i, i])
+            loop.extend(-prec[i, i + 1 :])
+        theta = to_natural(S).theta
+        assert np.array_equal(theta, loop)
+        want = np.zeros((p, p))
+        k = 0
+        for i in range(p):
+            want[i, i] = -2.0 * theta[k]
+            k += 1
+            for j in range(i + 1, p):
+                want[i, j] = want[j, i] = -theta[k]
+                k += 1
+        cov = np.linalg.inv(want)
+        assert np.array_equal(from_natural(to_natural(S)).matrix, 0.5 * (cov + cov.T))
+
     def test_from_natural_rejects_non_spd(self):
         nc = to_natural(np.eye(2))
         bad = type(nc)(2, np.array([0.5, 0.0, -0.5]))  # positive theta_00

@@ -137,6 +137,15 @@ class TestSubstreams:
         replication_rng(0, "s", 0).standard_normal(3)
         replication_rng(2**64 - 1, "s", 2**32 - 1).standard_normal(3)
 
+    @pytest.mark.parametrize("stream", ["power", "bias"])
+    def test_numpy_integer_rep_draws_the_python_int_bits(self, stream):
+        # crc32("power") >= 2**31 overflows an int64 xor; any crc overflows
+        # a 32-bit one.  The key must not depend on the rep's integer type.
+        assert (zlib.crc32(stream.encode()) >= 1 << 31) == (stream == "power")
+        want = replication_rng(0, stream, 3).standard_normal(8)
+        for rep in (np.int64(3), np.uint32(3), np.int32(3)):
+            assert replication_rng(0, stream, rep).standard_normal(8).tobytes() == want.tobytes()
+
     def test_batched_paths_refuse_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
             sample_batch(np.eye(2), 10, 5, -1, "s")
