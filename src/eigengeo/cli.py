@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input or domain error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -434,7 +435,10 @@ def cmd_experiment(args) -> list[str]:
     return outputs
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (each ``parse_args``
+    returns a fresh namespace, so no state carries between calls)."""
     parser = argparse.ArgumentParser(
         prog="eigengeo",
         description="Fisher geometry of Gaussian covariance spectra: reports and experiments.",

@@ -51,8 +51,8 @@ class EigenEstimate:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise DimensionMismatch("estimate must be a vector")
-        if np.any(v <= 0.0):
-            raise ValueError(f"estimate entries must be positive, got {v}")
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ValueError(f"estimate entries must be finite and positive, got {v}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -107,12 +107,12 @@ class OrthogonalEnsemble:
 
     @cached_property
     def squared_nodes(self) -> np.ndarray:
-        """Read-only (p, K p) array Q[j, k p + i] = H_k[j, i]^2, one allocation."""
+        """Read-only (p, p K) array Q[j, i K + k] = H_k[j, i]^2, one allocation."""
         return _squared_layout(self.matrices)
 
 
 def _squared_layout(matrices: np.ndarray) -> np.ndarray:
-    out = np.square(matrices.transpose(1, 0, 2), order="C").reshape(matrices.shape[1], -1)
+    out = np.square(matrices.transpose(1, 2, 0), order="C").reshape(matrices.shape[1], -1)
     out.setflags(write=False)
     return out
 
@@ -229,25 +229,29 @@ def lambda_star_from_eigs(
 
 
 def projected_diagonals(eig_rows: np.ndarray, ensemble: OrthogonalEnsemble | ExactO2) -> np.ndarray:
-    """D[r, k, i] = diag_i(H_k^T L_r H_k) = sum_j H_k[j, i]^2 l_rj for L_r =
-    diag(eig_rows[r]) and the ensemble's nodes H_k: one matmul with the cached
-    ``squared_nodes`` (``ExactO2``: the rows themselves).  Every frame
-    integral passes through here, so the ensemble's dimension is checked here
-    (DimensionMismatch)."""
+    """D[r, i, k] = diag_i(H_k^T L_r H_k) = sum_j H_k[j, i]^2 l_rj for L_r =
+    diag(eig_rows[r]) and the ensemble's nodes H_k, nodes last: one BLAS
+    matmul of the rows, copied to C order, with the cached ``squared_nodes``
+    (``ExactO2``: the rows themselves).  Every frame integral passes through
+    here, so the ensemble's dimension is checked here (DimensionMismatch)."""
     if ensemble.dim != eig_rows.shape[1]:
         raise DimensionMismatch(
             f"ensemble dim {ensemble.dim} does not match {eig_rows.shape[1]} eigenvalues"
         )
     if ensemble.kind == EXACT_O2:
         return eig_rows
-    return (eig_rows @ ensemble.squared_nodes).reshape(eig_rows.shape[0], ensemble.size, ensemble.dim)
+    # A strided row (the reversed eigvalsh view) would take numpy's own
+    # matmul loop, about 4x slower than BLAS.
+    D = np.ascontiguousarray(eig_rows) @ ensemble.squared_nodes
+    return D.reshape(eig_rows.shape[0], ensemble.dim, ensemble.size)
 
 
 def frame_posterior_step(D: np.ndarray, log_lam: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2):
     """One posterior step over the frame for population eigenvalues
-    exp(log_lam) (one row per row of ``D``, see ``projected_diagonals``).
+    exp(log_lam): one row per row of ``D`` (see ``projected_diagonals``), or
+    every row against ``D``'s single row when it has one.
 
-    The frame posterior puts log-weight log w_k - sum_i D[r, k, i] /
+    The frame posterior puts log-weight log w_k - sum_i D[r, i, k] /
     (2 lam_i) on node k.  Returns ``(objective, update)``: the profile
     log-likelihood -(n/2) sum(log lam) + log sum_k w_k exp(-sum_i D_i /
     (2 lam_i)), and the posterior mean of D / n, which is the EM map for
@@ -269,13 +273,16 @@ def frame_posterior_step(D: np.ndarray, log_lam: np.ndarray, n: int, ensemble: O
         objective = -0.5 * n * log_lam.sum(axis=1) - 0.5 * m * (inv[:, 0] + inv[:, 1]) + log_i0
         shift = h * np.copysign(ratio, b)
         return objective, np.stack([m - shift, m + shift], axis=1) / n
-    # Batched matmul runs these contractions ~4x faster than einsum.
-    log_terms = (D @ (-0.5 * np.exp(-log_lam))[:, :, None])[:, :, 0]
+    coef = -0.5 * np.exp(-log_lam)
+    # A shared diagonal makes both contractions GEMMs over all rows:
+    # (rows x p)(p x K) and (rows x K)(K x p).
+    shared = D.shape[0] == 1
+    log_terms = coef @ D[0] if shared else (coef[:, None, :] @ D)[:, 0, :]
     log_terms += ensemble.log_weights
     peak, rel, total = relative_weights(log_terms)
     objective = -0.5 * n * log_lam.sum(axis=1) + (peak + np.log(total))
-    update = (rel[:, None, :] @ D)[:, 0, :] / (n * total[:, None])
-    return objective, update
+    update = rel @ D[0].T if shared else (D @ rel[:, :, None])[:, :, 0]
+    return objective, update / (n * total[:, None])
 
 
 def relative_weights(log_terms: np.ndarray):
@@ -285,9 +292,11 @@ def relative_weights(log_terms: np.ndarray):
     ``exp(log_terms - peak)`` and its sums, so the log of the weighted
     average is ``peak + log(total)``.  Subtracting the maximum keeps the
     largest term at exp(0) = 1 however negative the raw exponents are.
+    ``rel`` is ``log_terms`` itself, overwritten in place.
     """
     peak = log_terms.max(axis=-1, keepdims=True)
-    rel = log_terms - peak
+    rel = log_terms
+    rel -= peak
     np.exp(rel, out=rel)
     total = rel.sum(axis=-1)
     if not np.all(np.isfinite(total)) or np.any(total <= 0.0):

@@ -45,6 +45,12 @@ EIGEN_LRT = "eigen-lrt"
 # MAX_CYCLES SQUAREM cycles of three posterior steps each).
 GRAD_TOL = 1e-8
 MAX_CYCLES = 500
+# Row-at-a-time start batches pay once a row's starts x nodes reach this
+# many log-weight terms; below it per-call overhead dominates and starts run
+# over all rows at once.  Measured on a 2-core Xeon, one thread: at 100
+# nodes (p = 2) one row at a time is 13x slower; at p = 3 and 4096 nodes it
+# is 1.5x faster.
+ROW_BATCH_TERMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     lam, G = np.linalg.eigh(Sigma.matrix)
     D = eigs[None, :]
     if ensemble.kind != EXACT_O2:
-        D = (D @ _squared_layout(ensemble.matrices @ G)).reshape(1, ensemble.size, ensemble.dim)
+        D = (D @ _squared_layout(ensemble.matrices @ G)).reshape(1, ensemble.dim, ensemble.size)
     objective, _ = frame_posterior_step(D, np.log(lam)[None, :], n, ensemble)
     return float(objective[0])
 
@@ -164,16 +170,21 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
 
     Returns the sup and its log-eigenvalue argmax per row.  Each start runs
     SQUAREM-accelerated EM to a gradient certificate; the best end point per
-    row wins.  A quadrature starts from every ordering of l/n (it is only
-    nearly symmetric under permuting lam, and its modes reach different
-    heights), the mean, their midpoint in log space, and the null point.
-    ``ExactO2`` needs only l/n and the mean: it is symmetric in lam, one EM
-    step takes the null point to the mean (which scores higher), and on the
-    trace line lam = m (1 +/- t) the EM map is increasing in t, so EM from
-    l/n climbs to the largest fixed point.
+    row wins (the first start among equals).  A quadrature starts from every
+    ordering of l/n (it is only nearly symmetric under permuting lam, and
+    its modes reach different heights), the mean, their midpoint in log
+    space, and the null point.  ``ExactO2`` needs only l/n and the mean: it
+    is symmetric in lam, one EM step takes the null point to the mean
+    (which scores higher), and on the trace line lam = m (1 +/- t) the EM
+    map is increasing in t, so EM from l/n climbs to the largest fixed point.
+
+    When a row's starts span at least ROW_BATCH_TERMS log-weight terms
+    (starts x nodes), they run one row at a time as the rows of one
+    ``_squarem`` call against that row's shared (1, p, K) diagonal, and only
+    one row's diagonal is held.  Otherwise (``ExactO2``, small grids) each
+    start runs over all rows at once.
     """
     reps, p = eig_rows.shape
-    D = projected_diagonals(eig_rows, ensemble)
     log_l = np.log(eig_rows / n)
     mean_log = np.log(eig_rows.mean(axis=1) / n)[:, None]
     if ensemble.kind == EXACT_O2:
@@ -187,13 +198,24 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
     best = np.full(reps, -np.inf)
     start_best = np.full(reps, -np.inf)
     argmax = np.zeros((reps, p))
-    for x in starts:
-        f, update = frame_posterior_step(D, x, n, ensemble)
-        start_best = np.maximum(start_best, f)
-        x, f = _squarem(D, x, f, update, n, ensemble, lo, hi)
-        better = f > best
-        best[better] = f[better]
-        argmax[better] = x[better]
+    if len(starts) * ensemble.size < ROW_BATCH_TERMS:
+        D = projected_diagonals(eig_rows, ensemble)
+        for x in starts:
+            f, update = frame_posterior_step(D, x, n, ensemble)
+            start_best = np.maximum(start_best, f)
+            x, f = _squarem(D, x, f, update, n, ensemble, lo, hi)
+            better = f > best
+            best[better] = f[better]
+            argmax[better] = x[better]
+    else:
+        starts = np.stack(starts, axis=1)
+        for r in range(reps):
+            D = projected_diagonals(eig_rows[r : r + 1], ensemble)
+            f, update = frame_posterior_step(D, starts[r], n, ensemble)
+            start_best[r] = f.max()
+            x, f = _squarem(D, starts[r], f, update, n, ensemble, lo[r : r + 1], hi[r : r + 1])
+            j = np.argmax(f)
+            best[r], argmax[r] = f[j], x[j]
     if not np.all(np.isfinite(best)) or np.any(best < start_best - 1e-12):
         raise OptimizerFailure("profile maximization lost ground on its starts")
     return best, argmax
@@ -203,36 +225,41 @@ def _squarem(D, x, f, update, n, ensemble, lo, hi):
     """SQUAREM-accelerated EM in log-eigenvalue space from ``x``, where the
     objective is ``f`` and the EM map gives ``update``.
 
-    Each cycle takes two EM steps and extrapolates along them (step length
-    at least the plain double step, clipped to the box [lo, hi]); the
-    extrapolated point is kept only where the objective did not drop,
-    otherwise the double EM step is, so the ascent is monotone.  A row
-    stops once its log-space gradient (n/2) max|update/lam - 1| is at most
-    GRAD_TOL.
+    ``D`` and the box [lo, hi] have one row per row of ``x``, or a single
+    row shared by all of them (see ``frame_posterior_step``).  Each cycle
+    takes two EM steps and extrapolates along them (step length at least
+    the plain double step, clipped to the box); the extrapolated point is
+    kept only where the objective did not drop, otherwise the double EM
+    step is, so the ascent is monotone.  A row stops once its log-space
+    gradient (n/2) max|update/lam - 1| is at most GRAD_TOL; converged rows
+    leave the working set, and a per-row ``D`` and box are compacted with
+    them only then.
     """
     x, f, update = x.copy(), f.copy(), update.copy()
-    active, Da = np.arange(x.shape[0]), D
+    shared = D.shape[0] == 1
+    active = np.arange(x.shape[0])
     for cycle in range(MAX_CYCLES + 1):
         grad = 0.5 * n * np.abs(update[active] * np.exp(-x[active]) - 1.0).max(axis=1)
         still = grad > GRAD_TOL
         if not still.all():
-            # Copy the active rows of D only when some have converged.
-            active, Da = active[still], Da[still]
+            active = active[still]
+            if not shared:
+                D, lo, hi = D[still], lo[still], hi[still]
         if active.size == 0:
             return x, f
         if cycle == MAX_CYCLES:
             break
         x0 = x[active]
         x1 = np.log(update[active])
-        _, update1 = frame_posterior_step(Da, x1, n, ensemble)
+        _, update1 = frame_posterior_step(D, x1, n, ensemble)
         x2 = np.log(update1)
-        f2, update2 = frame_posterior_step(Da, x2, n, ensemble)
+        f2, update2 = frame_posterior_step(D, x2, n, ensemble)
         r = x1 - x0
         v = x2 - x1 - r
         step = np.sqrt((r * r).sum(axis=1) / np.maximum((v * v).sum(axis=1), np.finfo(float).tiny))
         step = np.maximum(step, 1.0)[:, None]
-        xs = np.clip(x0 + 2.0 * step * r + step**2 * v, lo[active], hi[active])
-        fs, updates = frame_posterior_step(Da, xs, n, ensemble)
+        xs = np.clip(x0 + 2.0 * step * r + step**2 * v, lo, hi)
+        fs, updates = frame_posterior_step(D, xs, n, ensemble)
         keep = fs >= f[active]
         x[active] = np.where(keep[:, None], xs, x2)
         f[active] = np.where(keep, fs, f2)

@@ -87,8 +87,8 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
 
     At p = 2 this is the closed form: large = m + hypot((a - d)/2, b) with m
     the mean of the diagonal, small = det / large (never above large).  At
-    p != 2 it is the reversed view of ``eigvalsh``; that view, not a copy,
-    is what ``estimators.projected_diagonals`` expects bit for bit.
+    p != 2 it is the reversed view of ``eigvalsh``
+    (``estimators.projected_diagonals`` copies it to C order for BLAS).
     """
     if S_batch.shape[-1] != 2:
         return np.linalg.eigvalsh(S_batch)[:, ::-1]
@@ -382,6 +382,7 @@ def kl_project(S, gamma: np.ndarray) -> np.ndarray:
 
     For each coordinate this is the minimizer of KL(S, gamma diag(x) gamma.T),
     so perturbing any returned entry strictly increases the divergence.
+    A frame with a non-finite entry is refused (ValueError).
     """
     S = as_spd(S)
     gamma = np.asarray(gamma, dtype=float)
@@ -389,4 +390,6 @@ def kl_project(S, gamma: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"frame shape {gamma.shape} does not match dim {S.dim}"
         )
+    if not np.isfinite(gamma).all():
+        raise ValueError("frame has non-finite entries")
     return np.einsum("ij,ik,kj->j", gamma, S.matrix, gamma)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,27 @@ class TestExperimentCommand:
         assert main(["experiment", "fig6", "--reps", "200", "--seed", "5",
                      "--out", str(d2)]) == 0
         assert (d1 / "fig6.csv").read_bytes() == (d2 / "fig6.csv").read_bytes()
+
+    def test_cached_parser_keeps_no_state_between_calls(self, tmp_path):
+        # The parser is built once per process; a second call without
+        # --seed runs at the default seed 0 and writes a fresh process's bytes.
+        assert cli.build_parser() is cli.build_parser()
+        dirs = [tmp_path / name for name in ("seed3", "default", "seed0", "fresh")]
+        assert main(["experiment", "fig4", "--reps", "20", "--seed", "3", "--out", str(dirs[0])]) == 0
+        assert main(["experiment", "fig4", "--reps", "20", "--out", str(dirs[1])]) == 0
+        assert main(["experiment", "fig4", "--reps", "20", "--seed", "0", "--out", str(dirs[2])]) == 0
+        manifest = json.loads((dirs[1] / "manifest.json").read_text())
+        assert manifest["seed"] is None and "seed" not in manifest["config"]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "eigengeo.cli", "experiment", "fig4", "--reps", "20", "--out", str(dirs[3])],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        seed3, default, seed0, fresh_bytes = ((d / "fig4.csv").read_bytes() for d in dirs)
+        assert default == seed0 == fresh_bytes
+        assert default != seed3
 
     def test_fig4_seventeen_digit_numbers(self, tmp_path):
         assert run(tmp_path, "experiment", "fig4", "--reps", "200", "--seed", "5") == 0

@@ -7,6 +7,7 @@ from scipy.special import i0e, i1e
 
 from eigengeo import (
     DimensionMismatch,
+    EigenEstimate,
     NearDegenerateSpectrum,
     OrthogonalEnsemble,
     haar_sample,
@@ -61,6 +62,13 @@ class TestLambdaHat:
         assert_allclose(est.values, [2.0, 1.0])
         assert est.method == GAMMA_FRAME
 
+    def test_nan_frame_refused(self):
+        gamma = np.eye(3)
+        gamma[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            lambda_hat(np.diag([3.0, 2.0, 1.0]), 10, gamma)
+
+
     def test_sample_frame_reproduces_lbar(self, rng):
         S = sample_product_sum(np.diag([2.0, 1.0, 0.5]), 8, rng)
         w, H = np.linalg.eigh(S.matrix)
@@ -74,6 +82,13 @@ class TestLambdaHat:
         means = vals.mean(axis=0)
         stderr = vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
         assert np.all(np.abs(means - [1.0, 0.8]) < 3 * stderr)
+
+
+class TestEigenEstimate:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_entries_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EigenEstimate(np.array([1.0, bad, 0.1]), LBAR)
 
 
 class TestO2Equidistant:
@@ -146,23 +161,22 @@ class TestProjectedDiagonals:
 
     @staticmethod
     def einsum_oracle(eig_rows, ens):
-        # Reference: square every node, then contract with einsum.
-        return np.einsum("kji,rj->rki", ens.matrices**2, eig_rows)
+        # Reference: square every node, then contract with einsum (nodes last).
+        return np.einsum("kji,rj->rik", ens.matrices**2, eig_rows)
 
     @pytest.mark.parametrize("make", ENSEMBLES)
     def test_one_row_bit_equal(self, make, rng):
         # A descending view of eigvalsh output, the row lambda_star and
-        # eigen_lrt_stat pass, contracts in the einsum's order; a contiguous
-        # row goes through BLAS and agrees to rounding.
+        # eigen_lrt_stat pass, gives the bits of its contiguous copy (both
+        # go through BLAS) and agrees with the einsum to rounding.
         ens = make()
         row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
         got = projected_diagonals(row, ens)
-        assert got.shape == (1, ens.size, ens.dim)
-        assert np.array_equal(got, self.einsum_oracle(row, ens))
+        assert got.shape == (1, ens.dim, ens.size)
+        assert np.array_equal(got, projected_diagonals(np.ascontiguousarray(row), ens))
+        assert_allclose(got, self.einsum_oracle(row, ens), rtol=1e-15, atol=0)
         brute = np.array([np.diagonal(H.T @ np.diag(row[0]) @ H) for H in ens.matrices])
-        assert_allclose(got[0], brute, rtol=1e-14)
-        contiguous = np.ascontiguousarray(row)
-        assert_allclose(projected_diagonals(contiguous, ens), got, rtol=1e-15, atol=0)
+        assert_allclose(got[0].T, brute, rtol=1e-14)
 
     @pytest.mark.parametrize("make", ENSEMBLES)
     def test_batch_within_rounding(self, make, rng):
@@ -173,10 +187,10 @@ class TestProjectedDiagonals:
     def test_squared_nodes_read_only_layout(self):
         ens = haar_sample(3, 7, 4)
         q = ens.squared_nodes
-        assert q.shape == (3, 7 * 3) and q.dtype == np.float64
+        assert q.shape == (3, 3 * 7) and q.dtype == np.float64
         assert not q.flags.writeable
         assert ens.squared_nodes is q
-        assert np.array_equal(q.reshape(3, 7, 3), np.transpose(ens.matrices**2, (1, 0, 2)))
+        assert np.array_equal(q.reshape(3, 3, 7), np.transpose(ens.matrices**2, (1, 2, 0)))
 
     def test_replaced_ensemble_gets_fresh_squares(self):
         ens = haar_sample(3, 64, 4)
@@ -185,6 +199,22 @@ class TestProjectedDiagonals:
         other = replace(ens, matrices=haar_sample(3, 64, 5).matrices)
         assert_allclose(projected_diagonals(row, other), self.einsum_oracle(row, other), rtol=1e-15, atol=0)
         assert not np.array_equal(other.squared_nodes, ens.squared_nodes)
+
+
+class TestFramePosteriorStep:
+    @pytest.mark.parametrize("make", TestProjectedDiagonals.ENSEMBLES)
+    def test_shared_diagonal_matches_per_row(self, make, rng):
+        # A D with one leading row serves every row of log_lam (two GEMMs)
+        # and agrees with that D repeated per row (batched products).
+        ens = make()
+        row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
+        D = projected_diagonals(row, ens)
+        log_lam = np.log(row / 10) + rng.normal(0.0, 0.3, (9, ens.dim))
+        f, update = frame_posterior_step(D, log_lam, 10, ens)
+        g, per_row = frame_posterior_step(np.repeat(D, 9, axis=0), log_lam, 10, ens)
+        assert f.shape == (9,) and update.shape == (9, ens.dim)
+        assert_allclose(f, g, rtol=1e-14, atol=0)
+        assert_allclose(update, per_row, rtol=1e-14, atol=0)
 
 
 class TestLambdaStar:

@@ -16,6 +16,8 @@ from eigengeo import (
     haar_sample,
     o2_equidistant,
     power_curve,
+    replication_rng,
+    sample_product_sum,
 )
 import eigengeo.hypothesis_tests as ht
 from eigengeo import DimensionMismatch, OptimizerFailure
@@ -228,20 +230,66 @@ class TestProfileMaximizer:
         grid = np.stack([a.ravel() for a in np.meshgrid(g, g, g)], axis=1)
         assert sup[0] >= profile_objective(node_diagonals(row, ens), 10, ens, grid).max() - 1e-9
 
+    # A 100-node grid runs each start over all rows at once; a 4096-node
+    # grid runs one row's starts at a time against that row's shared D.
+    LOOP_ORDERS = ((100, False), (4096, True))
+
     def test_budget_exhausted_raises(self, monkeypatch):
+        leading = []
+
+        def counted(D, log_lam, n, ensemble):
+            leading.append(D.shape[0])
+            return frame_posterior_step(D, log_lam, n, ensemble)
+
         monkeypatch.setattr(ht, "MAX_CYCLES", 1)
+        monkeypatch.setattr(ht, "frame_posterior_step", counted)
         eigs = wishart_eig_rows(2, 10, 20, 15)
-        with pytest.raises(OptimizerFailure, match="gradient tolerance"):
-            _profile_sup(eigs, 10, o2_equidistant(100))
+        for K, shared in self.LOOP_ORDERS:
+            leading.clear()
+            with pytest.raises(OptimizerFailure, match="gradient tolerance"):
+                _profile_sup(eigs, 10, o2_equidistant(K))
+            assert leading and (set(leading) == {1}) == shared
 
     def test_lost_ground_raises(self, monkeypatch):
+        calls = []
+
         def sinking(D, x, f, update, n, logw, lo, hi):
+            calls.append((D.shape, x.shape))
             return x, f - 1.0
 
         monkeypatch.setattr(ht, "_squarem", sinking)
         eigs = wishart_eig_rows(2, 10, 3, 16)
-        with pytest.raises(OptimizerFailure, match="lost ground"):
-            _profile_sup(eigs, 10, o2_equidistant(100))
+        for K, shared in self.LOOP_ORDERS:
+            calls.clear()
+            with pytest.raises(OptimizerFailure, match="lost ground"):
+                _profile_sup(eigs, 10, o2_equidistant(K))
+            # Starts: the 2! orderings of l/n, the mean, midpoint and null.
+            if shared:
+                assert calls == [((1, 2, K), (5, 2))] * 3
+            else:
+                assert calls == [((3, 2, K), (3, 2))] * 5
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_batch_is_row_by_row_bits(self, p):
+        # A row's starts run against its own diagonal, so its sup and
+        # argmax do not depend on the other rows of the batch.
+        ens = haar_sample(p, 1024, p)
+        eigs = wishart_eig_rows(p, 10, 5, 20 + p)
+        sup, argmax = _profile_sup(eigs, 10, ens)
+        for r, row in enumerate(eigs):
+            one_sup, one_argmax = _profile_sup(row[None, :], 10, ens)
+            assert one_sup[0] == sup[r]
+            assert np.array_equal(one_argmax[0], argmax[r])
+
+    def test_haar_p3_rows_pinned(self):
+        # The benchmark's four haar-p3 eigen-LRT rows, pinned to the values
+        # of the earlier maximizer that ran one start at a time.
+        ens = haar_sample(3, 8192, 0)
+        want = [-6.156489118741263, -9.145944921759238, -0.3410134636226836, -7.764692505375727]
+        for r, value in enumerate(want):
+            S = sample_product_sum(np.diag([3.0, 2.0, 1.0]), 10, replication_rng(0, "haar-lrt", r))
+            eigs = np.linalg.eigvalsh(S.matrix)[::-1]
+            assert abs(eigen_lrt_stat(eigs, 10, ens).value - value) <= 1e-12
 
 
 def exact_objective_on_trace_line(row, n, t):

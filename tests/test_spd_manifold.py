@@ -316,6 +316,13 @@ class TestKlProject:
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert_allclose(kl_project(S, np.eye(2)), [2.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_refused(self, bad):
+        gamma = np.eye(2)
+        gamma[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kl_project(np.diag([2.0, 1.0]), gamma)
+
     def test_grid_search_confirms_minimizer(self, rng):
         S = random_spd(rng, 2)
         gamma = random_orthogonal(rng, 2)
