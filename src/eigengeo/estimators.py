@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, QuadratureUnderflow
 from .spd_manifold import (
-    ORTHOGONALITY_TOLERANCE, as_spd, check_eigenvalue_gaps, descending_eigenvalues, kl_project,
-    separated_rows,
+    ORTHOGONALITY_TOLERANCE, as_spd, check_eigenvalue_gaps, kl_project, separated_rows,
 )
 
 LBAR = "lbar"
@@ -174,8 +173,7 @@ def lbar(S, n: int) -> EigenEstimate:
     S = as_spd(S)
     if n < S.dim:
         raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
-    eigs = descending_eigenvalues(S.matrix[None])[0] / n
-    return EigenEstimate(eigs, LBAR)
+    return EigenEstimate(S.eigenvalues / n, LBAR)
 
 
 def lambda_hat(S, n: int, gamma: np.ndarray) -> EigenEstimate:
@@ -204,8 +202,7 @@ def lambda_star(S, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> EigenEstim
     S = as_spd(S)
     if n < S.dim:
         raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
-    sample_eigs = descending_eigenvalues(S.matrix[None])[0]
-    values = lambda_star_from_eigs(sample_eigs, n, ensemble)
+    values = lambda_star_from_eigs(S.eigenvalues, n, ensemble)
     return EigenEstimate(values, STAR, {"ensemble_kind": ensemble.kind, "ensemble_size": ensemble.size})
 
 
@@ -299,7 +296,7 @@ def relative_weights(log_terms: np.ndarray):
     rel -= peak
     np.exp(rel, out=rel)
     total = rel.sum(axis=-1)
-    if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
+    if not ((total > 0.0) & (total < np.inf)).all():
         raise QuadratureUnderflow("all quadrature weights underflowed")
     return peak[..., 0], rel, total
 

@@ -285,15 +285,24 @@ def calibrate(
     simulated null statistics, so the calibration sample itself rejects with
     frequency exactly floor(alpha * reps) / reps.
     """
+    _check_calibration(alpha, reps)
+    if kind not in (FULL_LRT, EIGEN_LRT):
+        raise ValueError(f"unknown test kind {kind!r}")
+    ensemble = _test_ensemble(kind, ensemble, p, seed)
+    return _calibrate(kind, alpha, n, seed, ensemble, white_batch(p, n, reps, seed, "h0-calibration"))
+
+
+def _check_calibration(alpha: float, reps: int) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if reps < 1000:
         raise ValueError(f"calibration needs reps >= 1000, got {reps}")
-    if kind not in (FULL_LRT, EIGEN_LRT):
-        raise ValueError(f"unknown test kind {kind!r}")
-    ensemble = _test_ensemble(kind, ensemble, p, seed)
-    S_batch = sample_batch(np.eye(p), n, reps, seed, "h0-calibration")
-    order = np.sort(_stat_batch(kind, S_batch, n, ensemble, seed))
+
+
+def _calibrate(kind, alpha, n, seed, ensemble, W) -> CriticalValue:
+    """``calibrate`` on the null white Grams W, already drawn and checked."""
+    reps, p = W.shape[:2]
+    order = np.sort(_stat_batch(kind, color_batch(W, np.eye(p)), n, ensemble, seed))
     threshold = float(order[int(np.floor(alpha * reps))])
     return CriticalValue(alpha, threshold, reps, seed, kind)
 
@@ -350,8 +359,12 @@ def power_curve(
         return []
     p = mats[0].shape[0]
     ensemble = _test_ensemble(kind, ensemble, p, seed)
-    # Draw the shared white Grams once and recolour them per alternative.
-    W = white_batch(p, n, reps, seed, "power")
+    return _power_curve(kind, mats, cv, n, seed, ensemble, white_batch(p, n, reps, seed, "power"))
+
+
+def _power_curve(kind, mats, cv, n, seed, ensemble, W) -> list[PowerPoint]:
+    """``power_curve`` on the shared white Grams W, recoloured per alternative."""
+    reps = W.shape[0]
 
     def at(i: int) -> PowerPoint:
         S_batch = color_batch(W, mats[i])
@@ -418,14 +431,18 @@ def figure3_experiment(
     rejection rates.
     """
     p = 2
+    _check_calibration(alpha, reps)
     ensemble = _test_ensemble(EIGEN_LRT, ensemble, p, seed)
     thetas = figure3_thetas(theta_count)
     fan = [figure3_alternative(theta) for theta in thetas]
+    # Each stream is drawn once and shared by both tests.
     S_null = sample_batch(np.eye(p), n, reps, seed, "size-check")
+    W_null = white_batch(p, n, reps, seed, "h0-calibration")
+    W_alt = white_batch(p, n, reps, seed, "power")
 
     def paired(kind, ens):
-        cv = calibrate(kind, alpha, p, n, reps, seed, ens)
-        points = power_curve(kind, fan, cv, n, reps, seed, ens)
+        cv = _calibrate(kind, alpha, n, seed, ens, W_null)
+        points = _power_curve(kind, fan, cv, n, seed, ens, W_alt)
         size = float(np.mean(_stat_batch(kind, S_null, n, ens, seed) < cv.threshold))
         return cv, np.array([pt.power for pt in points]), size
 

@@ -14,6 +14,7 @@ flattened row-major (same order as ``numpy.triu_indices(p, k=1)``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -31,8 +32,11 @@ from .errors import (
 #     chart is ill-defined (curvature terms blow up at ties): refuse, never
 #     regularize silently.
 #   - positive definiteness requires every eigenvalue > PD_TOLERANCE * trace.
+#   - a matrix is symmetric when no entry is more than
+#     SYMMETRY_TOLERANCE * max(1, max |entry|) from its symmetrized value.
 GAP_TOLERANCE_REL = 1e-8
 PD_TOLERANCE = 1e-12
+SYMMETRY_TOLERANCE = 1e-9
 ORTHOGONALITY_TOLERANCE = 1e-10
 
 
@@ -93,8 +97,11 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
     if S_batch.shape[-1] != 2:
         return np.linalg.eigvalsh(S_batch)[:, ::-1]
     a, b, d = S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]
-    large = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-    return np.stack([large, np.minimum((a * d - b * b) / large, large)], axis=1)
+    out = np.empty((S_batch.shape[0], 2))
+    large = out[:, 0]
+    np.add(0.5 * (a + d), np.hypot(0.5 * (a - d), b), out=large)
+    np.minimum((a * d - b * b) / large, large, out=out[:, 1])
+    return out
 
 
 def check_eigenvalue_gaps(eigenvalues: np.ndarray, what: str = "spectrum") -> None:
@@ -115,40 +122,113 @@ def check_eigenvalue_gaps(eigenvalues: np.ndarray, what: str = "spectrum") -> No
     )
 
 
+_NON_FINITE = "matrix has non-finite entries"
+_ASYMMETRIC = "matrix is not symmetric"
+
+
+def _not_pd(trace: float, low: float | None = None) -> str:
+    # A nonpositive trace is refused before any decomposition: the p = 2
+    # closed form divides by the larger eigenvalue, which trace > 0 keeps
+    # positive.  Its products a d and b^2 overflow once entries pass about
+    # 1e154, which can leave a NaN smallest eigenvalue: that is refused too.
+    if low is None:
+        return f"matrix is not positive definite (trace {trace:.3e})"
+    return f"matrix is not positive definite (min eigenvalue {low:.3e}, trace {trace:.3e})"
+
+
 @dataclass(frozen=True)
 class SpdMatrix:
     """A p x p symmetric positive-definite matrix (a covariance).
 
     The stored matrix is exactly symmetric: construction averages the input
     with its transpose, which is bitwise symmetric in IEEE arithmetic.
-    Positive definiteness is checked with a symmetric eigendecomposition
-    (every eigenvalue must exceed ``PD_TOLERANCE * trace``).
+    Positive definiteness is checked on the descending spectrum
+    ``descending_eigenvalues(matrix[None])[0]`` (every eigenvalue must
+    exceed ``PD_TOLERANCE * trace``), which is kept, read-only, as
+    ``eigenvalues`` so that no caller decomposes the matrix again.
+    ``SpdMatrix.stack`` applies the same checks to a whole stack at once.
     """
 
     matrix: np.ndarray
     dim: int = field(init=False)
+    eigenvalues: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        p = m.shape[0]
-        if p < 1:
+        if m.shape[0] < 1:
             raise DimensionMismatch("matrix must be at least 1 x 1")
-        if not np.isfinite(m).all():
-            raise NotPositiveDefinite("matrix has non-finite entries")
+        scale = float(np.abs(m).max())  # NaN or inf exactly when an entry is
+        if not math.isfinite(scale):
+            raise NotPositiveDefinite(_NON_FINITE)
         sym = 0.5 * (m + m.T)
-        if np.abs(m - sym).max() > 1e-9 * max(1.0, np.abs(m).max()):
-            raise NotPositiveDefinite("matrix is not symmetric")
-        eigs = np.linalg.eigvalsh(sym)
-        tr = float(np.trace(sym))
-        if tr <= 0.0 or eigs[0] <= PD_TOLERANCE * tr:
-            raise NotPositiveDefinite(
-                f"matrix is not positive definite (min eigenvalue {eigs[0]:.3e}, "
-                f"trace {tr:.3e})"
-            )
-        object.__setattr__(self, "matrix", _frozen(sym))
-        object.__setattr__(self, "dim", p)
+        if np.abs(m - sym).max() > SYMMETRY_TOLERANCE * max(1.0, scale):
+            raise NotPositiveDefinite(_ASYMMETRIC)
+        tr = float(sym.trace())
+        if tr <= 0.0:
+            raise NotPositiveDefinite(_not_pd(tr))
+        eigs = descending_eigenvalues(sym[None])[0]
+        if not eigs[-1] > PD_TOLERANCE * tr:  # NaN too (see _not_pd)
+            raise NotPositiveDefinite(_not_pd(tr, eigs[-1]))
+        sym.setflags(write=False)
+        eigs.setflags(write=False)
+        self._adopt(sym, eigs)
+
+    def _adopt(self, sym: np.ndarray, eigs: np.ndarray) -> None:
+        object.__setattr__(self, "matrix", sym)
+        object.__setattr__(self, "dim", sym.shape[0])
+        object.__setattr__(self, "eigenvalues", eigs)
+
+    @classmethod
+    def stack(cls, batch) -> list[SpdMatrix]:
+        """One SpdMatrix per slice of a (reps, p, p) stack, with the scalar
+        constructor's checks run on the whole stack at once (one batched
+        ``descending_eigenvalues``).  A refused stack raises the scalar
+        constructor's exception and message, prefixed with the index of the
+        first refused slice.  An accepted stack's slices are built without
+        re-checking, as read-only views of one symmetrized stack and its
+        spectra.
+        """
+        m = np.asarray(batch, dtype=float)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise DimensionMismatch(f"expected a (reps, p, p) stack, got shape {m.shape}")
+        if m.shape[1] < 1:
+            raise DimensionMismatch("matrix must be at least 1 x 1")
+        # Each check looks only at the slices before the first refusal found
+        # so far, so the refusal raised is the first slice's, and no check
+        # runs on a slice an earlier check refused.
+        fault = None
+        scale = np.abs(m).max(axis=(1, 2))
+        finite = np.isfinite(scale)
+        if not finite.all():
+            r = int(np.argmin(finite))
+            fault, m, scale = (r, _NON_FINITE), m[:r], scale[:r]
+        sym = 0.5 * (m + m.swapaxes(1, 2))
+        asym = np.abs(m - sym).max(axis=(1, 2)) > SYMMETRY_TOLERANCE * np.maximum(1.0, scale)
+        if asym.any():
+            r = int(np.argmax(asym))
+            fault, sym = (r, _ASYMMETRIC), sym[:r]
+        tr = np.trace(sym, axis1=1, axis2=2)
+        nonpositive = tr <= 0.0
+        if nonpositive.any():
+            r = int(np.argmax(nonpositive))
+            fault, sym, tr = (r, _not_pd(tr[r])), sym[:r], tr[:r]
+        eigs = descending_eigenvalues(sym)
+        low = ~(eigs[:, -1] > PD_TOLERANCE * tr)
+        if low.any():
+            r = int(np.argmax(low))
+            fault = (r, _not_pd(tr[r], eigs[r, -1]))
+        if fault is not None:
+            raise NotPositiveDefinite(f"slice {fault[0]}: {fault[1]}")
+        sym.setflags(write=False)
+        eigs.setflags(write=False)
+        out = []
+        for s, e in zip(sym, eigs):
+            S = object.__new__(cls)
+            S._adopt(s, e)
+            out.append(S)
+        return out
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigengeoError
+from .errors import DimensionMismatch, EigengeoError
 from .estimators import (
     GAMMA_FRAME,
     LBAR,
@@ -334,27 +334,42 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
     ``estimator(S, n)`` must return an estimate vector (or an object with a
     ``values`` attribute) ordered against the descending population
     eigenvalues; it runs on ``sample_batch(Sigma, n, reps, seed, stream)[r]``
-    for each replication r.  Domain errors raised by the estimator on
-    individual replications are counted as failures and excluded, never hidden.
+    for each replication r, validated as one ``SpdMatrix.stack`` so that each
+    S carries its checked spectrum.  Domain errors raised by the estimator on
+    individual replications are counted as failures and excluded, never
+    hidden.  An estimate of the wrong shape is refused (DimensionMismatch),
+    and one with a non-finite or non-positive entry too (ValueError); both
+    name the replication.  The estimates are scored in one batched
+    ``kl_loss_diag``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     Sigma = as_spd(Sigma)
     target = np.linalg.eigvalsh(Sigma.matrix)[::-1]
-    losses = np.empty(reps)
+    estimates = np.ones((reps, Sigma.dim))
     valid = np.zeros(reps, dtype=bool)
-    for r, S_r in enumerate(sample_batch(Sigma.matrix, n, reps, seed, stream)):
-        S = SpdMatrix(S_r)
+    for r, S in enumerate(SpdMatrix.stack(sample_batch(Sigma.matrix, n, reps, seed, stream))):
         try:
             est = estimator(S, n)
         except EigengeoError:
             continue
         vals = np.asarray(getattr(est, "values", est), dtype=float)
-        losses[r] = kl_loss_diag(vals, target)
+        if vals.shape != target.shape:
+            raise DimensionMismatch(
+                f"replication {r}: estimate has shape {vals.shape}, expected {target.shape}"
+            )
+        estimates[r] = vals
         valid[r] = True
+    # Failed rows keep their ones, so only returned estimates can be refused.
+    bad = ~((estimates > 0.0) & (estimates < np.inf)).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError(
+            f"replication {r}: estimate entries must be finite and positive, got {estimates[r]}"
+        )
     if not valid.any():
         raise EigengeoError("every replication failed")
-    return _summarize(losses, valid, reps)
+    return _summarize(kl_loss_diag(estimates, target), valid, reps)
 
 
 @dataclass(frozen=True)

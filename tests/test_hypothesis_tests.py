@@ -470,3 +470,44 @@ class TestFigure3Protocol:
     def test_thinning_must_divide(self):
         with pytest.raises(ValueError):
             figure3_thetas(12)
+
+    def test_each_stream_drawn_once(self, monkeypatch):
+        import eigengeo.wishart_sim as ws
+
+        drawn = []
+        real = ws.white_batch
+
+        def spy(p, n, reps, seed, stream):
+            drawn.append(stream)
+            return real(p, n, reps, seed, stream)
+
+        # sample_batch looks white_batch up in wishart_sim, the tests in ht.
+        monkeypatch.setattr(ws, "white_batch", spy)
+        monkeypatch.setattr(ht, "white_batch", spy)
+        study = ht.figure3_experiment(reps=1000, seed=2, theta_count=3)
+        assert sorted(drawn) == ["h0-calibration", "power", "size-check"]
+        # The shared draws give the public calibrate/power_curve results.
+        fan = [figure3_alternative(t) for t in study.thetas]
+        for kind, cv, power in (
+            (FULL_LRT, study.cv_full, study.power_full),
+            (EIGEN_LRT, study.cv_eigen, study.power_eigen),
+        ):
+            assert calibrate(kind, 0.05, 2, 10, 1000, 2) == cv
+            points = power_curve(kind, fan, cv, 10, 1000, 2)
+            assert [pt.power for pt in points] == power.tolist()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"alpha": 1.5}, {"reps": 999}, {"ensemble": haar_sample(3, 10, 0)}],
+        ids=["alpha", "reps", "ensemble"],
+    )
+    def test_refused_before_drawing(self, monkeypatch, kwargs):
+        import eigengeo.wishart_sim as ws
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew replications for a refused experiment")
+
+        monkeypatch.setattr(ws, "white_batch", never)
+        monkeypatch.setattr(ht, "white_batch", never)
+        with pytest.raises((ValueError, DimensionMismatch)):
+            ht.figure3_experiment(**{"reps": 1000, "theta_count": 3, **kwargs})

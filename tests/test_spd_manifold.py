@@ -60,6 +60,89 @@ class TestSpdMatrix:
         with pytest.raises(ValueError):
             S.matrix[0, 0] = 2.0
 
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_eigenvalues_are_the_descending_spectrum(self, rng, p):
+        A = rng.standard_normal((p, p + 3))
+        M = A @ A.T
+        M = 0.5 * (M + M.T)  # bitwise symmetric, so it is stored as given
+        S = SpdMatrix(M)
+        assert S.eigenvalues.tobytes() == descending_eigenvalues(M[None])[0].tobytes()
+        with pytest.raises(ValueError):
+            S.eigenvalues[0] = 1.0
+
+    def test_nan_closed_form_spectrum_refused(self):
+        # At p = 2, a d and b^2 overflow to inf and their difference is NaN;
+        # this matrix is indefinite (eigenvalues 3e160 and -1e160).
+        m = np.array([[1e160, 2e160], [2e160, 1e160]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(descending_eigenvalues(m[None])[0, 1])
+            with pytest.raises(NotPositiveDefinite, match="nan"):
+                SpdMatrix(m)
+            with pytest.raises(NotPositiveDefinite, match="slice 1: .*nan"):
+                SpdMatrix.stack(np.stack([np.eye(2), m]))
+
+
+def _refusal(m) -> tuple[type, str]:
+    try:
+        SpdMatrix(m)
+    except NotPositiveDefinite as exc:
+        return type(exc), str(exc)
+    raise AssertionError("the scalar constructor accepted the slice")
+
+
+class TestSpdStack:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_slices_are_the_scalar_constructor(self, p):
+        sigma = np.diag(np.arange(p, 0, -1.0)) + 0.2 * (1.0 - np.eye(p))
+        batch = sample_batch(sigma, 10, 64, 2, "stack")
+        stack = SpdMatrix.stack(batch)
+        assert len(stack) == 64
+        for S_r, S in zip(batch, stack):
+            one = SpdMatrix(S_r)
+            assert S.dim == p
+            assert S.matrix.tobytes() == one.matrix.tobytes()
+            assert S.eigenvalues.tobytes() == one.eigenvalues.tobytes()
+            assert not S.matrix.flags.writeable and not S.eigenvalues.flags.writeable
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "bad",
+        ["nan", "inf", "asymmetric", "indefinite", "negative-trace"],
+    )
+    def test_refusals_are_the_scalar_ones(self, p, bad):
+        batch = np.stack([np.eye(p) * (k + 1.0) for k in range(6)])
+        m = batch[3]
+        if bad == "nan":
+            m[0, 0] = np.nan
+        elif bad == "inf":
+            m[0, 1] = m[1, 0] = np.inf
+        elif bad == "asymmetric":
+            m[1, 0] += 0.5
+        elif bad == "indefinite":
+            m[0, 1] = m[1, 0] = 10.0
+        else:
+            m *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kind, message = _refusal(m)
+            with pytest.raises(kind) as exc:
+                SpdMatrix.stack(batch)
+        assert str(exc.value) == f"slice 3: {message}"
+
+    def test_first_refused_slice_is_named(self):
+        # Slice 1 fails the last check and slice 2 the first one: slice 1 is named.
+        batch = np.stack([np.eye(3)] * 4)
+        batch[1, 0, 1] = batch[1, 1, 0] = 2.0
+        batch[2, 2, 2] = np.nan
+        with pytest.raises(NotPositiveDefinite) as exc:
+            SpdMatrix.stack(batch)
+        assert str(exc.value) == f"slice 1: {_refusal(batch[1])[1]}"
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (2, 0, 0)])
+    def test_shape_refused(self, shape):
+        with pytest.raises(DimensionMismatch):
+            SpdMatrix.stack(np.ones(shape))
+
 
 class TestDescendingEigenvalues:
     @pytest.mark.parametrize("c", [1.0, 0.02])

@@ -5,16 +5,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigengeo import (
+    DimensionMismatch,
+    EigengeoError,
+    SpdMatrix,
     bias_majorization_check,
     figure4_experiment,
     figure5_experiment,
     figure6_experiment,
+    haar_sample,
     kl_risk,
+    lambda_star,
+    lambda_star_from_eigs,
     lbar,
     replication_rng,
     sample_product_sum,
 )
 from eigengeo.cli import main
+from eigengeo.estimators import default_ensemble
+from eigengeo.spd_manifold import descending_eigenvalues
 from eigengeo.wishart_sim import (
     DRAW_CHUNK,
     color_batch,
@@ -205,6 +213,91 @@ class TestKlRisk:
     def test_no_replications_refused(self):
         with pytest.raises(ValueError, match="reps"):
             kl_risk(lambda S, n: np.ones(2), np.eye(2), 10, 0, 0)
+
+    @pytest.mark.parametrize("estimate", [1.0, np.ones(1), np.ones(4), np.ones((1, 3))])
+    def test_wrong_shape_estimate_refused(self, estimate):
+        # A scalar or a length-1 vector used to broadcast against the three
+        # population eigenvalues and give a finite risk.
+        with pytest.raises(DimensionMismatch, match="replication 0"):
+            kl_risk(lambda S, n: estimate, np.diag([3.0, 2.0, 1.0]), 10, 50, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_estimate_refused(self, bad):
+        calls = []
+
+        def estimator(S, n):
+            calls.append(1)
+            vals = np.diag(S.matrix) / n
+            return np.array([vals[0], bad, vals[2]]) if len(calls) == 5 else vals
+
+        with pytest.raises(ValueError, match="replication 4"):
+            kl_risk(estimator, np.diag([3.0, 2.0, 1.0]), 10, 50, 0)
+
+
+def per_slice_kl_risk(estimator, sigma, n, reps, seed, stream):
+    """The per-replication loop kl_risk ran before it validated and scored
+    its replications as one stack: one SpdMatrix and one loss per slice."""
+    target = np.linalg.eigvalsh(sigma)[::-1]
+    losses = np.empty(reps)
+    valid = np.zeros(reps, dtype=bool)
+    for r, S_r in enumerate(sample_batch(sigma, n, reps, seed, stream)):
+        S = SpdMatrix(S_r)
+        try:
+            vals = estimator(S, n)
+        except EigengeoError:
+            continue
+        losses[r] = kl_loss_diag(vals, target)
+        valid[r] = True
+    kept = losses[valid]
+    return kept.mean(), kept.std(ddof=1) / np.sqrt(kept.size), kept.size, reps - kept.size
+
+
+class TestKlRiskStack:
+    @staticmethod
+    def sigma(p):
+        q, _ = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))
+        sigma = (q * np.linspace(3.0, 0.5, p)) @ q.T
+        return 0.5 * (sigma + sigma.T)  # bitwise symmetric, as SpdMatrix stores it
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_lambda_star_is_the_per_slice_loop(self, p):
+        ens = default_ensemble(p, 0)
+        sigma = self.sigma(p)
+        res = kl_risk(lambda S, n: lambda_star(S, n, ens), sigma, 10, 40, 3, "stack-star")
+        # The estimate as it was computed before S kept its spectrum.
+        want = per_slice_kl_risk(
+            lambda S, n: lambda_star_from_eigs(descending_eigenvalues(S.matrix[None])[0], n, ens),
+            sigma, 10, 40, 3, "stack-star",
+        )
+        assert (res.mean, res.stderr, res.reps, res.failures) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_lbar_is_the_per_slice_loop(self, p):
+        sigma = self.sigma(p)
+        res = kl_risk(lbar, sigma, 10, 200, 5, "stack-lbar")
+        want = per_slice_kl_risk(
+            lambda S, n: descending_eigenvalues(S.matrix[None])[0] / n, sigma, 10, 200, 5, "stack-lbar"
+        )
+        assert (res.mean, res.stderr, res.reps, res.failures) == want
+
+    def test_no_eigvalsh_per_replication(self, monkeypatch):
+        ens = haar_sample(3, 256, 0)
+        sigma = self.sigma(3)
+        real = np.linalg.eigvalsh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        counts = []
+        for reps in (10, 40):
+            calls.clear()
+            kl_risk(lambda S, n: lambda_star(S, n, ens), sigma, 10, reps, 0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3
+        assert (40, 3, 3) in calls
 
 
 class TestKlLossDiag:
