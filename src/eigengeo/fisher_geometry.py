@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, IndexOutOfRange
 from .spd_manifold import (
     SkewParams,
     Spectrum,
+    _natural_packed,
     _triu,
     as_spd,
     check_eigenvalue_gaps,
@@ -29,8 +30,6 @@ from .spd_manifold import (
     exp_skew,
     index_pairs,
     pair_offset,
-    sigma_of_coords,
-    to_natural,
 )
 
 # Finite-difference policy: central differences, step scaled by the largest
@@ -203,19 +202,7 @@ def embedding_curvature_A(eigenvalues, pair1, pair2, a: int) -> float:
       a == s == u, t == v  ->  (lam_t - lam_a) / lam_a^2
       s == u, a == t == v  ->  (lam_s - lam_a) / lam_a^2
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    p = lam.size
-    s, t = pair1
-    u, v = pair2
-    if not (0 <= s < t < p and 0 <= u < v < p):
-        raise IndexOutOfRange(f"pairs {pair1}, {pair2} invalid for p={p}")
-    if not 0 <= a < p:
-        raise IndexOutOfRange(f"index {a} outside 0..{p - 1}")
-    if s == u and t == v and a == s:
-        return float((lam[t] - lam[a]) / lam[a] ** 2)
-    if s == u and t == v and a == t:
-        return float((lam[s] - lam[a]) / lam[a] ** 2)
-    return 0.0
+    return curvature_tensor_A(eigenvalues).component(pair1, pair2, a)
 
 
 def embedding_curvature_M(eigenvalues, a: int, b: int, pair, connection: str = "m") -> float:
@@ -245,10 +232,10 @@ def raised_curvature(eigenvalues, pair1, pair2) -> np.ndarray:
     2(lam_s - lam_t) at a = t; distinct pairs give the zero vector.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    ginv = inverse_metric_eigen(lam)
-    return np.array(
-        [embedding_curvature_A(lam, pair1, pair2, a) * ginv[a] for a in range(lam.size)]
-    )
+    k = pair_offset(*pair1, lam.size)
+    if pair_offset(*pair2, lam.size) != k:
+        return np.zeros(lam.size)
+    return curvature_tensor_A(lam).slabs[k] * inverse_metric_eigen(lam)
 
 
 def curvature_tensor_A(eigenvalues) -> CurvatureTensor:
@@ -283,10 +270,6 @@ def statistical_curvature(eigenvalues) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_at(base: Spectrum, u_flat: np.ndarray) -> np.ndarray:
-    return sigma_of_coords(base, SkewParams(base.dim, u_flat)).matrix
-
-
 def _first_step(base: Spectrum, h: float | None) -> float:
     return h if h is not None else FD_STEP_FIRST * max(1.0, float(base.eigenvalues[0]))
 
@@ -317,7 +300,8 @@ def fd_tangent_u(base: Spectrum, pair, h: float | None = None) -> SymTangent:
     k = pair_offset(s, t, base.dim)
     e = np.zeros(base.dim * (base.dim - 1) // 2)
     e[k] = h
-    m = (_sigma_at(base, e) - _sigma_at(base, -e)) / (2.0 * h)
+    lam = base.eigenvalues
+    m = (_covariance(base, lam, e) - _covariance(base, lam, -e)) / (2.0 * h)
     return SymTangent(0.5 * (m + m.T))
 
 
@@ -364,15 +348,14 @@ def curvature_oracle_A(
     e2 = np.zeros(n_u)
     e1[pair_offset(s, t, p)] = h
     e2[pair_offset(u, v, p)] = h
+
+    def at(u_flat: np.ndarray) -> np.ndarray:
+        return _covariance(base, base.eigenvalues, u_flat)
+
     if pair_offset(s, t, p) == pair_offset(u, v, p):
-        A = (_sigma_at(base, e1) - 2.0 * _sigma_at(base, np.zeros(n_u)) + _sigma_at(base, -e1)) / h**2
+        A = (at(e1) - 2.0 * at(np.zeros(n_u)) + at(-e1)) / h**2
     else:
-        A = (
-            _sigma_at(base, e1 + e2)
-            - _sigma_at(base, e1 - e2)
-            - _sigma_at(base, -e1 + e2)
-            + _sigma_at(base, -e1 - e2)
-        ) / (4.0 * h**2)
+        A = (at(e1 + e2) - at(e1 - e2) - at(-e1 + e2) + at(-e1 - e2)) / (4.0 * h**2)
     values = []
     for b in legs:
         g_b = base.eigenvectors[:, b]
@@ -422,7 +405,7 @@ def _sigma_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.nda
 
 
 def _theta_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-    return to_natural(_covariance(base, lam, u_flat)).theta
+    return _natural_packed(_covariance(base, lam, u_flat))
 
 
 def _second_lambda_derivative(base: Spectrum, a: int, b: int, h: float, fn) -> np.ndarray:

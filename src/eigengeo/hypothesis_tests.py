@@ -34,7 +34,7 @@ from .estimators import (
     frame_posterior_step,
     projected_diagonals,
 )
-from .spd_manifold import GAP_TOLERANCE_REL, as_spd, descending_eigenvalues, separated_rows
+from .spd_manifold import as_spd, check_eigenvalue_gaps, descending_eigenvalues
 from .wishart_sim import color_batch, parallel_points, sample_batch, white_batch
 
 FULL_LRT = "full-lrt"
@@ -117,7 +117,8 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     Vandermonde spread) are omitted: they cancel in every likelihood ratio
     this kernel feeds, so the value is not a normalized density.
     """
-    eigs = _separated(sample_eigs)
+    eigs = np.asarray(sample_eigs, dtype=float)
+    check_eigenvalue_gaps(eigs, "eigen_log_density_kernel")
     Sigma = as_spd(Sigma)
     if not ensemble.dim == Sigma.dim == eigs.size:
         raise DimensionMismatch(f"ensemble dim {ensemble.dim}, Sigma dim {Sigma.dim}, {eigs.size} eigenvalues")
@@ -133,18 +134,6 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     return float(objective[0])
 
 
-def _separated(sample_eigs) -> np.ndarray:
-    """The sample eigenvalues as floats; ValueError unless they pass the gap
-    policy of ``spd_manifold.separated_rows``."""
-    eigs = np.asarray(sample_eigs, dtype=float)
-    if not separated_rows(eigs[None, :])[0]:
-        raise ValueError(
-            f"sample eigenvalues must be positive and descending with relative gaps of at least "
-            f"{GAP_TOLERANCE_REL:g}, got {eigs}"
-        )
-    return eigs
-
-
 def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> TestStatistic:
     """Log likelihood-ratio statistic of the eigenvalue-only test.
 
@@ -153,7 +142,8 @@ def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2) 
     The maximizer starts from the mean of l/n, which scores at least as
     high as the null point, so the statistic is never positive.
     """
-    eigs = _separated(sample_eigs)
+    eigs = np.asarray(sample_eigs, dtype=float)
+    check_eigenvalue_gaps(eigs, "eigen_lrt_stat")
     value = _eigen_lrt_batch(eigs[None, :], n, ensemble)[0]
     return TestStatistic(float(value), EIGEN_LRT, n, eigs.size)
 
@@ -302,7 +292,7 @@ def _check_calibration(alpha: float, reps: int) -> None:
 def _calibrate(kind, alpha, n, seed, ensemble, W) -> CriticalValue:
     """``calibrate`` on the null white Grams W, already drawn and checked."""
     reps, p = W.shape[:2]
-    order = np.sort(_stat_batch(kind, color_batch(W, np.eye(p)), n, ensemble, seed))
+    order = np.sort(_stat_batch(kind, color_batch(W, np.eye(p)), n, ensemble))
     threshold = float(order[int(np.floor(alpha * reps))])
     return CriticalValue(alpha, threshold, reps, seed, kind)
 
@@ -318,13 +308,12 @@ def _test_ensemble(kind, ensemble, p, seed):
     return ensemble
 
 
-def _stat_batch(kind, S_batch, n, ensemble, seed) -> np.ndarray:
+def _stat_batch(kind, S_batch, n, ensemble) -> np.ndarray:
+    """Statistics of one kind on a stack; the eigen-LRT's ``ensemble`` comes
+    from ``_test_ensemble``."""
     if kind == FULL_LRT:
         return _full_lrt_batch(S_batch, n)
-    if ensemble is None:
-        ensemble = default_ensemble(S_batch.shape[1], seed)
-    eig_rows = descending_eigenvalues(S_batch)
-    return _eigen_lrt_batch(eig_rows, n, ensemble)
+    return _eigen_lrt_batch(descending_eigenvalues(S_batch), n, ensemble)
 
 
 @dataclass(frozen=True)
@@ -359,21 +348,22 @@ def power_curve(
         return []
     p = mats[0].shape[0]
     ensemble = _test_ensemble(kind, ensemble, p, seed)
-    return _power_curve(kind, mats, cv, n, seed, ensemble, white_batch(p, n, reps, seed, "power"))
+    return _power_curve(kind, mats, cv, n, ensemble, white_batch(p, n, reps, seed, "power"))
 
 
-def _power_curve(kind, mats, cv, n, seed, ensemble, W) -> list[PowerPoint]:
+def _power_curve(kind, mats, cv, n, ensemble, W) -> list[PowerPoint]:
     """``power_curve`` on the shared white Grams W, recoloured per alternative."""
-    reps = W.shape[0]
 
     def at(i: int) -> PowerPoint:
-        S_batch = color_batch(W, mats[i])
-        stats = _stat_batch(kind, S_batch, n, ensemble, seed)
-        rate = float(np.mean(stats < cv.threshold))
-        stderr = float(np.sqrt(rate * (1.0 - rate) / reps))
-        return PowerPoint(mats[i], rate, stderr, reps)
+        return _power_point(mats[i], _stat_batch(kind, color_batch(W, mats[i]), n, ensemble), cv)
 
     return parallel_points(at, len(mats))
+
+
+def _power_point(alternative, stats, cv) -> PowerPoint:
+    """Rejection rate of ``cv`` over the statistics drawn at ``alternative``."""
+    rate = float(np.mean(stats < cv.threshold))
+    return PowerPoint(alternative, rate, float(np.sqrt(rate * (1.0 - rate) / stats.size)), stats.size)
 
 
 def figure3_thetas(count: int = 51) -> np.ndarray:
@@ -442,29 +432,25 @@ def figure3_experiment(
 
     def paired(kind, ens):
         cv = _calibrate(kind, alpha, n, seed, ens, W_null)
-        points = _power_curve(kind, fan, cv, n, seed, ens, W_alt)
-        size = float(np.mean(_stat_batch(kind, S_null, n, ens, seed) < cv.threshold))
-        return cv, np.array([pt.power for pt in points]), size
+        points = _power_curve(kind, fan, cv, n, ens, W_alt)
+        size = _power_point(np.eye(p), _stat_batch(kind, S_null, n, ens), cv)
+        return cv, points, size
 
-    cv_full, power_full, size_full = paired(FULL_LRT, None)
-    cv_eigen, power_eigen, size_eigen = paired(EIGEN_LRT, ensemble)
-
-    def se(rate):
-        return np.sqrt(rate * (1.0 - rate) / reps)
-
+    cv_full, full, size_full = paired(FULL_LRT, None)
+    cv_eigen, eigen, size_eigen = paired(EIGEN_LRT, ensemble)
     return PowerStudy(
         thetas=thetas,
         alternatives=np.array([np.diag(S) for S in fan]),
-        power_full=power_full,
-        stderr_full=se(power_full),
-        power_eigen=power_eigen,
-        stderr_eigen=se(power_eigen),
+        power_full=np.array([pt.power for pt in full]),
+        stderr_full=np.array([pt.stderr for pt in full]),
+        power_eigen=np.array([pt.power for pt in eigen]),
+        stderr_eigen=np.array([pt.stderr for pt in eigen]),
         cv_full=cv_full,
         cv_eigen=cv_eigen,
-        size_full=size_full,
-        size_full_stderr=float(se(size_full)),
-        size_eigen=size_eigen,
-        size_eigen_stderr=float(se(size_eigen)),
+        size_full=size_full.power,
+        size_full_stderr=size_full.stderr,
+        size_eigen=size_eigen.power,
+        size_eigen_stderr=size_eigen.stderr,
         n=n,
         reps=reps,
         alpha=alpha,

@@ -14,7 +14,6 @@ flattened row-major (same order as ``numpy.triu_indices(p, k=1)``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -90,18 +89,27 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
     does).
 
     At p = 2 this is the closed form: large = m + hypot((a - d)/2, b) with m
-    the mean of the diagonal, small = det / large (never above large).  At
-    p != 2 it is the reversed view of ``eigvalsh``
+    the mean of the diagonal, small = det / large (never above large).  A
+    row whose m lies outside [2^-480, 2^480] is first scaled by the power of
+    two that brings m into [1/2, 1), and its eigenvalues are scaled back,
+    so a d and b^2 neither overflow nor underflow; other rows are computed
+    as they are.  At p != 2 it is the reversed view of ``eigvalsh``
     (``estimators.projected_diagonals`` copies it to C order for BLAS).
     """
     if S_batch.shape[-1] != 2:
         return np.linalg.eigvalsh(S_batch)[:, ::-1]
     a, b, d = S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]
+    m = 0.5 * (a + d)
+    shift = None
+    if not ((m > 2.0**-480) & (m < 2.0**480)).all():  # NaN too
+        shift = np.frexp(m)[1]  # 0 for a zero, inf or NaN m: nothing to scale
+        shift[np.abs(shift) <= 480] = 0
+        a, b, d, m = (np.ldexp(x, -shift) for x in (a, b, d, m))
     out = np.empty((S_batch.shape[0], 2))
     large = out[:, 0]
-    np.add(0.5 * (a + d), np.hypot(0.5 * (a - d), b), out=large)
+    np.add(m, np.hypot(0.5 * (a - d), b), out=large)
     np.minimum((a * d - b * b) / large, large, out=out[:, 1])
-    return out
+    return out if shift is None else np.ldexp(out, shift[:, None])
 
 
 def check_eigenvalue_gaps(eigenvalues: np.ndarray, what: str = "spectrum") -> None:
@@ -129,11 +137,50 @@ _ASYMMETRIC = "matrix is not symmetric"
 def _not_pd(trace: float, low: float | None = None) -> str:
     # A nonpositive trace is refused before any decomposition: the p = 2
     # closed form divides by the larger eigenvalue, which trace > 0 keeps
-    # positive.  Its products a d and b^2 overflow once entries pass about
-    # 1e154, which can leave a NaN smallest eigenvalue: that is refused too.
+    # positive.
     if low is None:
         return f"matrix is not positive definite (trace {trace:.3e})"
     return f"matrix is not positive definite (min eigenvalue {low:.3e}, trace {trace:.3e})"
+
+
+def _checked_stack(m: np.ndarray):
+    """The SPD checks on a (reps, p, p) stack: finite entries, symmetry
+    within SYMMETRY_TOLERANCE * max(1, max |entry|), trace > 0, and smallest
+    eigenvalue > PD_TOLERANCE * trace, in that order.
+
+    Returns the symmetrized stack and its ``descending_eigenvalues``, both
+    read-only, and no fault; or, when a slice is refused, None, None and
+    the fault (index of the first refused slice, refusal message).
+    """
+    # Each check looks only at the slices before the first refusal found so
+    # far, so the refusal returned is the first slice's, and no check runs
+    # on a slice an earlier check refused.
+    fault = None
+    scale = np.abs(m).max(axis=(1, 2))
+    finite = np.isfinite(scale)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        fault, m, scale = (r, _NON_FINITE), m[:r], scale[:r]
+    sym = 0.5 * (m + m.swapaxes(1, 2))
+    asym = np.abs(m - sym).max(axis=(1, 2)) > SYMMETRY_TOLERANCE * np.maximum(1.0, scale)
+    if asym.any():
+        r = int(np.argmax(asym))
+        fault, sym = (r, _ASYMMETRIC), sym[:r]
+    tr = sym.trace(axis1=1, axis2=2)
+    nonpositive = tr <= 0.0
+    if nonpositive.any():
+        r = int(np.argmax(nonpositive))
+        fault, sym, tr = (r, _not_pd(tr[r])), sym[:r], tr[:r]
+    eigs = descending_eigenvalues(sym)
+    low = ~(eigs[:, -1] > PD_TOLERANCE * tr)  # NaN too
+    if low.any():
+        r = int(np.argmax(low))
+        fault = (r, _not_pd(tr[r], eigs[r, -1]))
+    if fault is not None:
+        return None, None, fault
+    sym.setflags(write=False)
+    eigs.setflags(write=False)
+    return sym, eigs, None
 
 
 @dataclass(frozen=True)
@@ -146,7 +193,14 @@ class SpdMatrix:
     ``descending_eigenvalues(matrix[None])[0]`` (every eigenvalue must
     exceed ``PD_TOLERANCE * trace``), which is kept, read-only, as
     ``eigenvalues`` so that no caller decomposes the matrix again.
-    ``SpdMatrix.stack`` applies the same checks to a whole stack at once.
+
+    One validator runs the checks (finite entries, symmetry, positive
+    trace, positive definiteness), here on a stack of one and in
+    ``SpdMatrix.stack`` on a whole stack at once.  Every public constructor
+    of a covariance and every CLI matrix file goes through it.  The
+    finite-difference stencil points of ``fisher_geometry`` do not: they
+    are built from a validated ``Spectrum`` and are symmetric by
+    construction.
     """
 
     matrix: np.ndarray
@@ -159,21 +213,10 @@ class SpdMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise DimensionMismatch("matrix must be at least 1 x 1")
-        scale = float(np.abs(m).max())  # NaN or inf exactly when an entry is
-        if not math.isfinite(scale):
-            raise NotPositiveDefinite(_NON_FINITE)
-        sym = 0.5 * (m + m.T)
-        if np.abs(m - sym).max() > SYMMETRY_TOLERANCE * max(1.0, scale):
-            raise NotPositiveDefinite(_ASYMMETRIC)
-        tr = float(sym.trace())
-        if tr <= 0.0:
-            raise NotPositiveDefinite(_not_pd(tr))
-        eigs = descending_eigenvalues(sym[None])[0]
-        if not eigs[-1] > PD_TOLERANCE * tr:  # NaN too (see _not_pd)
-            raise NotPositiveDefinite(_not_pd(tr, eigs[-1]))
-        sym.setflags(write=False)
-        eigs.setflags(write=False)
-        self._adopt(sym, eigs)
+        sym, eigs, fault = _checked_stack(m[None])
+        if fault is not None:
+            raise NotPositiveDefinite(fault[1])
+        self._adopt(sym[0], eigs[0])
 
     def _adopt(self, sym: np.ndarray, eigs: np.ndarray) -> None:
         object.__setattr__(self, "matrix", sym)
@@ -195,34 +238,9 @@ class SpdMatrix:
             raise DimensionMismatch(f"expected a (reps, p, p) stack, got shape {m.shape}")
         if m.shape[1] < 1:
             raise DimensionMismatch("matrix must be at least 1 x 1")
-        # Each check looks only at the slices before the first refusal found
-        # so far, so the refusal raised is the first slice's, and no check
-        # runs on a slice an earlier check refused.
-        fault = None
-        scale = np.abs(m).max(axis=(1, 2))
-        finite = np.isfinite(scale)
-        if not finite.all():
-            r = int(np.argmin(finite))
-            fault, m, scale = (r, _NON_FINITE), m[:r], scale[:r]
-        sym = 0.5 * (m + m.swapaxes(1, 2))
-        asym = np.abs(m - sym).max(axis=(1, 2)) > SYMMETRY_TOLERANCE * np.maximum(1.0, scale)
-        if asym.any():
-            r = int(np.argmax(asym))
-            fault, sym = (r, _ASYMMETRIC), sym[:r]
-        tr = np.trace(sym, axis1=1, axis2=2)
-        nonpositive = tr <= 0.0
-        if nonpositive.any():
-            r = int(np.argmax(nonpositive))
-            fault, sym, tr = (r, _not_pd(tr[r])), sym[:r], tr[:r]
-        eigs = descending_eigenvalues(sym)
-        low = ~(eigs[:, -1] > PD_TOLERANCE * tr)
-        if low.any():
-            r = int(np.argmax(low))
-            fault = (r, _not_pd(tr[r], eigs[r, -1]))
+        sym, eigs, fault = _checked_stack(m)
         if fault is not None:
             raise NotPositiveDefinite(f"slice {fault[0]}: {fault[1]}")
-        sym.setflags(write=False)
-        eigs.setflags(write=False)
         out = []
         for s, e in zip(sym, eigs):
             S = object.__new__(cls)
@@ -416,12 +434,17 @@ def sigma_of_coords(base: Spectrum, u: SkewParams) -> SpdMatrix:
 def to_natural(S) -> NaturalCoords:
     """Natural parameters of the zero-mean Gaussian with covariance S."""
     S = as_spd(S)
-    prec = np.linalg.inv(S.matrix)
+    return NaturalCoords(S.dim, _natural_packed(S.matrix))
+
+
+def _natural_packed(cov: np.ndarray) -> np.ndarray:
+    """``to_natural(cov).theta`` for a symmetric covariance, unvalidated."""
+    prec = np.linalg.inv(cov)
     prec = 0.5 * (prec + prec.T)
-    rows, cols = _triu(S.dim)
+    rows, cols = _triu(cov.shape[0])
     packed = -prec[rows, cols]
     packed[rows == cols] *= 0.5
-    return NaturalCoords(S.dim, packed)
+    return packed
 
 
 def from_natural(coords: NaturalCoords) -> SpdMatrix:

@@ -260,6 +260,21 @@ class TestEmbeddingCurvature:
         with pytest.raises(IndexOutOfRange):
             curvature_oracle_A(sp, (0, 1), (0, 1), legs)
 
+    def test_stencil_points_are_not_revalidated(self, rng, monkeypatch):
+        # Stencil points come from a validated Spectrum; only
+        # metric_spectral_fd's base point compose(base) is an SpdMatrix.
+        built = []
+        post_init = SpdMatrix.__post_init__
+        monkeypatch.setattr(SpdMatrix, "__post_init__", lambda S: (post_init(S), built.append(S.dim)))
+        sp = random_spectrum(rng, 4)
+        curvature_oracle_A(sp, (0, 1), (0, 1), range(4))
+        curvature_oracle_A(sp, (0, 1), (2, 3), range(4))
+        curvature_oracle_M(sp, 0, 1, (1, 2), "e")
+        curvature_oracle_M(sp, 2, 2, (0, 3), "m")
+        assert built == []
+        metric_spectral_fd(sp)
+        assert built == [4]
+
     def test_oracle_frame_independent(self, rng):
         lam = np.array([2.0, 1.0])
         values = [

@@ -20,7 +20,7 @@ from eigengeo import (
     sample_product_sum,
 )
 import eigengeo.hypothesis_tests as ht
-from eigengeo import DimensionMismatch, OptimizerFailure
+from eigengeo import DimensionMismatch, NearDegenerateSpectrum, OptimizerFailure
 from eigengeo.estimators import ExactO2, frame_posterior_step, projected_diagonals
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
@@ -97,19 +97,19 @@ class TestEigenDensityKernel:
         assert abs(got - (-25.0253)) < 5e-5
 
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NearDegenerateSpectrum):
             eigen_log_density_kernel(np.array([1.0, 3.0]), np.eye(2), 5, o2_equidistant(10))
 
 
 class TestSampleEigenvalueGuards:
-    # The eigenvalue-only test and its kernel follow the gap policy of
-    # spd_manifold.separated_rows, as lambda_star_from_eigs does.
+    # The eigenvalue-only test and its kernel refuse sample eigenvalues with
+    # spd_manifold.check_eigenvalue_gaps, as lambda_star does.
     def test_near_tie_refused(self):
         eigs = np.array([10.0, 10.0 - 1e-9])
         ens = o2_equidistant(100)
-        with pytest.raises(ValueError, match="gaps"):
+        with pytest.raises(NearDegenerateSpectrum, match="gap .* below the tolerance"):
             eigen_lrt_stat(eigs, 10, ens)
-        with pytest.raises(ValueError, match="gaps"):
+        with pytest.raises(NearDegenerateSpectrum, match="gap .* below the tolerance"):
             eigen_log_density_kernel(eigs, np.eye(2), 10, ens)
 
     def test_wrong_sized_ensemble_refused(self):
@@ -346,7 +346,7 @@ class TestCalibration:
         reps, alpha = 2000, 0.05
         cv = calibrate(FULL_LRT, alpha, 2, 10, reps, 7)
         S_batch = sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
-        stats = np.sort(_stat_batch(FULL_LRT, S_batch, 10, None, 7))
+        stats = np.sort(_stat_batch(FULL_LRT, S_batch, 10, None))
         assert cv.threshold == stats[int(np.floor(alpha * reps))]
         below = np.mean(stats < cv.threshold)
         assert abs(below - alpha) <= 1.0 / reps + 1e-12
@@ -355,14 +355,14 @@ class TestCalibration:
         reps = 2000
         cv = calibrate(FULL_LRT, 0.5, 2, 10, reps, 7)
         S_batch = sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
-        stats = _stat_batch(FULL_LRT, S_batch, 10, None, 7)
+        stats = _stat_batch(FULL_LRT, S_batch, 10, None)
         assert abs(np.mean(stats < cv.threshold) - 0.5) < 0.02
 
     def test_size_recheck_fresh_seed(self):
         reps = 4000
         cv = calibrate(FULL_LRT, 0.05, 2, 10, reps, 7)
         fresh = sample_batch(np.eye(2), 10, reps, 1234, "fresh-size")
-        rate = np.mean(_stat_batch(FULL_LRT, fresh, 10, None, 7) < cv.threshold)
+        rate = np.mean(_stat_batch(FULL_LRT, fresh, 10, None) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps)
 
     def test_eigen_size_recheck(self):
@@ -370,7 +370,7 @@ class TestCalibration:
         ens = o2_equidistant(100)
         cv = calibrate(EIGEN_LRT, 0.05, 2, 10, reps, 7, ens)
         fresh = sample_batch(np.eye(2), 10, reps, 99, "fresh-size")
-        rate = np.mean(_stat_batch(EIGEN_LRT, fresh, 10, ens, 7) < cv.threshold)
+        rate = np.mean(_stat_batch(EIGEN_LRT, fresh, 10, ens) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps) + 0.01
 
     def test_wrong_sized_ensemble_refused_before_drawing(self, monkeypatch):
@@ -432,7 +432,7 @@ class TestPowerCurve:
         # Same bits as drawing every alternative's batch afresh.
         seen = []
 
-        def recording(kind, S_batch, n, ensemble, seed):
+        def recording(kind, S_batch, n, ensemble):
             seen.append(S_batch)
             return ht._full_lrt_batch(S_batch, n)
 

@@ -71,14 +71,16 @@ class TestSpdMatrix:
             S.eigenvalues[0] = 1.0
 
     def test_nan_closed_form_spectrum_refused(self):
-        # At p = 2, a d and b^2 overflow to inf and their difference is NaN;
-        # this matrix is indefinite (eigenvalues 3e160 and -1e160).
+        # Unless the p = 2 closed form rescales this row, a d and b^2
+        # overflow to inf and the smallest eigenvalue is NaN; rescaled, it is
+        # the true spectrum (3e160, -1e160), and the refusal names it.
         m = np.array([[1e160, 2e160], [2e160, 1e160]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(descending_eigenvalues(m[None])[0, 1])
-            with pytest.raises(NotPositiveDefinite, match="nan"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(descending_eigenvalues(m[None])[0], [3e160, -1e160])
+            with pytest.raises(NotPositiveDefinite, match=r"min eigenvalue -1\.000e\+160"):
                 SpdMatrix(m)
-            with pytest.raises(NotPositiveDefinite, match="slice 1: .*nan"):
+            with pytest.raises(NotPositiveDefinite, match=r"slice 1: .*min eigenvalue -1\.000e\+160"):
                 SpdMatrix.stack(np.stack([np.eye(2), m]))
 
 
@@ -170,6 +172,34 @@ class TestDescendingEigenvalues:
         want = np.linalg.eigvalsh(S)[::-1]
         assert got[0] >= got[1]
         assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize(
+        "S",
+        [np.diag([1e160, 5e159]), np.diag([1e-158, 1e-158]), np.diag([1e-200, 1e-200])],
+        ids=["large", "subnormal-det", "zero-det"],
+    )
+    def test_p2_rows_outside_the_product_range_are_rescaled(self, S):
+        # Unless the row is rescaled, a d overflows or underflows: the first
+        # matrix would read (1e160, 1e160), the second would lose digits, and
+        # the third would be refused as not positive definite.
+        want = np.linalg.eigvalsh(S)[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = descending_eigenvalues(S[None])[0]
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+            assert SpdMatrix(S).eigenvalues.tobytes() == got.tobytes()
+
+    def test_p2_mixed_batch_rescales_only_rows_out_of_range(self):
+        wishart = sample_batch(np.diag([1.0, 0.3]), 10, 4, 5, "spectrum-mixed")
+        rows = [np.diag([1e160, 5e159]), wishart[0], np.array([[3e-200, 1e-200], [1e-200, 2e-200]]), wishart[1]]
+        batch = np.stack(rows + [np.array([[3e250, 1e250], [1e250, 2e250]]), wishart[2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = descending_eigenvalues(batch)
+        want = np.linalg.eigvalsh(batch)[:, ::-1]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        # Rows in range keep the unscaled closed form, bit for bit.
+        assert got[[1, 3, 5]].tobytes() == descending_eigenvalues(wishart[:3]).tobytes()
 
     def test_other_dimensions_are_the_reversed_eigvalsh_view(self, rng):
         S = np.stack([random_spd(rng, 3).matrix for _ in range(4)])
