@@ -15,19 +15,19 @@ the row-major flat ordering documented in ``spd_manifold``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
 from .spd_manifold import (
-    SkewParams,
     Spectrum,
+    _chart,
     _natural_packed,
     _triu,
     as_spd,
     check_eigenvalue_gaps,
     compose,
-    exp_skew,
     index_pairs,
     pair_offset,
 )
@@ -148,8 +148,7 @@ def tangent_u(sp: Spectrum, pair) -> SymTangent:
     """Coordinate tangent along rotation pair (s, t):
     (lam_t - lam_s) (g_s g_t^T + g_t g_s^T)."""
     s, t = pair
-    if not 0 <= s < t < sp.dim:
-        raise IndexOutOfRange(f"pair ({s}, {t}) must satisfy 0 <= s < t < {sp.dim}")
+    pair_offset(s, t, sp.dim)  # refuses a pair outside 0 <= s < t < p
     lam = sp.eigenvalues
     gs = sp.eigenvectors[:, s]
     gt = sp.eigenvectors[:, t]
@@ -214,9 +213,7 @@ def embedding_curvature_M(eigenvalues, a: int, b: int, pair, connection: str = "
     """
     lam = np.asarray(eigenvalues, dtype=float)
     p = lam.size
-    s, t = pair
-    if not 0 <= s < t < p:
-        raise IndexOutOfRange(f"pair ({s}, {t}) invalid for p={p}")
+    pair_offset(*pair, p)  # refuses a pair outside 0 <= s < t < p
     if not (0 <= a < p and 0 <= b < p):
         raise IndexOutOfRange(f"indices ({a}, {b}) outside 0..{p - 1}")
     if connection not in ("e", "m"):
@@ -266,7 +263,9 @@ def statistical_curvature(eigenvalues) -> float:
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracles.  These recompute metric and curvature from raw
-# coordinate derivatives and exist to validate the closed forms above.
+# coordinate derivatives and exist to validate the closed forms above.  Every
+# one differences the same map, the spectral chart ``spd_manifold._chart``,
+# with the one stencil ``_central``.
 # ---------------------------------------------------------------------------
 
 
@@ -283,26 +282,13 @@ def fd_tangent_lambda(base: Spectrum, a: int, h: float | None = None) -> SymTang
     the covariance is linear in its eigenvalues at fixed frame)."""
     if not 0 <= a < base.dim:
         raise IndexOutOfRange(f"index {a} outside 0..{base.dim - 1}")
-    h = _first_step(base, h)
-    gamma = base.eigenvectors
-    lam_plus = np.array(base.eigenvalues)
-    lam_minus = np.array(base.eigenvalues)
-    lam_plus[a] += h
-    lam_minus[a] -= h
-    m = ((gamma * lam_plus) @ gamma.T - (gamma * lam_minus) @ gamma.T) / (2.0 * h)
-    return SymTangent(0.5 * (m + m.T))
+    return SymTangent(_central(partial(_chart, base), _origin(base), _first_step(base, h), a))
 
 
 def fd_tangent_u(base: Spectrum, pair, h: float | None = None) -> SymTangent:
     """Central-difference tangent along rotation pair (s, t) at u = 0."""
-    s, t = pair
-    h = _first_step(base, h)
-    k = pair_offset(s, t, base.dim)
-    e = np.zeros(base.dim * (base.dim - 1) // 2)
-    e[k] = h
-    lam = base.eigenvalues
-    m = (_covariance(base, lam, e) - _covariance(base, lam, -e)) / (2.0 * h)
-    return SymTangent(0.5 * (m + m.T))
+    k = base.dim + pair_offset(*pair, base.dim)
+    return SymTangent(_central(partial(_chart, base), _origin(base), _first_step(base, h), k))
 
 
 def metric_spectral_fd(base: Spectrum, h: float | None = None) -> SpectralMetric:
@@ -333,29 +319,14 @@ def curvature_oracle_A(
     once, since only the final contraction depends on ``a``.
     """
     p = base.dim
-    s, t = pair1
-    u, v = pair2
-    if not (0 <= s < t < p and 0 <= u < v < p):
-        raise IndexOutOfRange(f"pairs {pair1}, {pair2} invalid for p={p}")
+    k1 = p + pair_offset(*pair1, p)
+    k2 = p + pair_offset(*pair2, p)
     scalar = np.ndim(a) == 0
     legs = [a] if scalar else list(a)
     for b in legs:
         if not 0 <= b < p:
             raise IndexOutOfRange(f"index {b} outside 0..{p - 1}")
-    h = _second_step(base, h)
-    n_u = p * (p - 1) // 2
-    e1 = np.zeros(n_u)
-    e2 = np.zeros(n_u)
-    e1[pair_offset(s, t, p)] = h
-    e2[pair_offset(u, v, p)] = h
-
-    def at(u_flat: np.ndarray) -> np.ndarray:
-        return _covariance(base, base.eigenvalues, u_flat)
-
-    if pair_offset(s, t, p) == pair_offset(u, v, p):
-        A = (at(e1) - 2.0 * at(np.zeros(n_u)) + at(-e1)) / h**2
-    else:
-        A = (at(e1 + e2) - at(e1 - e2) - at(-e1 + e2) + at(-e1 - e2)) / (4.0 * h**2)
+    A = _central(partial(_chart, base), _origin(base), _second_step(base, h), k1, k2)
     values = []
     for b in legs:
         g_b = base.eigenvectors[:, b]
@@ -378,55 +349,41 @@ def curvature_oracle_M(
     p = base.dim
     if not (0 <= a < p and 0 <= b < p):
         raise IndexOutOfRange(f"indices ({a}, {b}) outside 0..{p - 1}")
-    s, t = pair
-    if not 0 <= s < t < p:
-        raise IndexOutOfRange(f"pair ({s}, {t}) invalid for p={p}")
+    k = p + pair_offset(*pair, p)
     if connection not in ("e", "m"):
         raise ValueError(f"connection must be 'e' or 'm', got {connection!r}")
     h = _second_step(base, h)
 
-    if connection == "m":
-        second = _second_lambda_derivative(base, a, b, h, _sigma_packed)
-        first = _rotation_derivative(base, pair, h, _theta_packed)
-    else:
-        second = _second_lambda_derivative(base, a, b, h, _theta_packed)
-        first = _rotation_derivative(base, pair, h, _sigma_packed)
-    return float(np.dot(second, first))
+    def sigma(x: np.ndarray) -> np.ndarray:
+        return _chart(base, x)[_triu(p)]
+
+    def theta(x: np.ndarray) -> np.ndarray:
+        return _natural_packed(_chart(base, x))
+
+    second, first = (sigma, theta) if connection == "m" else (theta, sigma)
+    x0 = _origin(base)
+    return float(np.dot(_central(second, x0, h, a, b), _central(first, x0, h, k)))
 
 
-def _covariance(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-    O = base.eigenvectors @ exp_skew(SkewParams(base.dim, u_flat))
-    m = (O * lam) @ O.T
-    return 0.5 * (m + m.T)
+def _origin(base: Spectrum) -> np.ndarray:
+    """Chart coordinates of ``base`` itself: its eigenvalues, zero rotation."""
+    return np.concatenate([base.eigenvalues, np.zeros(base.dim * (base.dim - 1) // 2)])
 
 
-def _sigma_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-    return _covariance(base, lam, u_flat)[_triu(base.dim)]
+def _central(fn, x0: np.ndarray, h: float, i: int, j: int | None = None) -> np.ndarray:
+    """Central difference of ``fn`` at ``x0`` with step h: the first
+    derivative along coordinate i, or the second along i and j (three
+    points when i == j, four otherwise)."""
 
+    def at(di: float, dj: float = 0.0) -> np.ndarray:
+        x = np.array(x0)
+        x[i] += di
+        if j is not None:
+            x[j] += dj
+        return fn(x)
 
-def _theta_packed(base: Spectrum, lam: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-    return _natural_packed(_covariance(base, lam, u_flat))
-
-
-def _second_lambda_derivative(base: Spectrum, a: int, b: int, h: float, fn) -> np.ndarray:
-    lam0 = np.array(base.eigenvalues)
-    zero_u = np.zeros(base.dim * (base.dim - 1) // 2)
-
-    def at(da: float, db: float) -> np.ndarray:
-        lam = np.array(lam0)
-        lam[a] += da
-        lam[b] += db
-        return fn(base, lam, zero_u)
-
-    if a == b:
-        return (at(h, 0.0) - 2.0 * at(0.0, 0.0) + at(-h, 0.0)) / h**2
+    if j is None:
+        return (at(h) - at(-h)) / (2.0 * h)
+    if i == j:
+        return (at(h) - 2.0 * at(0.0) + at(-h)) / h**2
     return (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h**2)
-
-
-def _rotation_derivative(base: Spectrum, pair, h: float, fn) -> np.ndarray:
-    s, t = pair
-    k = pair_offset(s, t, base.dim)
-    e = np.zeros(base.dim * (base.dim - 1) // 2)
-    e[k] = h
-    lam0 = np.array(base.eigenvalues)
-    return (fn(base, lam0, e) - fn(base, lam0, -e)) / (2.0 * h)

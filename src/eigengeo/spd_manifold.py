@@ -88,27 +88,43 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
     descending row per matrix (read from the lower triangle, as ``eigvalsh``
     does).
 
-    At p = 2 this is the closed form: large = m + hypot((a - d)/2, b) with m
-    the mean of the diagonal, small = det / large (never above large).  A
-    row whose m lies outside [2^-480, 2^480] is first scaled by the power of
-    two that brings m into [1/2, 1), and its eigenvalues are scaled back,
-    so a d and b^2 neither overflow nor underflow; other rows are computed
-    as they are.  At p != 2 it is the reversed view of ``eigvalsh``
-    (``estimators.projected_diagonals`` copies it to C order for BLAS).
+    At p = 2 this is the closed form: large = m + r with m the mean of the
+    diagonal and r = hypot((a - d)/2, b); small = det / large (never above
+    large) when large > 0, and m - r otherwise (no cancellation there,
+    where det / large can be 0/0).  A row whose largest |entry| lies outside
+    [2^-480, 2^480] is first scaled by the power of two that brings it into
+    [1/2, 1), and its eigenvalues are scaled back, so a d and b^2 neither
+    overflow nor underflow, indefinite rows included; other rows are
+    computed as they are.  At p != 2 it is the reversed view of
+    ``eigvalsh`` (``estimators.projected_diagonals`` copies it to C order
+    for BLAS).
     """
     if S_batch.shape[-1] != 2:
         return np.linalg.eigvalsh(S_batch)[:, ::-1]
     a, b, d = S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]
     m = 0.5 * (a + d)
     shift = None
-    if not ((m > 2.0**-480) & (m < 2.0**480)).all():  # NaN too
-        shift = np.frexp(m)[1]  # 0 for a zero, inf or NaN m: nothing to scale
+    # Every row's largest |entry| is in range when each m exceeds 2^-480 (m
+    # is at most that entry) and no entry of the batch reaches 2^480 (NaN
+    # fails both).  Only a batch that fails this forms the per-row maximum:
+    # formed on every call, its temporaries doubled the time at 10^4 rows.
+    lim = 2.0**480
+    if not ((m > 1.0 / lim).all() and -lim < S_batch.min(initial=0.0) and S_batch.max(initial=0.0) < lim):
+        top = np.maximum(np.maximum(np.abs(a), np.abs(d)), np.abs(b))
+        shift = np.frexp(top)[1]  # 0 for a zero, inf or NaN top: nothing to scale
         shift[np.abs(shift) <= 480] = 0
-        a, b, d, m = (np.ldexp(x, -shift) for x in (a, b, d, m))
+        a, b, d = (np.ldexp(x, -shift) for x in (a, b, d))
+        m = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), b)
     out = np.empty((S_batch.shape[0], 2))
-    large = out[:, 0]
-    np.add(m, np.hypot(0.5 * (a - d), b), out=large)
-    np.minimum((a * d - b * b) / large, large, out=out[:, 1])
+    large, small = out[:, 0], out[:, 1]
+    np.add(m, r, out=large)
+    if shift is None:  # every m > 0, so large > 0
+        np.minimum((a * d - b * b) / large, large, out=small)
+    else:
+        np.subtract(m, r, out=small)
+        np.divide(a * d - b * b, large, out=small, where=large > 0.0)
+        np.minimum(small, large, out=small)
     return out if shift is None else np.ldexp(out, shift[:, None])
 
 
@@ -199,7 +215,7 @@ class SpdMatrix:
     ``SpdMatrix.stack`` on a whole stack at once.  Every public constructor
     of a covariance and every CLI matrix file goes through it.  The
     finite-difference stencil points of ``fisher_geometry`` do not: they
-    are built from a validated ``Spectrum`` and are symmetric by
+    are ``_chart`` values at a validated ``Spectrum``, symmetric by
     construction.
     """
 
@@ -380,8 +396,24 @@ def spectral_decompose(S) -> Spectrum:
 
 def compose(sp: Spectrum) -> SpdMatrix:
     """Rebuild the covariance from a Spectrum: frame @ diag(eigs) @ frame.T."""
-    m = (sp.eigenvectors * sp.eigenvalues) @ sp.eigenvectors.T
-    return SpdMatrix(0.5 * (m + m.T))
+    return SpdMatrix(_chart(sp, sp.eigenvalues))
+
+
+def _chart(base: Spectrum, x: np.ndarray) -> np.ndarray:
+    """The spectral chart at x = (eigenvalues, rotation coordinates): the
+    symmetrized O @ diag(x[:p]) @ O.T with O = frame @ exp_skew(x[p:]).
+
+    x holds p eigenvalues, then p(p-1)/2 rotation coordinates or none.  At
+    zero rotation O is ``base.eigenvectors`` as it is (exp_skew of zero is
+    exactly I), so no exponential is built.  Nothing is validated: callers
+    that return a covariance wrap the result in ``SpdMatrix``.
+    """
+    p = base.dim
+    O = base.eigenvectors
+    if x[p:].any():
+        O = O @ exp_skew(SkewParams(p, x[p:]))
+    m = (O * x[:p]) @ O.T
+    return 0.5 * (m + m.T)
 
 
 def exp_skew(u: SkewParams) -> np.ndarray:
@@ -426,9 +458,7 @@ def sigma_of_coords(base: Spectrum, u: SkewParams) -> SpdMatrix:
         raise DimensionMismatch(
             f"skew coords dim {u.dim} does not match spectrum dim {base.dim}"
         )
-    O = base.eigenvectors @ exp_skew(u)
-    m = (O * base.eigenvalues) @ O.T
-    return SpdMatrix(0.5 * (m + m.T))
+    return SpdMatrix(_chart(base, np.concatenate([base.eigenvalues, u.coords])))
 
 
 def to_natural(S) -> NaturalCoords:

@@ -15,6 +15,8 @@ from eigengeo import (
     curvature_tensor_A,
     embedding_curvature_A,
     embedding_curvature_M,
+    cli,
+    fd_tangent_lambda,
     fd_tangent_u,
     index_pairs,
     inverse_metric_eigen,
@@ -23,6 +25,7 @@ from eigengeo import (
     metric_spectral,
     metric_spectral_fd,
     raised_curvature,
+    spd_manifold,
     spectral_decompose,
     statistical_curvature,
     tangent_lambda,
@@ -136,6 +139,17 @@ class TestTangents:
         for pair in index_pairs(3):
             fd = fd_tangent_u(sp, pair, h=1e-5)
             assert np.abs(fd.matrix - tangent_u(sp, pair).matrix).max() < 1e-6
+
+    def test_tangent_lambda_matches_fd(self, rng):
+        sp = random_spectrum(rng, 4)
+        for a in range(4):
+            fd = fd_tangent_lambda(sp, a)
+            assert np.abs(fd.matrix - tangent_lambda(sp, a).matrix).max() < 1e-9
+
+    @pytest.mark.parametrize("a", [-1, 3])
+    def test_fd_tangent_lambda_refuses_index(self, rng, a):
+        with pytest.raises(IndexOutOfRange):
+            fd_tangent_lambda(random_spectrum(rng, 3), a)
 
     def test_index_errors(self):
         sp = Spectrum([2.0, 1.0], np.eye(2))
@@ -274,6 +288,33 @@ class TestEmbeddingCurvature:
         assert built == []
         metric_spectral_fd(sp)
         assert built == [4]
+
+    @pytest.fixture
+    def exp_skew_calls(self, monkeypatch):
+        calls = []
+        exp_skew = spd_manifold.exp_skew
+
+        def spy(u):
+            calls.append(u.dim)
+            return exp_skew(u)
+
+        monkeypatch.setattr(spd_manifold, "exp_skew", spy)
+        return calls
+
+    def test_check_fd_builds_no_exponential_at_zero_rotation(self, exp_skew_calls, tmp_path):
+        # p = 6: 15 rotation tangents of two points each, and 15 curvature
+        # stencils of three points each, whose centre has zero rotation.
+        # The eigenvalue tangents have zero rotation throughout.
+        argv = ["geometry", "--lambda", "6,5,4,3,2,1", "--check-fd", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(exp_skew_calls) == 15 * 2 + 15 * 2
+
+    @pytest.mark.parametrize("connection", ["e", "m"])
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 4)])
+    def test_fixed_frame_oracle_builds_two_exponentials(self, rng, exp_skew_calls, connection, a, b):
+        # Only the rotation derivative leaves zero rotation.
+        curvature_oracle_M(random_spectrum(rng, 6), a, b, (2, 5), connection)
+        assert exp_skew_calls == [6, 6]
 
     def test_oracle_frame_independent(self, rng):
         lam = np.array([2.0, 1.0])

@@ -83,6 +83,14 @@ class TestSpdMatrix:
             with pytest.raises(NotPositiveDefinite, match=r"slice 1: .*min eigenvalue -1\.000e\+160"):
                 SpdMatrix.stack(np.stack([np.eye(2), m]))
 
+    def test_indefinite_refusal_names_the_true_min_eigenvalue(self):
+        # The diagonal mean (1) asks for no rescale, but b^2 overflows
+        # unless the row is scaled by its largest |entry|.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match=r"min eigenvalue -1\.000e\+200"):
+                SpdMatrix([[1.0, 1e200], [1e200, 1.0]])
+
 
 def _refusal(m) -> tuple[type, str]:
     try:
@@ -200,6 +208,28 @@ class TestDescendingEigenvalues:
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
         # Rows in range keep the unscaled closed form, bit for bit.
         assert got[[1, 3, 5]].tobytes() == descending_eigenvalues(wishart[:3]).tobytes()
+
+    @pytest.mark.parametrize(
+        "S",
+        [
+            np.array([[1.0, 1e200], [1e200, 1.0]]),
+            np.diag([1e300, -1e300]),
+            np.diag([-1.0, 0.0]),
+            np.array([[-2.0, 1.0], [1.0, -3.0]]),
+            np.zeros((2, 2)),
+        ],
+        ids=["huge-off-diagonal", "zero-mean", "zero-large", "negative-definite", "zero"],
+    )
+    def test_p2_indefinite_rows_match_eigvalsh(self, S):
+        # The diagonal mean bounds the entries of a positive-definite row
+        # only, so the rescale is keyed on the largest |entry|; and where
+        # the larger eigenvalue is <= 0, det / large can be 0/0, so the
+        # smaller one is m - r.
+        want = np.linalg.eigvalsh(S)[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = descending_eigenvalues(S[None])[0]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max())
 
     def test_other_dimensions_are_the_reversed_eigvalsh_view(self, rng):
         S = np.stack([random_spd(rng, 3).matrix for _ in range(4)])
@@ -320,9 +350,11 @@ class TestExpSkew:
 
 class TestSigmaOfCoords:
     def test_zero_offset_is_compose(self, rng):
-        sp = spectral_decompose(random_spd(rng, 3))
-        got = sigma_of_coords(sp, SkewParams.zero(3))
-        assert_allclose(got.matrix, compose(sp).matrix, atol=1e-14)
+        # One chart: at zero rotation it uses the frame as it is.
+        for p in range(1, 8):
+            sp = spectral_decompose(random_spd(rng, p))
+            got = sigma_of_coords(sp, SkewParams.zero(p))
+            assert got.matrix.tobytes() == compose(sp).matrix.tobytes()
 
     def test_first_order_slope(self):
         # d sigma_01 / d u_(0,1) at u=0 equals lam_1 - lam_0 = -1.
