@@ -19,10 +19,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch
 from .spd_manifold import (
     Spectrum,
     _chart,
+    _check_index,
     _natural_packed,
     _triu,
     as_spd,
@@ -116,8 +117,7 @@ class CurvatureTensor:
     def component(self, pair1, pair2, a: int) -> float:
         s1, t1 = pair1
         s2, t2 = pair2
-        if not 0 <= a < self.dim:
-            raise IndexOutOfRange(f"index {a} outside 0..{self.dim - 1}")
+        _check_index(a, self.dim)
         k1 = pair_offset(s1, t1, self.dim)
         k2 = pair_offset(s2, t2, self.dim)
         if k1 != k2:
@@ -138,8 +138,7 @@ def metric_sigma(S, A: SymTangent, B: SymTangent) -> float:
 
 def tangent_lambda(sp: Spectrum, a: int) -> SymTangent:
     """Coordinate tangent along eigenvalue a: the rank-one frame projector."""
-    if not 0 <= a < sp.dim:
-        raise IndexOutOfRange(f"index {a} outside 0..{sp.dim - 1}")
+    _check_index(a, sp.dim)
     g = sp.eigenvectors[:, a]
     return SymTangent(np.outer(g, g))
 
@@ -214,8 +213,8 @@ def embedding_curvature_M(eigenvalues, a: int, b: int, pair, connection: str = "
     lam = np.asarray(eigenvalues, dtype=float)
     p = lam.size
     pair_offset(*pair, p)  # refuses a pair outside 0 <= s < t < p
-    if not (0 <= a < p and 0 <= b < p):
-        raise IndexOutOfRange(f"indices ({a}, {b}) outside 0..{p - 1}")
+    _check_index(a, p)
+    _check_index(b, p)
     if connection not in ("e", "m"):
         raise ValueError(f"connection must be 'e' or 'm', got {connection!r}")
     return 0.0
@@ -280,8 +279,7 @@ def _second_step(base: Spectrum, h: float | None) -> float:
 def fd_tangent_lambda(base: Spectrum, a: int, h: float | None = None) -> SymTangent:
     """Central-difference tangent along eigenvalue a (exact up to rounding:
     the covariance is linear in its eigenvalues at fixed frame)."""
-    if not 0 <= a < base.dim:
-        raise IndexOutOfRange(f"index {a} outside 0..{base.dim - 1}")
+    _check_index(a, base.dim)
     return SymTangent(_central(partial(_chart, base), _origin(base), _first_step(base, h), a))
 
 
@@ -324,8 +322,7 @@ def curvature_oracle_A(
     scalar = np.ndim(a) == 0
     legs = [a] if scalar else list(a)
     for b in legs:
-        if not 0 <= b < p:
-            raise IndexOutOfRange(f"index {b} outside 0..{p - 1}")
+        _check_index(b, p)
     A = _central(partial(_chart, base), _origin(base), _second_step(base, h), k1, k2)
     values = []
     for b in legs:
@@ -347,8 +344,8 @@ def curvature_oracle_M(
     parameters paired with the rotation derivative of the covariance map.
     """
     p = base.dim
-    if not (0 <= a < p and 0 <= b < p):
-        raise IndexOutOfRange(f"indices ({a}, {b}) outside 0..{p - 1}")
+    _check_index(a, p)
+    _check_index(b, p)
     k = p + pair_offset(*pair, p)
     if connection not in ("e", "m"):
         raise ValueError(f"connection must be 'e' or 'm', got {connection!r}")

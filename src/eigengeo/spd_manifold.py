@@ -90,14 +90,16 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
 
     At p = 2 this is the closed form: large = m + r with m the mean of the
     diagonal and r = hypot((a - d)/2, b); small = det / large (never above
-    large) when large > 0, and m - r otherwise (no cancellation there,
-    where det / large can be 0/0).  A row whose largest |entry| lies outside
+    large) when m > 0, and m - r otherwise (no cancellation there, where
+    large can cancel or be 0).  A row whose largest |entry| lies outside
     [2^-480, 2^480] is first scaled by the power of two that brings it into
     [1/2, 1), and its eigenvalues are scaled back, so a d and b^2 neither
     overflow nor underflow, indefinite rows included; other rows are
-    computed as they are.  At p != 2 it is the reversed view of
-    ``eigvalsh`` (``estimators.projected_diagonals`` copies it to C order
-    for BLAS).
+    computed as they are.  Positive-definite rows keep each eigenvalue to
+    relative accuracy; an indefinite row only to accuracy relative to its
+    largest |eigenvalue| (at m < 0, m + r cancels as m - r does at m > 0).
+    At p != 2 it is the reversed view of ``eigvalsh``
+    (``estimators.projected_diagonals`` copies it to C order for BLAS).
     """
     if S_batch.shape[-1] != 2:
         return np.linalg.eigvalsh(S_batch)[:, ::-1]
@@ -119,12 +121,9 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
     out = np.empty((S_batch.shape[0], 2))
     large, small = out[:, 0], out[:, 1]
     np.add(m, r, out=large)
-    if shift is None:  # every m > 0, so large > 0
-        np.minimum((a * d - b * b) / large, large, out=small)
-    else:
-        np.subtract(m, r, out=small)
-        np.divide(a * d - b * b, large, out=small, where=large > 0.0)
-        np.minimum(small, large, out=small)
+    np.subtract(m, r, out=small)
+    np.divide(a * d - b * b, large, out=small, where=m > 0.0)
+    np.minimum(small, large, out=small)
     return out if shift is None else np.ldexp(out, shift[:, None])
 
 

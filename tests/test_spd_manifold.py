@@ -217,14 +217,15 @@ class TestDescendingEigenvalues:
             np.diag([-1.0, 0.0]),
             np.array([[-2.0, 1.0], [1.0, -3.0]]),
             np.zeros((2, 2)),
+            np.diag([-1.0, 1e-10]),
         ],
-        ids=["huge-off-diagonal", "zero-mean", "zero-large", "negative-definite", "zero"],
+        ids=["huge-off-diagonal", "zero-mean", "zero-large", "negative-definite", "zero", "cancelling-large"],
     )
     def test_p2_indefinite_rows_match_eigvalsh(self, S):
         # The diagonal mean bounds the entries of a positive-definite row
         # only, so the rescale is keyed on the largest |entry|; and where
-        # the larger eigenvalue is <= 0, det / large can be 0/0, so the
-        # smaller one is m - r.
+        # m <= 0, large = m + r can cancel or be 0, so the smaller one is
+        # m - r rather than det / large.
         want = np.linalg.eigvalsh(S)[::-1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
