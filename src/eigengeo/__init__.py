@@ -38,7 +38,6 @@ from .fisher_geometry import (
     curvature_oracle_M,
     curvature_tensor_A,
     embedding_curvature_A,
-    embedding_curvature_M,
     fd_tangent_lambda,
     fd_tangent_u,
     inverse_metric_eigen,

@@ -13,6 +13,12 @@ S of n observations:
 At p = 2 the group integral is exact, exp(-a) I0(b) (``ExactO2``; James,
 Ann. Math. Statist. 1964).  For p >= 3 it is a quadrature over an
 ``OrthogonalEnsemble`` of Haar draws; ``o2_equidistant`` grids cross-check p = 2.
+Both integrals answer to one interface: ``diagonals(eig_rows, frame)`` gives
+the frame diagonals diag(H^T L H) the integrand depends on, ``step(D,
+log_lam, n)`` one posterior step over the frame (the profile objective and
+the EM update), and the class flag ``symmetric`` says whether the integral
+is exactly symmetric under permuting the population eigenvalues, which
+sets the profile maximizer's starts.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ class OrthogonalEnsemble:
     matrices: np.ndarray
     weights: np.ndarray
     kind: str
+    # Only nearly symmetric under permuting lam: its modes reach different
+    # heights, so the profile maximizer starts from every ordering.
+    symmetric: ClassVar[bool] = False
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=float)
@@ -107,22 +116,90 @@ class OrthogonalEnsemble:
     @cached_property
     def squared_nodes(self) -> np.ndarray:
         """Read-only (p, p K) array Q[j, i K + k] = H_k[j, i]^2, one allocation."""
-        return _squared_layout(self.matrices)
+        out = self._squares(self.matrices)
+        out.setflags(write=False)
+        return out
 
+    def _squares(self, matrices: np.ndarray) -> np.ndarray:
+        return np.square(matrices.transpose(1, 2, 0), order="C").reshape(self.dim, -1)
 
-def _squared_layout(matrices: np.ndarray) -> np.ndarray:
-    out = np.square(matrices.transpose(1, 2, 0), order="C").reshape(matrices.shape[1], -1)
-    out.setflags(write=False)
-    return out
+    def diagonals(self, eig_rows: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
+        """D[r, i, k] = diag_i(H_k^T L_r H_k) = sum_j H_k[j, i]^2 l_rj for L_r =
+        diag(eig_rows[r]) and the nodes H_k, nodes last: one BLAS matmul of
+        the rows, copied to C order, with the cached ``squared_nodes``.  With
+        an orthogonal ``frame`` G the nodes are H_k G instead, squared afresh.
+        Refuses rows of another dimension (DimensionMismatch)."""
+        _check_dim(self, eig_rows)
+        nodes = self.squared_nodes if frame is None else self._squares(self.matrices @ frame)
+        # A strided row (the reversed eigvalsh view) would take numpy's own
+        # matmul loop, about 4x slower than BLAS.
+        D = np.ascontiguousarray(eig_rows) @ nodes
+        return D.reshape(eig_rows.shape[0], self.dim, self.size)
+
+    def step(self, D: np.ndarray, log_lam: np.ndarray, n: int):
+        """One posterior step over the frame for population eigenvalues
+        exp(log_lam): one row per row of ``D`` (from ``diagonals``), or every
+        row against ``D``'s single row when it has one.
+
+        The frame posterior puts log-weight log w_k - sum_i D[r, i, k] /
+        (2 lam_i) on node k.  Returns ``(objective, update)``: the profile
+        log-likelihood -(n/2) sum(log lam) + log sum_k w_k exp(-sum_i D_i /
+        (2 lam_i)), and the posterior mean of D / n, which is the EM map for
+        the eigenvalue-only likelihood.  Its log-space gradient is
+        (n/2) (update / lam - 1).  All weights are combined in log scale with
+        the maximum subtracted (``relative_weights``), so the average stays
+        finite even though the raw exponents scale like -n p / 2.
+        """
+        coef = -0.5 * np.exp(-log_lam)
+        # A shared diagonal makes both contractions GEMMs over all rows:
+        # (rows x p)(p x K) and (rows x K)(K x p).
+        shared = D.shape[0] == 1
+        log_terms = coef @ D[0] if shared else (coef[:, None, :] @ D)[:, 0, :]
+        log_terms += self.log_weights
+        peak, rel, total = relative_weights(log_terms)
+        objective = -0.5 * n * log_lam.sum(axis=1) + (peak + np.log(total))
+        update = rel @ D[0].T if shared else (D @ rel[:, :, None])[:, :, 0]
+        return objective, update / (n * total[:, None])
 
 
 @dataclass(frozen=True)
 class ExactO2:
-    """The p = 2 frame integral in closed form, exp(-a) I0(b): no nodes."""
+    """The p = 2 frame integral in closed form, exp(-a) I0(b): no nodes.
+    It is exactly symmetric under swapping lam_1 and lam_2."""
 
     kind: ClassVar[str] = EXACT_O2
     dim: ClassVar[int] = 2
     size: ClassVar[int] = 0
+    symmetric: ClassVar[bool] = True
+
+    def diagonals(self, eig_rows: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
+        """The rows themselves: the integral is Haar-invariant, so a
+        ``frame`` drops out.  Refuses rows of another dimension."""
+        _check_dim(self, eig_rows)
+        return eig_rows
+
+    def step(self, D: np.ndarray, log_lam: np.ndarray, n: int):
+        """``OrthogonalEnsemble.step`` in closed form, with D = l.
+
+        At rotation theta the diagonal is m +/- h cos(2 theta) (m, h: mean
+        and half-difference of l), so the log average is -a + log I0(b),
+        a = m (1/lam_1 + 1/lam_2) / 2, b = h (1/lam_1 - 1/lam_2) / 2, and the
+        update is (m -/+ h I1(b) / I0(b)) / n.
+        """
+        inv = np.exp(-log_lam)
+        m, h = 0.5 * (D[:, 0] + D[:, 1]), 0.5 * (D[:, 0] - D[:, 1])
+        b = 0.5 * h * (inv[:, 0] - inv[:, 1])
+        log_i0, ratio = log_i0_and_ratio(np.abs(b))
+        objective = -0.5 * n * log_lam.sum(axis=1) - 0.5 * m * (inv[:, 0] + inv[:, 1]) + log_i0
+        shift = h * np.copysign(ratio, b)
+        return objective, np.stack([m - shift, m + shift], axis=1) / n
+
+
+def _check_dim(ensemble, eig_rows: np.ndarray) -> None:
+    if ensemble.dim != eig_rows.shape[1]:
+        raise DimensionMismatch(
+            f"ensemble dim {ensemble.dim} does not match {eig_rows.shape[1]} eigenvalues"
+        )
 
 
 def o2_equidistant(count: int) -> OrthogonalEnsemble:
@@ -200,8 +277,6 @@ def lambda_star(S, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> EigenEstim
     their mean.
     """
     S = as_spd(S)
-    if n < S.dim:
-        raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
     values = lambda_star_from_eigs(S.eigenvalues, n, ensemble)
     return EigenEstimate(values, STAR, {"ensemble_kind": ensemble.kind, "ensemble_size": ensemble.size})
 
@@ -213,73 +288,17 @@ def lambda_star_from_eigs(
 
     ``sample_eigs`` are the eigenvalues of the product-sum matrix S (not yet
     divided by n), as a vector or a batch of row vectors.  The result is
-    ``frame_posterior_step`` at the population eigenvalues l/n.
+    the update of ``ensemble.step`` at the population eigenvalues l/n.
     """
     eigs = np.asarray(sample_eigs, dtype=float)
     single = eigs.ndim == 1
     batch = np.atleast_2d(eigs)
+    if n < batch.shape[1]:
+        raise ValueError(f"need n >= p, got n={n}, p={batch.shape[1]}")
     if check_gaps and not (ok := separated_rows(batch)).all():
         check_eigenvalue_gaps(batch[np.argmin(ok)], "lambda_star")  # the first bad row
-    D = projected_diagonals(batch, ensemble)
-    _, result = frame_posterior_step(D, np.log(batch / n), n, ensemble)
+    _, result = ensemble.step(ensemble.diagonals(batch), np.log(batch / n), n)
     return result[0] if single else result
-
-
-def projected_diagonals(eig_rows: np.ndarray, ensemble: OrthogonalEnsemble | ExactO2) -> np.ndarray:
-    """D[r, i, k] = diag_i(H_k^T L_r H_k) = sum_j H_k[j, i]^2 l_rj for L_r =
-    diag(eig_rows[r]) and the ensemble's nodes H_k, nodes last: one BLAS
-    matmul of the rows, copied to C order, with the cached ``squared_nodes``
-    (``ExactO2``: the rows themselves).  Every frame integral passes through
-    here, so the ensemble's dimension is checked here (DimensionMismatch)."""
-    if ensemble.dim != eig_rows.shape[1]:
-        raise DimensionMismatch(
-            f"ensemble dim {ensemble.dim} does not match {eig_rows.shape[1]} eigenvalues"
-        )
-    if ensemble.kind == EXACT_O2:
-        return eig_rows
-    # A strided row (the reversed eigvalsh view) would take numpy's own
-    # matmul loop, about 4x slower than BLAS.
-    D = np.ascontiguousarray(eig_rows) @ ensemble.squared_nodes
-    return D.reshape(eig_rows.shape[0], ensemble.dim, ensemble.size)
-
-
-def frame_posterior_step(D: np.ndarray, log_lam: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2):
-    """One posterior step over the frame for population eigenvalues
-    exp(log_lam): one row per row of ``D`` (see ``projected_diagonals``), or
-    every row against ``D``'s single row when it has one.
-
-    The frame posterior puts log-weight log w_k - sum_i D[r, i, k] /
-    (2 lam_i) on node k.  Returns ``(objective, update)``: the profile
-    log-likelihood -(n/2) sum(log lam) + log sum_k w_k exp(-sum_i D_i /
-    (2 lam_i)), and the posterior mean of D / n, which is the EM map for
-    the eigenvalue-only likelihood.  Its log-space gradient is
-    (n/2) (update / lam - 1).  All weights are combined in log scale with
-    the maximum subtracted (``relative_weights``), so the average stays
-    finite even though the raw exponents scale like -n p / 2.
-
-    For ``ExactO2``, D is l: at rotation theta the diagonal is m +/- h
-    cos(2 theta) (m, h: mean and half-difference of l), so the log average
-    is -a + log I0(b), a = m (1/lam_1 + 1/lam_2) / 2, b = h (1/lam_1 -
-    1/lam_2) / 2, and the update is (m -/+ h I1(b) / I0(b)) / n.
-    """
-    if ensemble.kind == EXACT_O2:
-        inv = np.exp(-log_lam)
-        m, h = 0.5 * (D[:, 0] + D[:, 1]), 0.5 * (D[:, 0] - D[:, 1])
-        b = 0.5 * h * (inv[:, 0] - inv[:, 1])
-        log_i0, ratio = log_i0_and_ratio(np.abs(b))
-        objective = -0.5 * n * log_lam.sum(axis=1) - 0.5 * m * (inv[:, 0] + inv[:, 1]) + log_i0
-        shift = h * np.copysign(ratio, b)
-        return objective, np.stack([m - shift, m + shift], axis=1) / n
-    coef = -0.5 * np.exp(-log_lam)
-    # A shared diagonal makes both contractions GEMMs over all rows:
-    # (rows x p)(p x K) and (rows x K)(K x p).
-    shared = D.shape[0] == 1
-    log_terms = coef @ D[0] if shared else (coef[:, None, :] @ D)[:, 0, :]
-    log_terms += ensemble.log_weights
-    peak, rel, total = relative_weights(log_terms)
-    objective = -0.5 * n * log_lam.sum(axis=1) + (peak + np.log(total))
-    update = rel @ D[0].T if shared else (D @ rel[:, :, None])[:, :, 0]
-    return objective, update / (n * total[:, None])
 
 
 def relative_weights(log_terms: np.ndarray):

@@ -203,23 +203,6 @@ def embedding_curvature_A(eigenvalues, pair1, pair2, a: int) -> float:
     return curvature_tensor_A(eigenvalues).component(pair1, pair2, a)
 
 
-def embedding_curvature_M(eigenvalues, a: int, b: int, pair, connection: str = "m") -> float:
-    """Embedding curvature of the fixed-frame submanifold: identically zero
-    under both the exponential and mixture connections.
-
-    Exposed as an explicit function (rather than omitted) so that generic
-    information-loss contractions can consume it without special-casing.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    p = lam.size
-    pair_offset(*pair, p)  # refuses a pair outside 0 <= s < t < p
-    _check_index(a, p)
-    _check_index(b, p)
-    if connection not in ("e", "m"):
-        raise ValueError(f"connection must be 'e' or 'm', got {connection!r}")
-    return 0.0
-
-
 def raised_curvature(eigenvalues, pair1, pair2) -> np.ndarray:
     """Curvature of ``embedding_curvature_A`` with the last index raised by
     the inverse metric: component a is 2 lam_a^2 times the lowered value.

@@ -6,9 +6,10 @@ The eigenvalue test needs the density of the sample eigenvalues, whose
 frame integral is exact at p = 2 and a Haar quadrature above
 (``estimators.default_ensemble``), and a profile maximization over
 candidate population eigenvalues.  Treating the frame as missing data makes
-that maximization an EM iteration, lam <- E_post[diag(H^T L H)] / n
-(``estimators.frame_posterior_step``), run in log space from a few starts
-and accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 2008);
+that maximization an EM iteration, lam <- E_post[diag(H^T L H)] / n (the
+integral's ``step`` on its ``diagonals``; see ``estimators``), run in log
+space from a few starts and accelerated by SQUAREM (Varadhan and Roland,
+Scand. J. Stat. 2008).  The integral's ``symmetric`` flag picks the starts;
 each maximum carries a gradient certificate or raises ``OptimizerFailure``.
 
 Critical values are calibrated by Monte-Carlo under the null (no
@@ -25,15 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OptimizerFailure
-from .estimators import (
-    EXACT_O2,
-    ExactO2,
-    OrthogonalEnsemble,
-    _squared_layout,
-    default_ensemble,
-    frame_posterior_step,
-    projected_diagonals,
-)
+from .estimators import ExactO2, OrthogonalEnsemble, default_ensemble
 from .spd_manifold import as_spd, check_eigenvalue_gaps, descending_eigenvalues
 from .wishart_sim import color_batch, parallel_points, sample_batch, white_batch
 
@@ -110,27 +103,24 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     """Covariance-dependent part of the sample-eigenvalue log density:
     -(n/2) log det Sigma + log of the group-averaged exp(-trace(H^T L H
     Sigma^-1)/2).  At diagonal Sigma = diag(lam) this is the profile
-    objective of ``estimators.frame_posterior_step``, whose sup over lam the
-    eigen-LRT takes.
+    objective of ``ensemble.step``, whose sup over lam the eigen-LRT takes.
 
     The covariance-free factors (normalizing constant, eigenvalue powers,
     Vandermonde spread) are omitted: they cancel in every likelihood ratio
     this kernel feeds, so the value is not a normalized density.
     """
     eigs = np.asarray(sample_eigs, dtype=float)
+    if n < eigs.size:
+        raise ValueError(f"need n >= p, got n={n}, p={eigs.size}")
     check_eigenvalue_gaps(eigs, "eigen_log_density_kernel")
     Sigma = as_spd(Sigma)
     if not ensemble.dim == Sigma.dim == eigs.size:
         raise DimensionMismatch(f"ensemble dim {ensemble.dim}, Sigma dim {Sigma.dim}, {eigs.size} eigenvalues")
     # With Sigma = G diag(lam) G^T, trace(H^T L H Sigma^-1) is
     # sum_i diag_i((H G)^T L (H G)) / lam_i: the profile objective at lam
-    # over the nodes rotated into Sigma's eigenframe (same weights).  The
-    # exact integral is Haar-invariant, so G drops out of it.
+    # over the nodes rotated into Sigma's eigenframe (same weights).
     lam, G = np.linalg.eigh(Sigma.matrix)
-    D = eigs[None, :]
-    if ensemble.kind != EXACT_O2:
-        D = (D @ _squared_layout(ensemble.matrices @ G)).reshape(1, ensemble.dim, ensemble.size)
-    objective, _ = frame_posterior_step(D, np.log(lam)[None, :], n, ensemble)
+    objective, _ = ensemble.step(ensemble.diagonals(eigs[None, :], G), np.log(lam)[None, :], n)
     return float(objective[0])
 
 
@@ -143,6 +133,8 @@ def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2) 
     high as the null point, so the statistic is never positive.
     """
     eigs = np.asarray(sample_eigs, dtype=float)
+    if n < eigs.size:
+        raise ValueError(f"need n >= p, got n={n}, p={eigs.size}")
     check_eigenvalue_gaps(eigs, "eigen_lrt_stat")
     value = _eigen_lrt_batch(eigs[None, :], n, ensemble)[0]
     return TestStatistic(float(value), EIGEN_LRT, n, eigs.size)
@@ -160,13 +152,14 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
 
     Returns the sup and its log-eigenvalue argmax per row.  Each start runs
     SQUAREM-accelerated EM to a gradient certificate; the best end point per
-    row wins (the first start among equals).  A quadrature starts from every
-    ordering of l/n (it is only nearly symmetric under permuting lam, and
-    its modes reach different heights), the mean, their midpoint in log
-    space, and the null point.  ``ExactO2`` needs only l/n and the mean: it
-    is symmetric in lam, one EM step takes the null point to the mean
-    (which scores higher), and on the trace line lam = m (1 +/- t) the EM
-    map is increasing in t, so EM from l/n climbs to the largest fixed point.
+    row wins (the first start among equals).  An integral that is not
+    ``symmetric`` (a quadrature: only nearly symmetric under permuting lam,
+    and its modes reach different heights) starts from every ordering of
+    l/n, the mean, their midpoint in log space, and the null point.  A
+    ``symmetric`` one (``ExactO2``) needs only l/n and the mean: one EM step
+    takes the null point to the mean (which scores higher), and on the trace
+    line lam = m (1 +/- t) the EM map is increasing in t, so EM from l/n
+    climbs to the largest fixed point.
 
     When a row's starts span at least ROW_BATCH_TERMS log-weight terms
     (starts x nodes), they run one row at a time as the rows of one
@@ -177,7 +170,7 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
     reps, p = eig_rows.shape
     log_l = np.log(eig_rows / n)
     mean_log = np.log(eig_rows.mean(axis=1) / n)[:, None]
-    if ensemble.kind == EXACT_O2:
+    if ensemble.symmetric:
         starts = [log_l, np.repeat(mean_log, p, axis=1)]
     else:
         starts = [log_l[:, list(order)] for order in itertools.permutations(range(p))]
@@ -189,9 +182,9 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
     start_best = np.full(reps, -np.inf)
     argmax = np.zeros((reps, p))
     if len(starts) * ensemble.size < ROW_BATCH_TERMS:
-        D = projected_diagonals(eig_rows, ensemble)
+        D = ensemble.diagonals(eig_rows)
         for x in starts:
-            f, update = frame_posterior_step(D, x, n, ensemble)
+            f, update = ensemble.step(D, x, n)
             start_best = np.maximum(start_best, f)
             x, f = _squarem(D, x, f, update, n, ensemble, lo, hi)
             better = f > best
@@ -200,8 +193,8 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
     else:
         starts = np.stack(starts, axis=1)
         for r in range(reps):
-            D = projected_diagonals(eig_rows[r : r + 1], ensemble)
-            f, update = frame_posterior_step(D, starts[r], n, ensemble)
+            D = ensemble.diagonals(eig_rows[r : r + 1])
+            f, update = ensemble.step(D, starts[r], n)
             start_best[r] = f.max()
             x, f = _squarem(D, starts[r], f, update, n, ensemble, lo[r : r + 1], hi[r : r + 1])
             j = np.argmax(f)
@@ -216,7 +209,7 @@ def _squarem(D, x, f, update, n, ensemble, lo, hi):
     objective is ``f`` and the EM map gives ``update``.
 
     ``D`` and the box [lo, hi] have one row per row of ``x``, or a single
-    row shared by all of them (see ``frame_posterior_step``).  Each cycle
+    row shared by all of them (see ``OrthogonalEnsemble.step``).  Each cycle
     takes two EM steps and extrapolates along them (step length at least
     the plain double step, clipped to the box); the extrapolated point is
     kept only where the objective did not drop, otherwise the double EM
@@ -241,15 +234,15 @@ def _squarem(D, x, f, update, n, ensemble, lo, hi):
             break
         x0 = x[active]
         x1 = np.log(update[active])
-        _, update1 = frame_posterior_step(D, x1, n, ensemble)
+        _, update1 = ensemble.step(D, x1, n)
         x2 = np.log(update1)
-        f2, update2 = frame_posterior_step(D, x2, n, ensemble)
+        f2, update2 = ensemble.step(D, x2, n)
         r = x1 - x0
         v = x2 - x1 - r
         step = np.sqrt((r * r).sum(axis=1) / np.maximum((v * v).sum(axis=1), np.finfo(float).tiny))
         step = np.maximum(step, 1.0)[:, None]
         xs = np.clip(x0 + 2.0 * step * r + step**2 * v, lo, hi)
-        fs, updates = frame_posterior_step(D, xs, n, ensemble)
+        fs, updates = ensemble.step(D, xs, n)
         keep = fs >= f[active]
         x[active] = np.where(keep[:, None], xs, x2)
         f[active] = np.where(keep, fs, f2)

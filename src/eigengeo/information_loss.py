@@ -74,10 +74,10 @@ def loss_contraction(eigenvalues) -> LossMatrix:
 
     The sample-size-proportional term vanishes because the spectral metric
     has no eigenvalue/rotation cross block, and the fixed-frame submanifold
-    term vanishes because its exponential-connection curvature
-    (``embedding_curvature_M``, checked against ``curvature_oracle_M``) is
-    zero.  What remains is half the double contraction of the
-    fixed-eigenvalue embedding curvature with the inverse rotation metric.
+    term vanishes because its exponential-connection curvature is zero
+    (``curvature_oracle_M`` differentiates it numerically and finds zero).
+    What remains is half the double contraction of the fixed-eigenvalue
+    embedding curvature with the inverse rotation metric.
     Only coincident pairs carry curvature and the inverse rotation metric
     is diagonal, so the contraction is one product of the
     ``curvature_tensor_A`` slabs: B = (1/2) slabs^T diag(ginv_pair^2) slabs.

@@ -99,7 +99,7 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
     relative accuracy; an indefinite row only to accuracy relative to its
     largest |eigenvalue| (at m < 0, m + r cancels as m - r does at m > 0).
     At p != 2 it is the reversed view of ``eigvalsh``
-    (``estimators.projected_diagonals`` copies it to C order for BLAS).
+    (``OrthogonalEnsemble.diagonals`` copies it to C order for BLAS).
     """
     if S_batch.shape[-1] != 2:
         return np.linalg.eigvalsh(S_batch)[:, ::-1]

@@ -21,7 +21,7 @@ from eigengeo import (
 )
 from eigengeo.estimators import (
     EQUIDISTANT_O2, EXACT_O2, GAMMA_FRAME, HAAR_MC, LBAR, STAR,
-    ExactO2, default_ensemble, frame_posterior_step, log_i0_and_ratio, projected_diagonals,
+    ExactO2, default_ensemble, log_i0_and_ratio,
 )
 from eigengeo.wishart_sim import sample_batch
 from conftest import random_orthogonal, rotation
@@ -151,7 +151,7 @@ class TestOrthogonalEnsemble:
             OrthogonalEnsemble(mats, np.full(6, 1.0 / 6), HAAR_MC)
 
 
-class TestProjectedDiagonals:
+class TestDiagonals:
     ENSEMBLES = [
         pytest.param(lambda: haar_sample(3, 512, 1), id="haar-p3"),
         pytest.param(lambda: haar_sample(4, 512, 2), id="haar-p4"),
@@ -171,9 +171,9 @@ class TestProjectedDiagonals:
         # go through BLAS) and agrees with the einsum to rounding.
         ens = make()
         row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
-        got = projected_diagonals(row, ens)
+        got = ens.diagonals(row)
         assert got.shape == (1, ens.dim, ens.size)
-        assert np.array_equal(got, projected_diagonals(np.ascontiguousarray(row), ens))
+        assert np.array_equal(got, ens.diagonals(np.ascontiguousarray(row)))
         assert_allclose(got, self.einsum_oracle(row, ens), rtol=1e-15, atol=0)
         brute = np.array([np.diagonal(H.T @ np.diag(row[0]) @ H) for H in ens.matrices])
         assert_allclose(got[0].T, brute, rtol=1e-14)
@@ -182,7 +182,20 @@ class TestProjectedDiagonals:
     def test_batch_within_rounding(self, make, rng):
         ens = make()
         rows = np.sort(rng.uniform(1.0, 20.0, (200, ens.dim)), axis=1)[:, ::-1]
-        assert_allclose(projected_diagonals(rows, ens), self.einsum_oracle(rows, ens), rtol=1e-15, atol=0)
+        assert_allclose(ens.diagonals(rows), self.einsum_oracle(rows, ens), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("make", ENSEMBLES)
+    def test_frame_rotates_the_nodes(self, make, rng):
+        # With a frame G the nodes are H_k G: the diagonals are those of the
+        # rotated ensemble, bit for bit, and its brute-force diag(G^T H^T L H G).
+        ens = make()
+        G = random_orthogonal(rng, ens.dim)
+        row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
+        rotated = OrthogonalEnsemble(ens.matrices @ G, ens.weights, ens.kind)
+        got = ens.diagonals(row, G)
+        assert np.array_equal(got, rotated.diagonals(row))
+        brute = np.array([np.diagonal((H @ G).T @ np.diag(row[0]) @ H @ G) for H in ens.matrices])
+        assert_allclose(got[0].T, brute, rtol=1e-13)
 
     def test_squared_nodes_read_only_layout(self):
         ens = haar_sample(3, 7, 4)
@@ -195,23 +208,23 @@ class TestProjectedDiagonals:
     def test_replaced_ensemble_gets_fresh_squares(self):
         ens = haar_sample(3, 64, 4)
         row = np.array([[9.0, 4.0, 1.0]])
-        projected_diagonals(row, ens)  # fills the cache
+        ens.diagonals(row)  # fills the cache
         other = replace(ens, matrices=haar_sample(3, 64, 5).matrices)
-        assert_allclose(projected_diagonals(row, other), self.einsum_oracle(row, other), rtol=1e-15, atol=0)
+        assert_allclose(other.diagonals(row), self.einsum_oracle(row, other), rtol=1e-15, atol=0)
         assert not np.array_equal(other.squared_nodes, ens.squared_nodes)
 
 
-class TestFramePosteriorStep:
-    @pytest.mark.parametrize("make", TestProjectedDiagonals.ENSEMBLES)
+class TestStep:
+    @pytest.mark.parametrize("make", TestDiagonals.ENSEMBLES)
     def test_shared_diagonal_matches_per_row(self, make, rng):
         # A D with one leading row serves every row of log_lam (two GEMMs)
         # and agrees with that D repeated per row (batched products).
         ens = make()
         row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
-        D = projected_diagonals(row, ens)
+        D = ens.diagonals(row)
         log_lam = np.log(row / 10) + rng.normal(0.0, 0.3, (9, ens.dim))
-        f, update = frame_posterior_step(D, log_lam, 10, ens)
-        g, per_row = frame_posterior_step(np.repeat(D, 9, axis=0), log_lam, 10, ens)
+        f, update = ens.step(D, log_lam, 10)
+        g, per_row = ens.step(np.repeat(D, 9, axis=0), log_lam, 10)
         assert f.shape == (9,) and update.shape == (9, ens.dim)
         assert_allclose(f, g, rtol=1e-14, atol=0)
         assert_allclose(update, per_row, rtol=1e-14, atol=0)
@@ -367,22 +380,30 @@ class TestExactO2:
     def test_is_the_p2_default_and_has_no_nodes(self):
         ens = default_ensemble(2)
         assert isinstance(ens, ExactO2) and ens.kind == EXACT_O2
-        assert ens.dim == 2 and ens.size == 0
-        assert default_ensemble(3).size == 4096
+        assert ens.dim == 2 and ens.size == 0 and ens.symmetric
+        assert default_ensemble(3).size == 4096 and not default_ensemble(3).symmetric
+
+    def test_diagonals_are_the_rows_in_any_frame(self):
+        # The exact integral is Haar-invariant, so a frame drops out.
+        row = np.array([[9.0, 4.0]])
+        assert ExactO2().diagonals(row) is row
+        assert ExactO2().diagonals(row, rotation(0.3)) is row
+        with pytest.raises(DimensionMismatch, match="2.*3"):
+            ExactO2().diagonals(np.array([[9.0, 4.0, 1.0]]))
 
     def test_step_matches_dense_grid(self):
         grid = o2_equidistant(400)
         eigs, log_lam = exact_and_grid_rows(31)
-        f, update = frame_posterior_step(projected_diagonals(eigs, ExactO2()), log_lam, 10, ExactO2())
-        g, grid_update = frame_posterior_step(projected_diagonals(eigs, grid), log_lam, 10, grid)
+        f, update = ExactO2().step(ExactO2().diagonals(eigs), log_lam, 10)
+        g, grid_update = grid.step(grid.diagonals(eigs), log_lam, 10)
         assert_allclose(f, g, rtol=0.0, atol=1e-12)
         assert_allclose(update, grid_update, rtol=1e-12, atol=0.0)
 
     def test_symmetric_under_swapping_lambda(self):
         # The objective is symmetric and the EM map equivariant.
         eigs, log_lam = exact_and_grid_rows(32)
-        f, update = frame_posterior_step(eigs, log_lam, 10, ExactO2())
-        g, swapped = frame_posterior_step(eigs, log_lam[:, ::-1], 10, ExactO2())
+        f, update = ExactO2().step(eigs, log_lam, 10)
+        g, swapped = ExactO2().step(eigs, log_lam[:, ::-1], 10)
         assert_allclose(f, g, rtol=1e-15, atol=0.0)
         assert_allclose(update, swapped[:, ::-1], rtol=1e-15, atol=0.0)
 

@@ -14,7 +14,6 @@ from eigengeo import (
     curvature_oracle_M,
     curvature_tensor_A,
     embedding_curvature_A,
-    embedding_curvature_M,
     cli,
     fd_tangent_lambda,
     fd_tangent_u,
@@ -223,13 +222,6 @@ class TestEmbeddingCurvature:
         lam = [3.0, 2.0, 1.0]
         for a in range(3):
             assert embedding_curvature_A(lam, (0, 1), (0, 2), a) == 0.0
-
-    def test_fixed_frame_curvature_is_zero_function(self):
-        lam = [3.0, 2.0, 1.0]
-        for conn in ("e", "m"):
-            for a in range(3):
-                for b in range(3):
-                    assert embedding_curvature_M(lam, a, b, (0, 1), conn) == 0.0
 
     def test_pair_symmetry(self, rng):
         lam = np.sort(rng.uniform(0.5, 4.0, 4))[::-1]

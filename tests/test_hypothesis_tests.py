@@ -14,6 +14,7 @@ from eigengeo import (
     eigen_lrt_stat,
     full_lrt_stat,
     haar_sample,
+    lambda_star_from_eigs,
     o2_equidistant,
     power_curve,
     replication_rng,
@@ -21,7 +22,7 @@ from eigengeo import (
 )
 import eigengeo.hypothesis_tests as ht
 from eigengeo import DimensionMismatch, NearDegenerateSpectrum, OptimizerFailure
-from eigengeo.estimators import ExactO2, frame_posterior_step, projected_diagonals
+from eigengeo.estimators import ExactO2
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
     FULL_LRT,
@@ -90,9 +91,7 @@ class TestEigenDensityKernel:
         eigs = np.array([40.0, 15.0, 5.0])
         lam = np.array([3.0, 1.5, 0.6])
         got = eigen_log_density_kernel(eigs, np.diag(lam), 10, ens)
-        objective, _ = frame_posterior_step(
-            projected_diagonals(eigs[None, :], ens), np.log(lam)[None, :], 10, ens
-        )
+        objective, _ = ens.step(ens.diagonals(eigs[None, :]), np.log(lam)[None, :], 10)
         assert abs(got - objective[0]) < 1e-10
         assert abs(got - (-25.0253)) < 5e-5
 
@@ -123,6 +122,27 @@ class TestSampleEigenvalueGuards:
             eigen_log_density_kernel(eigs, np.eye(2), 10, ens)
         with pytest.raises(DimensionMismatch, match="2.*3"):
             calibrate(EIGEN_LRT, 0.05, 3, 10, 1000, 0, ens)
+
+    @pytest.mark.parametrize("n", [0, -3, "p - 1"])
+    @pytest.mark.parametrize(
+        "ens", [ExactO2(), haar_sample(3, 64, 0)], ids=["exact-o2", "haar-p3"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda eigs, n, ens: lambda_star_from_eigs(eigs, n, ens),
+            lambda eigs, n, ens: eigen_lrt_stat(eigs, n, ens),
+            lambda eigs, n, ens: eigen_log_density_kernel(eigs, np.eye(eigs.size), n, ens),
+        ],
+        ids=["lambda_star_from_eigs", "eigen_lrt_stat", "eigen_log_density_kernel"],
+    )
+    def test_fewer_observations_than_dimensions_refused(self, call, ens, n):
+        # Without the refusal these gave inf, nan, a silent 0.0 statistic or
+        # a numeric failure instead of an input error.
+        eigs = np.array([3.0, 1.0] if ens.dim == 2 else [3.0, 2.0, 1.0])
+        n = ens.dim - 1 if n == "p - 1" else n
+        with pytest.raises(ValueError, match="need n >= p"):
+            call(eigs, n, ens)
 
 
 class TestEigenLrt:
@@ -236,13 +256,14 @@ class TestProfileMaximizer:
 
     def test_budget_exhausted_raises(self, monkeypatch):
         leading = []
+        step = OrthogonalEnsemble.step
 
-        def counted(D, log_lam, n, ensemble):
+        def counted(self, D, log_lam, n):
             leading.append(D.shape[0])
-            return frame_posterior_step(D, log_lam, n, ensemble)
+            return step(self, D, log_lam, n)
 
         monkeypatch.setattr(ht, "MAX_CYCLES", 1)
-        monkeypatch.setattr(ht, "frame_posterior_step", counted)
+        monkeypatch.setattr(OrthogonalEnsemble, "step", counted)
         eigs = wishart_eig_rows(2, 10, 20, 15)
         for K, shared in self.LOOP_ORDERS:
             leading.clear()
@@ -339,6 +360,44 @@ class TestExactProfile:
             got = eigen_log_density_kernel(eigs, sigma, 10, ExactO2())
             want = eigen_log_density_kernel(eigs, sigma, 10, o2_equidistant(400))
             assert abs(got - want) < 1e-12
+
+
+class InterfaceOnly:
+    """A frame integral that exposes only the interface the library may
+    use, forwarded to a real integral."""
+
+    def __init__(self, real):
+        self._real = real
+        self.dim, self.size, self.kind = real.dim, real.size, real.kind
+        self.symmetric = real.symmetric
+
+    def diagonals(self, eig_rows, frame=None):
+        return self._real.diagonals(eig_rows, frame)
+
+    def step(self, D, log_lam, n):
+        return self._real.step(D, log_lam, n)
+
+
+class TestFrameIntegralInterface:
+    # The 100-node grid runs each start over all rows at once; the 1024-node
+    # p = 3 ensemble runs one row's starts at a time.
+    @pytest.mark.parametrize(
+        "real",
+        [o2_equidistant(100), haar_sample(3, 1024, 3), ExactO2()],
+        ids=["equidistant-p2", "haar-p3", "exact-o2"],
+    )
+    def test_callers_use_only_the_interface(self, real):
+        fake = InterfaceOnly(real)
+        eigs = wishart_eig_rows(real.dim, 10, 6, 40 + real.dim)
+        got, want = lambda_star_from_eigs(eigs, 10, fake), lambda_star_from_eigs(eigs, 10, real)
+        assert np.array_equal(got, want)
+        for got, want in zip(_profile_sup(eigs, 10, fake), _profile_sup(eigs, 10, real)):
+            assert np.array_equal(got, want)
+        R = random_orthogonal(np.random.default_rng(41), real.dim)
+        sigma = (R * np.linspace(2.0, 0.5, real.dim)) @ R.T
+        for row in eigs[:2]:
+            got = eigen_log_density_kernel(row, sigma, 10, fake)
+            assert got == eigen_log_density_kernel(row, sigma, 10, real)
 
 
 class TestCalibration:

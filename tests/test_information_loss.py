@@ -7,11 +7,7 @@ from eigengeo import (
     LossMatrix,
     NearDegenerateSpectrum,
     NotPositiveDefiniteWarning,
-    embedding_curvature_M,
-    index_pairs,
     info_carried_by_l,
-    inverse_metric_eigen,
-    inverse_metric_pair,
     loss_contraction,
     loss_first_order,
 )
@@ -19,30 +15,12 @@ from test_fisher_geometry import brute_force_curvature_contraction
 
 
 def brute_force_loss(lam):
-    """Full enumeration of the leading information-loss contraction: the
-    vanishing fixed-frame term summed explicitly plus half the dense
-    curvature contraction."""
-    lam = np.asarray(lam, dtype=float)
-    p = lam.size
-    pairs = index_pairs(p)
-    ginv_pair = inverse_metric_pair(lam)
-    ginv_eigen = inverse_metric_eigen(lam)
-    e_term = np.zeros((p, p))
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    for k1, pr1 in enumerate(pairs):
-                        for k2, pr2 in enumerate(pairs):
-                            if c != d or k1 != k2:
-                                continue  # both inverse metrics are diagonal
-                            e_term[a, b] += (
-                                embedding_curvature_M(lam, a, c, pr1, "e")
-                                * embedding_curvature_M(lam, b, d, pr2, "e")
-                                * ginv_eigen[c]
-                                * ginv_pair[k1]
-                            )
-    return e_term + 0.5 * brute_force_curvature_contraction(lam)
+    """Full enumeration of the leading information-loss contraction: half
+    the dense curvature contraction.  The fixed-frame term is zero, as the
+    finite-difference oracle shows under both connections
+    (``TestEmbeddingCurvature.test_fixed_frame_oracle_vanishes`` and
+    ``test_criterion_2_curvature_correctness``)."""
+    return 0.5 * brute_force_curvature_contraction(lam)
 
 
 class TestLossMatrix:
