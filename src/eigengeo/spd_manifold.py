@@ -403,9 +403,9 @@ def _chart(base: Spectrum, x: np.ndarray) -> np.ndarray:
     symmetrized O @ diag(x[:p]) @ O.T with O = frame @ exp_skew(x[p:]).
 
     x holds p eigenvalues, then p(p-1)/2 rotation coordinates or none.  At
-    zero rotation O is ``base.eigenvectors`` as it is (exp_skew of zero is
-    exactly I), so no exponential is built.  Nothing is validated: callers
-    that return a covariance wrap the result in ``SpdMatrix``.
+    zero rotation O is ``base.eigenvectors`` (exp_skew of zero is exactly I),
+    and one moved coordinate gives exp_skew's plane rotation.  Nothing is
+    validated: callers returning a covariance wrap it in ``SpdMatrix``.
     """
     p = base.dim
     O = base.eigenvectors
@@ -416,34 +416,25 @@ def _chart(base: Spectrum, x: np.ndarray) -> np.ndarray:
 
 
 def exp_skew(u: SkewParams) -> np.ndarray:
-    """Matrix exponential of the skew-symmetric matrix built from ``u``.
-
-    Scaling-and-squaring on a truncated Taylor series; the p=2 case uses the
-    closed-form plane rotation.  The result is orthogonal to ~1e-13.
-    """
-    U = u.to_matrix()
-    p = u.dim
-    if p == 1:
-        return np.ones((1, 1))
-    if p == 2:
-        c, s = np.cos(u.coords[0]), np.sin(u.coords[0])
-        return np.array([[c, s], [-s, c]])
-    return _expm_skew(U)
+    """Matrix exponential of the skew matrix built from ``u``, orthogonal to
+    rounding at any angle: the closed-form plane rotation when at most one
+    coordinate is non-zero, else read off an eigendecomposition."""
+    hit = np.flatnonzero(u.coords)
+    if hit.size > 1:
+        return _expm_skew(u.to_matrix())
+    O = np.eye(u.dim)
+    if u.dim > 1:
+        k = hit[0] if hit.size else 0
+        s, t = (ix[k] for ix in _triu(u.dim, 1))
+        c, sn = np.cos(u.coords[k]), np.sin(u.coords[k])
+        O[s, s], O[s, t], O[t, s], O[t, t] = c, sn, -sn, c
+    return O
 
 
 def _expm_skew(U: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(U, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.25))) if norm > 0.25 else 0)
-    A = U / (2.0**squarings)
-    # 18 Taylor terms leave a remainder below 1e-16 for ||A|| <= 0.25.
-    result = np.eye(U.shape[0])
-    term = np.eye(U.shape[0])
-    for k in range(1, 19):
-        term = term @ A / k
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    # 1j U is Hermitian: with 1j U = V diag(w) V^H, exp(U) = V diag(e^-iw) V^H.
+    w, V = np.linalg.eigh(1j * U)
+    return ((V * np.exp(-1j * w)) @ V.conj().T).real
 
 
 def sigma_of_coords(base: Spectrum, u: SkewParams) -> SpdMatrix:

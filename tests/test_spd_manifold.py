@@ -325,16 +325,44 @@ class TestExpSkew:
         O = exp_skew(SkewParams(2, np.array([np.pi / 2])))
         assert_allclose(O, np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15)
 
+    def test_p2_is_the_plane_rotation_bit_for_bit(self, rng):
+        for theta in [0.0, 1e-5, -5e-3, np.pi / 2, 3.0, -10.0, *rng.uniform(-7, 7, 20)]:
+            c, s = np.cos(theta), np.sin(theta)
+            got = exp_skew(SkewParams(2, np.array([theta])))
+            assert got.tobytes() == np.array([[c, s], [-s, c]]).tobytes()
+
     def test_p3_orthogonal_rotation(self, rng):
         u = SkewParams(3, rng.uniform(-2, 2, 3))
         O = exp_skew(u)
-        assert np.abs(O.T @ O - np.eye(3)).max() < 1e-12
+        assert np.abs(O.T @ O - np.eye(3)).max() < 1e-14
         assert_allclose(np.linalg.det(O), 1.0, atol=1e-12)
 
     def test_matches_scipy_expm(self, rng):
-        for p in (3, 4, 6):
-            u = SkewParams(p, rng.uniform(-3, 3, p * (p - 1) // 2))
-            assert np.abs(exp_skew(u) - scipy.linalg.expm(u.to_matrix())).max() < 1e-12
+        for p in range(3, 9):
+            for norm in (1e-6, 1e-2, 1.0, 5.0, 30.0):
+                coords = rng.uniform(-3, 3, p * (p - 1) // 2)
+                u = SkewParams(p, coords * (norm / np.linalg.norm(coords)))
+                assert np.abs(exp_skew(u) - scipy.linalg.expm(u.to_matrix())).max() < 1e-12
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
+    def test_single_pair_matches_scipy_expm(self, p):
+        # One non-zero coordinate: the closed-form plane rotation, at small
+        # angles and at angles of several radians.
+        for k in range(p * (p - 1) // 2):
+            for theta in (0.0, 1e-5, -1e-5, 5e-3, -5e-3, np.pi / 2, 3.0, 10.0):
+                coords = np.zeros(p * (p - 1) // 2)
+                coords[k] = theta
+                u = SkewParams(p, coords)
+                assert np.abs(exp_skew(u) - scipy.linalg.expm(u.to_matrix())).max() < 1e-14
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8, 1e12])
+    def test_orthogonal_at_any_angle(self, rng, scale):
+        u = SkewParams(3, scale * np.array([1.0, 0.5, -0.3]))
+        O = exp_skew(u)
+        assert np.abs(O.T @ O - np.eye(3)).max() <= 1e-14
+        base = Spectrum([3.0, 2.0, 1.0], random_orthogonal(rng, 3))
+        got = sigma_of_coords(base, u).eigenvalues
+        assert np.abs(got / base.eigenvalues - 1.0).max() <= 1e-13
 
     def test_index_bijection(self):
         p = 4
