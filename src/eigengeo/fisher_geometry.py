@@ -200,11 +200,7 @@ def embedding_curvature_A(eigenvalues, pair1, pair2, a: int) -> float:
       a == s == u, t == v  ->  (lam_t - lam_a) / lam_a^2
       s == u, a == t == v  ->  (lam_s - lam_a) / lam_a^2
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    _check_index(a, lam.size)
-    if pair_offset(*pair1, lam.size) != pair_offset(*pair2, lam.size) or a not in pair1:
-        return 0.0
-    return float(_slab(lam, *pair1)[int(a == pair1[1])])
+    return curvature_tensor_A(eigenvalues).component(pair1, pair2, a)
 
 
 def raised_curvature(eigenvalues, pair1, pair2) -> np.ndarray:
@@ -215,11 +211,10 @@ def raised_curvature(eigenvalues, pair1, pair2) -> np.ndarray:
     2(lam_s - lam_t) at a = t; distinct pairs give the zero vector.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    row = np.zeros(lam.size)
-    if pair_offset(*pair1, lam.size) == pair_offset(*pair2, lam.size):
-        row[list(pair1)] = _slab(lam, *pair1)
-        row *= inverse_metric_eigen(lam)
-    return row
+    k = pair_offset(*pair1, lam.size)
+    if pair_offset(*pair2, lam.size) != k:
+        return np.zeros(lam.size)
+    return curvature_tensor_A(lam).slabs[k] * inverse_metric_eigen(lam)
 
 
 def curvature_tensor_A(eigenvalues) -> CurvatureTensor:
@@ -228,13 +223,9 @@ def curvature_tensor_A(eigenvalues) -> CurvatureTensor:
     pairs = index_pairs(lam.size)
     slabs = np.zeros((len(pairs), lam.size))
     for k, (s, t) in enumerate(pairs):
-        slabs[k, s], slabs[k, t] = _slab(lam, s, t)
+        slabs[k, s] = (lam[t] - lam[s]) / lam[s] ** 2
+        slabs[k, t] = (lam[s] - lam[t]) / lam[t] ** 2
     return CurvatureTensor(lam.size, slabs)
-
-
-def _slab(lam: np.ndarray, s: int, t: int) -> tuple[float, float]:
-    """Pair (s, t)'s two nonzero curvature components, at legs s and t."""
-    return (lam[t] - lam[s]) / lam[s] ** 2, (lam[s] - lam[t]) / lam[t] ** 2
 
 
 def statistical_curvature(eigenvalues) -> float:

@@ -239,20 +239,6 @@ class TestEmbeddingCurvature:
         assert_allclose(tensor.component((0, 1), (0, 1), 0), -0.25)
         assert tensor.component((0, 1), (0, 1), 1) == 1.0
 
-    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
-    def test_components_are_the_tensor_bit_for_bit(self, rng, p):
-        lam = random_spectrum(rng, p).eigenvalues
-        tensor = curvature_tensor_A(lam)
-        ginv = inverse_metric_eigen(lam)
-        for k, pr1 in enumerate(index_pairs(p)):
-            for pr2 in index_pairs(p):
-                slab = tensor.slabs[k] if pr1 == pr2 else np.zeros(p)
-                assert raised_curvature(lam, pr1, pr2).tobytes() == (slab * ginv).tobytes()
-                for a in range(p):
-                    got = embedding_curvature_A(lam, pr1, pr2, a)
-                    assert type(got) is float
-                    assert np.float64(got).tobytes() == np.float64(tensor.component(pr1, pr2, a)).tobytes()
-
     def test_oracle_matches_analytic(self, rng):
         for p in (2, 3):
             sp = random_spectrum(rng, p)
@@ -307,14 +293,6 @@ class TestEmbeddingCurvature:
         monkeypatch.setattr(spd_manifold, "exp_skew", spy)
         return calls
 
-    def test_check_fd_builds_no_exponential_at_zero_rotation(self, exp_skew_calls, tmp_path):
-        # p = 6: 15 rotation tangents of two points each, and 15 curvature
-        # stencils of three points each, whose centre has zero rotation.
-        # The eigenvalue tangents have zero rotation throughout.
-        argv = ["geometry", "--lambda", "6,5,4,3,2,1", "--check-fd", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
-        assert len(exp_skew_calls) == 15 * 2 + 15 * 2
-
     @pytest.fixture
     def general_path_calls(self, monkeypatch):
         calls = []
@@ -327,14 +305,19 @@ class TestEmbeddingCurvature:
         monkeypatch.setattr(spd_manifold, "_expm_skew", spy)
         return calls
 
-    def test_check_fd_stencils_are_plane_rotations(self, rng, general_path_calls, tmp_path):
-        # Every stencil point that leaves zero rotation moves one rotation
-        # coordinate, so each exponential is the closed-form plane rotation,
-        # never the general eigendecomposition path.
+    def test_check_fd_builds_no_exponential_at_zero_rotation(self, exp_skew_calls, general_path_calls, tmp_path):
+        # p = 6: 15 rotation tangents of two points each, and 15 curvature
+        # stencils of three points each, whose centre has zero rotation.
+        # The eigenvalue tangents have zero rotation throughout.  Every
+        # other point moves one rotation coordinate, so its exponential is
+        # the closed-form plane rotation, never the general path.
         argv = ["geometry", "--lambda", "6,5,4,3,2,1", "--check-fd", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
+        assert len(exp_skew_calls) == 15 * 2 + 15 * 2
         assert general_path_calls == []
-        # The spy does see a point that moves two coordinates.
+
+    def test_two_coordinate_stencil_takes_the_general_path(self, rng, general_path_calls):
+        # A distinct-pair stencil moves two rotation coordinates at once.
         curvature_oracle_A(random_spectrum(rng, 4), (0, 1), (2, 3), 0)
         assert general_path_calls == [4] * 4
 
