@@ -40,6 +40,7 @@ from .estimators import (
     o2_equidistant,
 )
 from .fisher_geometry import (
+    FD_TOLERANCE,
     curvature_oracle_A,
     curvature_tensor_A,
     metric_spectral,
@@ -194,6 +195,7 @@ def cmd_geometry(args) -> list[str]:
         header += ["oracle", "abs_dev"]
     rows = []
     devs = []
+    rel_devs = []
 
     def row(kind, a, s, t, u, v, value, oracle=None):
         r = [kind, a, s, t, u, v, value]
@@ -203,6 +205,7 @@ def cmd_geometry(args) -> list[str]:
             else:
                 dev = abs(value - oracle)
                 devs.append(dev)
+                rel_devs.append(dev / max(1.0, abs(value)))
                 r += [oracle, dev]
         rows.append(r)
 
@@ -222,6 +225,10 @@ def cmd_geometry(args) -> list[str]:
     if check:
         rows.append(["fd_max_abs_deviation", "", "", "", "", "",
                      max(devs) if devs else 0.0, "", ""])
+        if max(rel_devs, default=0.0) > FD_TOLERANCE:
+            print(f"warning: a finite-difference oracle deviates from its closed form by "
+                  f"{max(rel_devs):.3e} relative, above FD_TOLERANCE {FD_TOLERANCE:g}",
+                  file=sys.stderr)
 
     out = os.path.join(args.out, "geometry.csv")
     _write_csv(out, header, rows)

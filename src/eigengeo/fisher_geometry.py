@@ -33,9 +33,12 @@ from .spd_manifold import (
     pair_offset,
 )
 
-# Finite-difference policy: central differences, step scaled by the largest
-# eigenvalue.  First derivatives tolerate a smaller step than second
-# derivatives (truncation vs. cancellation at double precision).
+# Finite-difference policy: central differences, the step along an
+# eigenvalue scaled by the largest eigenvalue, the step along a rotation
+# angle bare.  First derivatives tolerate a smaller step than second
+# derivatives (truncation vs. cancellation at double precision).  An oracle
+# agrees with its closed form when they differ by at most FD_TOLERANCE
+# times max(1, |closed form|).
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-3
 FD_TOLERANCE = 1e-5
@@ -251,25 +254,31 @@ def statistical_curvature(eigenvalues) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _first_step(base: Spectrum, h: float | None) -> float:
-    return h if h is not None else FD_STEP_FIRST * max(1.0, float(base.eigenvalues[0]))
-
-
-def _second_step(base: Spectrum, h: float | None) -> float:
-    return h if h is not None else FD_STEP_SECOND * max(1.0, float(base.eigenvalues[0]))
+def _steps(base: Spectrum, step: float, h: float | None) -> list[float]:
+    """Step per chart coordinate at ``base``: h along every coordinate when
+    given; otherwise ``step`` times max(1, lambda_max) along the eigenvalues
+    and ``step`` itself along the rotation angles, whose scale does not
+    grow with the eigenvalues'."""
+    p = base.dim
+    angles = p * (p - 1) // 2
+    if h is not None:
+        return [h] * (p + angles)
+    return [step * max(1.0, float(base.eigenvalues[0]))] * p + [step] * angles
 
 
 def fd_tangent_lambda(base: Spectrum, a: int, h: float | None = None) -> SymTangent:
     """Central-difference tangent along eigenvalue a (exact up to rounding:
     the covariance is linear in its eigenvalues at fixed frame)."""
     _check_index(a, base.dim)
-    return SymTangent(_central(partial(_chart, base), _origin(base), _first_step(base, h), a))
+    steps = _steps(base, FD_STEP_FIRST, h)
+    return SymTangent(_central(partial(_chart, base), _origin(base), steps, a))
 
 
 def fd_tangent_u(base: Spectrum, pair, h: float | None = None) -> SymTangent:
     """Central-difference tangent along rotation pair (s, t) at u = 0."""
     k = base.dim + pair_offset(*pair, base.dim)
-    return SymTangent(_central(partial(_chart, base), _origin(base), _first_step(base, h), k))
+    steps = _steps(base, FD_STEP_FIRST, h)
+    return SymTangent(_central(partial(_chart, base), _origin(base), steps, k))
 
 
 def metric_spectral_fd(base: Spectrum, h: float | None = None) -> SpectralMetric:
@@ -306,7 +315,8 @@ def curvature_oracle_A(
     legs = [a] if scalar else list(a)
     for b in legs:
         _check_index(b, p)
-    A = _central(partial(_chart, base), _origin(base), _second_step(base, h), k1, k2)
+    steps = _steps(base, FD_STEP_SECOND, h)
+    A = _central(partial(_chart, base), _origin(base), steps, k1, k2)
     values = []
     for b in legs:
         g_b = base.eigenvectors[:, b]
@@ -332,7 +342,7 @@ def curvature_oracle_M(
     k = p + pair_offset(*pair, p)
     if connection not in ("e", "m"):
         raise ValueError(f"connection must be 'e' or 'm', got {connection!r}")
-    h = _second_step(base, h)
+    steps = _steps(base, FD_STEP_SECOND, h)
 
     def sigma(x: np.ndarray) -> np.ndarray:
         return _chart(base, x)[_triu(p)]
@@ -342,7 +352,7 @@ def curvature_oracle_M(
 
     second, first = (sigma, theta) if connection == "m" else (theta, sigma)
     x0 = _origin(base)
-    return float(np.dot(_central(second, x0, h, a, b), _central(first, x0, h, k)))
+    return float(np.dot(_central(second, x0, steps, a, b), _central(first, x0, steps, k)))
 
 
 def _origin(base: Spectrum) -> np.ndarray:
@@ -350,10 +360,11 @@ def _origin(base: Spectrum) -> np.ndarray:
     return np.concatenate([base.eigenvalues, np.zeros(base.dim * (base.dim - 1) // 2)])
 
 
-def _central(fn, x0: np.ndarray, h: float, i: int, j: int | None = None) -> np.ndarray:
-    """Central difference of ``fn`` at ``x0`` with step h: the first
-    derivative along coordinate i, or the second along i and j (three
-    points when i == j, four otherwise)."""
+def _central(fn, x0: np.ndarray, h: list[float], i: int, j: int | None = None) -> np.ndarray:
+    """Central difference of ``fn`` at ``x0`` with step h[k] along each
+    coordinate k: the first derivative along coordinate i, or the second
+    along i and j (three points when i == j, four otherwise)."""
+    hi = h[i]
 
     def at(di: float, dj: float = 0.0) -> np.ndarray:
         x = np.array(x0)
@@ -363,7 +374,8 @@ def _central(fn, x0: np.ndarray, h: float, i: int, j: int | None = None) -> np.n
         return fn(x)
 
     if j is None:
-        return (at(h) - at(-h)) / (2.0 * h)
+        return (at(hi) - at(-hi)) / (2.0 * hi)
+    hj = h[j]
     if i == j:
-        return (at(h) - 2.0 * at(0.0) + at(-h)) / h**2
-    return (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h**2)
+        return (at(hi) - 2.0 * at(0.0) + at(-hi)) / hi**2
+    return (at(hi, hj) - at(hi, -hj) - at(-hi, hj) + at(-hi, -hj)) / (4.0 * hi * hj)

@@ -88,43 +88,54 @@ def descending_eigenvalues(S_batch: np.ndarray) -> np.ndarray:
     descending row per matrix (read from the lower triangle, as ``eigvalsh``
     does).
 
-    At p = 2 this is the closed form: large = m + r with m the mean of the
-    diagonal and r = hypot((a - d)/2, b); small = det / large (never above
-    large) when m > 0, and m - r otherwise (no cancellation there, where
-    large can cancel or be 0).  A row whose largest |entry| lies outside
+    At p = 2 these are the rows of ``_p2_eigenvalues`` on the stack's entry
+    columns.  At p != 2 it is the reversed view of ``eigvalsh``
+    (``OrthogonalEnsemble.diagonals`` copies it to C order for BLAS).
+    """
+    if S_batch.shape[-1] != 2:
+        return np.linalg.eigvalsh(S_batch)[:, ::-1]
+    return _p2_eigenvalues(S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]).T.copy()
+
+
+def _p2_eigenvalues(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric 2 x 2 matrices [[a, b], [b, d]], given
+    as entry columns: a (2, rows) array, the larger eigenvalues first.
+
+    The closed form: large = m + r with m the mean of the diagonal and
+    r = hypot((a - d)/2, b); small = det / large (never above large) when
+    m > 0, and m - r otherwise (no cancellation there, where large can
+    cancel or be 0).  A row whose largest |entry| lies outside
     [2^-480, 2^480] is first scaled by the power of two that brings it into
     [1/2, 1), and its eigenvalues are scaled back, so a d and b^2 neither
     overflow nor underflow, indefinite rows included; other rows are
     computed as they are.  Positive-definite rows keep each eigenvalue to
     relative accuracy; an indefinite row only to accuracy relative to its
     largest |eigenvalue| (at m < 0, m + r cancels as m - r does at m > 0).
-    At p != 2 it is the reversed view of ``eigvalsh``
-    (``OrthogonalEnsemble.diagonals`` copies it to C order for BLAS).
     """
-    if S_batch.shape[-1] != 2:
-        return np.linalg.eigvalsh(S_batch)[:, ::-1]
-    a, b, d = S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]
     m = 0.5 * (a + d)
     shift = None
     # Every row's largest |entry| is in range when each m exceeds 2^-480 (m
-    # is at most that entry) and no entry of the batch reaches 2^480 (NaN
-    # fails both).  Only a batch that fails this forms the per-row maximum:
-    # formed on every call, its temporaries doubled the time at 10^4 rows.
+    # is at most that entry) and no entry reaches 2^480 (NaN fails both).
+    # Only columns that fail this form the per-row maximum: formed on every
+    # call, its temporaries doubled the time at 10^4 rows.
     lim = 2.0**480
-    if not ((m > 1.0 / lim).all() and -lim < S_batch.min(initial=0.0) and S_batch.max(initial=0.0) < lim):
+    in_range = (m > 1.0 / lim).all() and all(
+        -lim < x.min(initial=0.0) and x.max(initial=0.0) < lim for x in (a, b, d)
+    )
+    if not in_range:
         top = np.maximum(np.maximum(np.abs(a), np.abs(d)), np.abs(b))
         shift = np.frexp(top)[1]  # 0 for a zero, inf or NaN top: nothing to scale
         shift[np.abs(shift) <= 480] = 0
         a, b, d = (np.ldexp(x, -shift) for x in (a, b, d))
         m = 0.5 * (a + d)
     r = np.hypot(0.5 * (a - d), b)
-    out = np.empty((S_batch.shape[0], 2))
-    large, small = out[:, 0], out[:, 1]
+    out = np.empty((2, m.size))
+    large, small = out
     np.add(m, r, out=large)
     np.subtract(m, r, out=small)
     np.divide(a * d - b * b, large, out=small, where=m > 0.0)
     np.minimum(small, large, out=small)
-    return out if shift is None else np.ldexp(out, shift[:, None])
+    return out if shift is None else np.ldexp(out, shift)
 
 
 def check_eigenvalue_gaps(eigenvalues: np.ndarray, what: str = "spectrum") -> None:
@@ -248,6 +259,13 @@ class SpdMatrix:
         re-checking, as read-only views of one symmetrized stack and its
         spectra.
         """
+        return list(cls._checked_slices(batch))
+
+    @classmethod
+    def _checked_slices(cls, batch):
+        """``stack``'s checks, run (and any refusal raised) before this
+        returns; its slices, each built when the returned iterator reaches
+        it, so a loop over them holds O(1) SpdMatrix objects."""
         m = np.asarray(batch, dtype=float)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise DimensionMismatch(f"expected a (reps, p, p) stack, got shape {m.shape}")
@@ -256,12 +274,13 @@ class SpdMatrix:
         sym, eigs, fault = _checked_stack(m)
         if fault is not None:
             raise NotPositiveDefinite(f"slice {fault[0]}: {fault[1]}")
-        out = []
-        for s, e in zip(sym, eigs):
-            S = object.__new__(cls)
-            S._adopt(s, e)
-            out.append(S)
-        return out
+        return map(cls._checked_slice, sym, eigs)
+
+    @classmethod
+    def _checked_slice(cls, sym: np.ndarray, eigs: np.ndarray) -> SpdMatrix:
+        S = object.__new__(cls)
+        S._adopt(sym, eigs)
+        return S
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype)

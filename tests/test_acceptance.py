@@ -35,6 +35,7 @@ from eigengeo import (
     tangent_u,
 )
 from eigengeo.cli import main as cli_main
+from eigengeo.fisher_geometry import FD_TOLERANCE
 from conftest import random_spectrum
 from test_fisher_geometry import brute_force_statistical_curvature
 from test_information_loss import brute_force_loss
@@ -68,8 +69,8 @@ def test_criterion_1_metric_correctness():
             t = tangent_u(sp, pair)
             ok &= abs(metric_sigma(S, t, t) - analytic.pair_diag[k]) < 1e-12
         fd = metric_spectral_fd(sp)
-        ok &= np.abs(fd.eigen_diag / analytic.eigen_diag - 1.0).max() < 1e-5
-        ok &= np.abs(fd.pair_diag / analytic.pair_diag - 1.0).max() < 1e-5
+        ok &= np.abs(fd.eigen_diag / analytic.eigen_diag - 1.0).max() < FD_TOLERANCE
+        ok &= np.abs(fd.pair_diag / analytic.pair_diag - 1.0).max() < FD_TOLERANCE
     report(1, "spectral metric matches sigma-form (1e-12) and FD pipeline (1e-5)",
            ok, time.perf_counter() - start, 10.0)
 
@@ -87,12 +88,12 @@ def test_criterion_2_curvature_correctness():
                 for a in range(p):
                     want = embedding_curvature_A(sp.eigenvalues, pr1, pr2, a)
                     got = curvature_oracle_A(sp, pr1, pr2, a)
-                    ok &= abs(got - want) < 1e-5 * max(1.0, abs(want))
+                    ok &= abs(got - want) < FD_TOLERANCE * max(1.0, abs(want))
         for conn in ("e", "m"):
             for a in range(p):
                 for b in range(p):
                     for pair in pairs:
-                        ok &= abs(curvature_oracle_M(sp, a, b, pair, conn)) < 1e-5
+                        ok &= abs(curvature_oracle_M(sp, a, b, pair, conn)) < FD_TOLERANCE
     report(2, "embedding curvature matches FD oracle (1e-5), fixed-frame curvature zero",
            ok, time.perf_counter() - start, 30.0)
 

@@ -10,6 +10,7 @@ import pytest
 from eigengeo import Spectrum, cli, curvature_oracle_A
 from eigengeo.cli import main, read_matrix
 from eigengeo.cli import CliInputError
+from eigengeo.fisher_geometry import FD_TOLERANCE
 
 
 def run(tmp_path, *argv):
@@ -48,7 +49,20 @@ class TestGeometryCommand:
         assert "oracle" in header and "abs_dev" in header
         summary = [r for r in rows if r["kind"] == "fd_max_abs_deviation"]
         assert len(summary) == 1
-        assert float(summary[0]["value"]) < 1e-5
+        assert float(summary[0]["value"]) < FD_TOLERANCE
+
+    def test_check_fd_warns_above_fd_tolerance(self, tmp_path, capsys, monkeypatch):
+        # The oracles agree to about 3e-7 relative here, so nothing is said;
+        # below that tolerance the same run warns on stderr, with the same
+        # CSV bytes and exit code.
+        argv = ["geometry", "--lambda", "4,0.2", "--check-fd"]
+        assert run(tmp_path / "quiet", *argv) == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setattr(cli, "FD_TOLERANCE", 1e-9)
+        assert run(tmp_path / "warned", *argv) == 0
+        assert "above FD_TOLERANCE 1e-09" in capsys.readouterr().err
+        quiet, warned = (tmp_path / d / "geometry.csv" for d in ("quiet", "warned"))
+        assert quiet.read_bytes() == warned.read_bytes()
 
     def test_check_fd_oracle_cells_are_the_scalar_oracle(self, tmp_path):
         lam = np.array([4.0, 2.5, 1.5, 0.5])

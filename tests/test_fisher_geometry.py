@@ -30,6 +30,7 @@ from eigengeo import (
     tangent_lambda,
     tangent_u,
 )
+from eigengeo.fisher_geometry import FD_TOLERANCE
 from conftest import random_spd, random_spectrum, rotation
 
 
@@ -247,7 +248,7 @@ class TestEmbeddingCurvature:
                     for a in range(p):
                         want = embedding_curvature_A(sp.eigenvalues, pr1, pr2, a)
                         got = curvature_oracle_A(sp, pr1, pr2, a)
-                        assert abs(got - want) < 1e-5 * max(1.0, abs(want))
+                        assert abs(got - want) < FD_TOLERANCE * max(1.0, abs(want))
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_oracle_sequence_form_is_the_scalar_calls(self, rng, p):
@@ -328,6 +329,26 @@ class TestEmbeddingCurvature:
         curvature_oracle_M(random_spectrum(rng, 6), a, b, (2, 5), connection)
         assert exp_skew_calls == [6, 6]
 
+    @pytest.mark.parametrize("lam", [(4.0, 0.2), (6.0, 5.0, 4.0, 3.0, 2.0, 1.0)])
+    def test_oracle_deviation_is_scale_invariant(self, lam):
+        # Rotation coordinates are angles, so their step must not grow with
+        # the eigenvalues.  Doubling them then scales every closed form and
+        # every oracle by a power of two, and the relative deviation stays.
+        def worst(lam):
+            lam = np.asarray(lam)
+            p = lam.size
+            base = Spectrum(lam, np.eye(p))
+            metric, fd = metric_spectral(lam), metric_spectral_fd(base)
+            pairs = [*zip(metric.eigen_diag, fd.eigen_diag), *zip(metric.pair_diag, fd.pair_diag)]
+            tensor = curvature_tensor_A(lam)
+            for k, pr in enumerate(index_pairs(p)):
+                pairs += zip(tensor.slabs[k], curvature_oracle_A(base, pr, pr, range(p)))
+            return max(abs(want - got) / max(1.0, abs(want)) for want, got in pairs)
+
+        dev, doubled = worst(lam), worst(2.0 * np.array(lam))
+        assert dev < 1e-6 and doubled < 1e-6
+        assert doubled == pytest.approx(dev, rel=1e-6)
+
     def test_oracle_frame_independent(self, rng):
         lam = np.array([2.0, 1.0])
         values = [
@@ -343,7 +364,7 @@ class TestEmbeddingCurvature:
             for a in range(3):
                 for b in range(3):
                     for pair in index_pairs(3):
-                        assert abs(curvature_oracle_M(sp, a, b, pair, conn)) < 1e-5
+                        assert abs(curvature_oracle_M(sp, a, b, pair, conn)) < FD_TOLERANCE
 
 
 class TestRaisedCurvature:

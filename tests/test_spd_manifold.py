@@ -239,13 +239,16 @@ class TestDescendingEigenvalues:
         assert np.array_equal(got, np.linalg.eigvalsh(S)[:, ::-1])
 
     def test_per_matrix_estimators_share_the_batched_rows(self):
+        # The grid runners read entry columns (s00, s10, s11) and return
+        # estimate columns.
         S_batch = sample_batch(np.diag([1.0, 0.3]), 10, 200, 4, "spectrum-share")
-        lbars, _ = _batch_lbar(S_batch, 10)
-        stars, valid = _batch_star(ExactO2())(S_batch, 10)
+        cols = np.stack((S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]))
+        lbars, _ = _batch_lbar(cols, 10)
+        stars, valid = _batch_star(ExactO2())(cols, 10)
         assert valid.all()
         for r, S in enumerate(S_batch):
-            assert np.array_equal(lbar(S, 10).values, lbars[r])
-            assert np.array_equal(lambda_star(S, 10, ExactO2()).values, stars[r])
+            assert np.array_equal(lbar(S, 10).values, lbars[:, r])
+            assert np.array_equal(lambda_star(S, 10, ExactO2()).values, stars[:, r])
 
 
 class TestSpectralDecompose:

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -21,10 +22,14 @@ from eigengeo import (
     sample_product_sum,
 )
 from eigengeo.cli import main
-from eigengeo.estimators import default_ensemble
-from eigengeo.spd_manifold import descending_eigenvalues
+from eigengeo.estimators import ExactO2, default_ensemble, o2_equidistant
+from eigengeo.spd_manifold import descending_eigenvalues, separated_rows
 from eigengeo.wishart_sim import (
     DRAW_CHUNK,
+    _batch_identity_frame,
+    _batch_lbar,
+    _batch_star,
+    _risk_point,
     color_batch,
     kl_loss_diag,
     sample_batch,
@@ -113,9 +118,14 @@ class TestSubstreams:
         assert S.tobytes() == S_want.tobytes()
         assert np.array_equal(S, S.swapaxes(1, 2))
 
-    def test_color_batch_is_the_congruence_of_the_gram(self):
-        z = fresh_philox_normals(3, 10, 50, 3, "congruence")
-        sigma = np.array([[2.0, 0.4, 0.1], [0.4, 1.0, -0.3], [0.1, -0.3, 0.7]])
+    @pytest.mark.parametrize(
+        "sigma",
+        [np.array([[2.0, 0.4], [0.4, 0.7]]), np.array([[2.0, 0.4, 0.1], [0.4, 1.0, -0.3], [0.1, -0.3, 0.7]])],
+        ids=["p2-columns", "p3-gemm"],
+    )
+    def test_color_batch_is_the_congruence_of_the_gram(self, sigma):
+        p = sigma.shape[0]
+        z = fresh_philox_normals(p, 10, 50, 3, "congruence")
         x = z @ np.linalg.cholesky(sigma).T
         assert_allclose(color_batch(gram(z), sigma), gram(x), rtol=1e-13, atol=1e-12)
 
@@ -140,6 +150,16 @@ class TestSubstreams:
         # the stream-name bits of the key.
         with pytest.raises(ValueError, match=r"2\*\*"):
             replication_rng(seed, "s", rep)
+
+    def test_white_batch_refuses_reps_past_the_key_range_before_drawing(self, monkeypatch):
+        # The replication range is checked once per batch, so the refusal
+        # comes before any buffer or generator is built.
+        def never(*args, **kwargs):
+            raise AssertionError("white_batch built a buffer")
+
+        monkeypatch.setattr(np, "empty", never)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            white_batch(2, 10, 2**32 + 1, 0, "s")
 
     def test_key_range_edges_accepted(self):
         replication_rng(0, "s", 0).standard_normal(3)
@@ -280,6 +300,24 @@ class TestKlRiskStack:
         )
         assert (res.mean, res.stderr, res.reps, res.failures) == want
 
+    def test_replications_hold_o1_matrices(self):
+        # Each SpdMatrix is built as the loop reaches its slice: the peak now
+        # grows with the batched validation's arrays alone (about 0.31 MB per
+        # 1000 replications at p = 3), not with one object per replication
+        # on top of them (0.54 MB when the whole stack was a list).
+        sigma = self.sigma(3)
+
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                kl_risk(lambda S, n: S.eigenvalues / n, sigma, 10, reps, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_1000 = (peak(3000) - peak(1000)) / 2
+        assert per_1000 < 0.4e6
+
     def test_no_eigvalsh_per_replication(self, monkeypatch):
         ens = haar_sample(3, 256, 0)
         sigma = self.sigma(3)
@@ -301,6 +339,17 @@ class TestKlRiskStack:
 
 
 class TestKlLossDiag:
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_columns_sum_like_the_row_reduction(self, p):
+        rng = np.random.default_rng(p)
+        est = rng.uniform(0.1, 3.0, (1000, p)) * 10.0 ** rng.integers(-6, 7, (1000, p))
+        lam = rng.uniform(0.5, 2.0, p)
+        ratio = est / lam
+        want = ratio.sum(axis=1) - np.log(ratio).sum(axis=1) - p
+        assert kl_loss_diag(est, lam).tobytes() == want.tobytes()
+        # Column-major estimates, as the grid runners' columns arrive.
+        assert kl_loss_diag(np.asfortranarray(est), lam).tobytes() == want.tobytes()
+
     def test_zero_at_truth(self):
         assert kl_loss_diag(np.array([2.0, 1.0]), np.array([2.0, 1.0])) == 0.0
 
@@ -310,6 +359,96 @@ class TestKlLossDiag:
         ratio = est / lam
         want = ratio.sum() - np.log(ratio).sum() - 2
         assert_allclose(kl_loss_diag(est, lam), want)
+
+
+def gemm_color(W, sigma):
+    """The stacked colouring the grids ran before they used entry columns:
+    two (reps p, p) @ A^T GEMMs, then the mean with the transpose."""
+    A = np.linalg.cholesky(sigma)
+    reps, p = W.shape[:2]
+    AW = (W.reshape(reps * p, p) @ A.T).reshape(reps, p, p).swapaxes(1, 2)
+    S = (AW.reshape(reps * p, p) @ A.T).reshape(reps, p, p)
+    return 0.5 * (S + S.swapaxes(1, 2))
+
+
+def stacked_star(ensemble):
+    def run(S_batch, n):
+        eigs = descending_eigenvalues(S_batch)
+        valid = separated_rows(eigs)
+        vals = np.full_like(eigs, np.nan)
+        vals[valid] = lambda_star_from_eigs(eigs[valid], n, ensemble, check_gaps=False)
+        return vals, valid
+
+    return run
+
+
+STACKED_RUNNERS = {
+    "lbar": lambda S_batch, n: (descending_eigenvalues(S_batch) / n, np.ones(len(S_batch), bool)),
+    "frame": lambda S_batch, n: (np.diagonal(S_batch, axis1=1, axis2=2) / n, np.ones(len(S_batch), bool)),
+    "exact": stacked_star(ExactO2()),
+    "grid": stacked_star(o2_equidistant(50)),
+}
+COLUMN_RUNNERS = {
+    "lbar": _batch_lbar,
+    "frame": _batch_identity_frame,
+    "exact": _batch_star(ExactO2()),
+    "grid": _batch_star(o2_equidistant(50)),
+}
+
+
+def stacked_risk_point(W, n, sigma, target, tags):
+    """One risk-grid point on (reps, 2, 2) stacks: the GEMM colouring, the
+    stacked estimators and the axis-sum KL loss; (mean, stderr, reps,
+    failures) per tag, then for the difference of the two."""
+    S_batch = gemm_color(W, sigma)
+    losses, valids = [], []
+    for tag in tags:
+        vals, valid = STACKED_RUNNERS[tag](S_batch, n)
+        ratio = vals / target
+        with np.errstate(invalid="ignore"):
+            losses.append(ratio.sum(axis=1) - np.log(ratio).sum(axis=1) - 2)
+        valids.append(valid)
+    cells = []
+    for loss, valid in [*zip(losses, valids), (losses[0] - losses[1], valids[0] & valids[1])]:
+        kept = loss[valid]
+        cells.append((kept.mean(), kept.std(ddof=1) / np.sqrt(kept.size), kept.size, len(W) - kept.size))
+    return cells
+
+
+def column_risk_point(W, n, sigma, target, tags):
+    w = np.stack((W[:, 0, 0], W[:, 1, 0], W[:, 1, 1]))
+    results, diff = _risk_point(w, n, sigma, target, [(tag, COLUMN_RUNNERS[tag]) for tag in tags])
+    return [(r.mean, r.stderr, r.reps, r.failures) for r in [*results.values(), diff]]
+
+
+class TestRiskPointColumns:
+    W = white_batch(2, 10, 3000, 7, "risk-point")
+
+    @pytest.mark.parametrize("tags", [("lbar", "frame"), ("lbar", "exact"), ("lbar", "grid")])
+    @pytest.mark.parametrize("lam", [(1.0, 0.3), (1.0, 0.96), (0.3, 1.0)])
+    def test_diagonal_sigma_is_the_stacked_pipeline_bit_for_bit(self, tags, lam):
+        # A diagonal Cholesky factor makes every product the columns drop an
+        # exact 0, so no cell may move.
+        sigma, target = np.diag(lam), np.array(lam)
+        want = stacked_risk_point(self.W, 10, sigma, target, tags)
+        assert column_risk_point(self.W, 10, sigma, target, tags) == want
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.4])
+    def test_rotated_sigma_is_the_stacked_pipeline_to_a_few_ulp(self, theta):
+        # The GEMMs may fuse multiply and add, the columns never do, so the
+        # cells agree only to rounding: within 4 ulp of the point's larger
+        # risk, the scale at which every loss is formed.
+        c, s = np.cos(theta), np.sin(theta)
+        R = np.array([[c, -s], [s, c]])
+        lam = np.array([1.0, 0.8])
+        sigma = (R * lam) @ R.T
+        for tags in [("lbar", "frame"), ("lbar", "exact")]:
+            want = stacked_risk_point(self.W, 10, sigma, lam, tags)
+            got = column_risk_point(self.W, 10, sigma, lam, tags)
+            scale = 4 * np.spacing(max(want[0][0], want[1][0]))
+            for g, w in zip(got, want):
+                assert g[2:] == w[2:]
+                assert abs(g[0] - w[0]) <= scale and abs(g[1] - w[1]) <= scale
 
 
 class TestMajorization:
