@@ -18,7 +18,7 @@ the frame diagonals diag(H^T L H) the integrand depends on, ``step(D,
 log_lam, n)`` one posterior step over the frame (the profile objective and
 the EM update), and the class flag ``symmetric`` says whether the integral
 is exactly symmetric under permuting the population eigenvalues, which
-sets the profile maximizer's starts.
+selects the profile maximizer (a trace-line root, or SQUAREM from starts).
 """
 
 from __future__ import annotations
@@ -190,9 +190,11 @@ class ExactO2:
         m, h = 0.5 * (D[:, 0] + D[:, 1]), 0.5 * (D[:, 0] - D[:, 1])
         b = 0.5 * h * (inv[:, 0] - inv[:, 1])
         log_i0, ratio = log_i0_and_ratio(np.abs(b))
-        objective = -0.5 * n * log_lam.sum(axis=1) - 0.5 * m * (inv[:, 0] + inv[:, 1]) + log_i0
+        objective = -0.5 * n * (log_lam[:, 0] + log_lam[:, 1]) - 0.5 * m * (inv[:, 0] + inv[:, 1]) + log_i0
         shift = h * np.copysign(ratio, b)
-        return objective, np.stack([m - shift, m + shift], axis=1) / n
+        update = np.empty((shift.size, 2))
+        update[:, 0], update[:, 1] = m - shift, m + shift
+        return objective, np.divide(update, n, out=update)
 
 
 def _check_dim(ensemble, eig_rows: np.ndarray) -> None:

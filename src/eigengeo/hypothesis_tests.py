@@ -7,10 +7,10 @@ frame integral is exact at p = 2 and a Haar quadrature above
 (``estimators.default_ensemble``), and a profile maximization over
 candidate population eigenvalues.  Treating the frame as missing data makes
 that maximization an EM iteration, lam <- E_post[diag(H^T L H)] / n (the
-integral's ``step`` on its ``diagonals``; see ``estimators``), run in log
-space from a few starts and accelerated by SQUAREM (Varadhan and Roland,
-Scand. J. Stat. 2008).  The integral's ``symmetric`` flag picks the starts;
-each maximum carries a gradient certificate or raises ``OptimizerFailure``.
+integral's ``step`` on its ``diagonals``; see ``estimators``).  Its flag
+``symmetric`` selects a root on the trace line or EM from a few starts,
+accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 2008); each
+maximum carries a gradient certificate or raises ``OptimizerFailure``.
 
 Critical values are calibrated by Monte-Carlo under the null (no
 asymptotic approximations), and powers come from fresh replication
@@ -150,58 +150,96 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
     """Batched sup over population eigenvalues of the profile objective
     -(n/2) sum(log lam) + log group-average exp(-diag-quadratic/2).
 
-    Returns the sup and its log-eigenvalue argmax per row.  Each start runs
-    SQUAREM-accelerated EM to a gradient certificate; the best end point per
-    row wins (the first start among equals).  An integral that is not
-    ``symmetric`` (a quadrature: only nearly symmetric under permuting lam,
-    and its modes reach different heights) starts from every ordering of
-    l/n, the mean, their midpoint in log space, and the null point.  A
-    ``symmetric`` one (``ExactO2``) needs only l/n and the mean: one EM step
-    takes the null point to the mean (which scores higher), and on the trace
-    line lam = m (1 +/- t) the EM map is increasing in t, so EM from l/n
-    climbs to the largest fixed point.
+    Returns the sup and its log-eigenvalue argmax per row: the best
+    certified candidate (the first among equals).  The ``symmetric`` flag
+    selects the search: the mean against the root ``_trace_line_root`` finds
+    (``ExactO2``), or, for a quadrature (only nearly symmetric, its modes
+    reaching different heights), SQUAREM-accelerated EM from every ordering
+    of l/n, the mean, their midpoint in log space, and the null point.
 
     When a row's starts span at least ROW_BATCH_TERMS log-weight terms
     (starts x nodes), they run one row at a time as the rows of one
     ``_squarem`` call against that row's shared (1, p, K) diagonal, and only
-    one row's diagonal is held.  Otherwise (``ExactO2``, small grids) each
-    start runs over all rows at once.
+    one row's diagonal is held.  Otherwise (small grids) each start runs
+    over all rows at once.
     """
     reps, p = eig_rows.shape
     log_l = np.log(eig_rows / n)
     mean_log = np.log(eig_rows.mean(axis=1) / n)[:, None]
     if ensemble.symmetric:
-        starts = [log_l, np.repeat(mean_log, p, axis=1)]
+        D, mean = ensemble.diagonals(eig_rows), np.repeat(mean_log, p, axis=1)
+        (f_mean, _), (f, update) = ensemble.step(D, mean, n), ensemble.step(D, log_l, n)
+        start_best, (x, f) = np.maximum(f, f_mean), _trace_line_root(D, log_l, f, update, n, ensemble)
+        best, argmax = np.where(f_mean > f, f_mean, f), np.where((f_mean > f)[:, None], mean, x)
     else:
         starts = [log_l[:, list(order)] for order in itertools.permutations(range(p))]
         starts += [np.repeat(mean_log, p, axis=1), 0.5 * (log_l + mean_log), np.zeros((reps, p))]
-    # Every EM image is a posterior mean of convex combinations of l/n, so
-    # the image, and with it the sup, lies in this box.
-    lo, hi = log_l.min(axis=1, keepdims=True), log_l.max(axis=1, keepdims=True)
-    best = np.full(reps, -np.inf)
-    start_best = np.full(reps, -np.inf)
-    argmax = np.zeros((reps, p))
-    if len(starts) * ensemble.size < ROW_BATCH_TERMS:
-        D = ensemble.diagonals(eig_rows)
-        for x in starts:
-            f, update = ensemble.step(D, x, n)
-            start_best = np.maximum(start_best, f)
-            x, f = _squarem(D, x, f, update, n, ensemble, lo, hi)
-            better = f > best
-            best[better] = f[better]
-            argmax[better] = x[better]
-    else:
-        starts = np.stack(starts, axis=1)
-        for r in range(reps):
-            D = ensemble.diagonals(eig_rows[r : r + 1])
-            f, update = ensemble.step(D, starts[r], n)
-            start_best[r] = f.max()
-            x, f = _squarem(D, starts[r], f, update, n, ensemble, lo[r : r + 1], hi[r : r + 1])
-            j = np.argmax(f)
-            best[r], argmax[r] = f[j], x[j]
+        # Every EM image is a posterior mean of convex combinations of l/n, so
+        # the image, and with it the sup, lies in this box.
+        lo, hi = log_l.min(axis=1, keepdims=True), log_l.max(axis=1, keepdims=True)
+        best = np.full(reps, -np.inf)
+        start_best = np.full(reps, -np.inf)
+        argmax = np.zeros((reps, p))
+        if len(starts) * ensemble.size < ROW_BATCH_TERMS:
+            D = ensemble.diagonals(eig_rows)
+            for x in starts:
+                f, update = ensemble.step(D, x, n)
+                start_best = np.maximum(start_best, f)
+                x, f = _squarem(D, x, f, update, n, ensemble, lo, hi)
+                better = f > best
+                best[better] = f[better]
+                argmax[better] = x[better]
+        else:
+            starts = np.stack(starts, axis=1)
+            for r in range(reps):
+                D = ensemble.diagonals(eig_rows[r : r + 1])
+                f, update = ensemble.step(D, starts[r], n)
+                start_best[r] = f.max()
+                x, f = _squarem(D, starts[r], f, update, n, ensemble, lo[r : r + 1], hi[r : r + 1])
+                j = np.argmax(f)
+                best[r], argmax[r] = f[j], x[j]
     if not np.all(np.isfinite(best)) or np.any(best < start_best - 1e-12):
         raise OptimizerFailure("profile maximization lost ground on its starts")
     return best, argmax
+
+
+def _trace_line_root(D, x, f, update, n, ensemble):
+    """Per row the largest fixed point t* of EM from l/n = exp(``x``)
+    (objective ``f``, EM map ``update``) for a ``symmetric`` integral: the
+    last iterate, which the mean outscores where t* = 0 shows.
+
+    On the trace line lam = m (1 + t, 1 - t) EM maps t to T(t) = (u_1 - u_2)
+    / (u_1 + u_2), increasing and below t at l/n.  Secant steps from l/n
+    stay in a bracket (EM images of iterates right of t*, iterates with
+    T(t) > t), else bisect it or, with no lower bound, take the EM step.
+    Checked numerically for n >= 2, T(t) > t on one interval ending at t*
+    (away from 0 below the knee sqrt(2/n) at n = 2, 3), and T is concave on
+    [t*, 1) if t* > 0: secant steps from the right stay right of t*, and one
+    to t <= 0 shows t* = 0.  Rows stop at two successive iterates certified
+    to GRAD_TOL or fail after 3 * MAX_CYCLES steps, as SQUAREM does.
+    """
+    # Iterates are w = 1 - t = lam_2 / m (precise at a tiny lam_2); w* is in [lo, hi).
+    log_m, w = np.log(0.5 * (update[:, 0] + update[:, 1])), 2.0 / (1.0 + np.exp(x[:, 0] - x[:, 1]))
+    lo, hi = 2.0 * update[:, 1] / (update[:, 0] + update[:, 1]), np.ones_like(w)
+    g, ok = w - lo, 0.5 * n * np.abs(update * np.exp(-x) - 1.0).max(axis=1) <= GRAD_TOL  # g = T(t) - t
+    x, f, active, w_prev, g_prev, ok_prev = x.copy(), f.copy(), np.arange(w.size), np.nan, np.nan, False
+    for step in range(3 * MAX_CYCLES + 1):
+        s = w - np.divide(g * (w - w_prev), g - g_prev, out=np.full_like(w, np.nan), where=g != g_prev)
+        keep = np.flatnonzero(~(ok & ok_prev) & ((hi < 1.0) | ~(s >= 1.0)))
+        active, D, log_m, w, g, s, lo, hi, ok = (v[keep] for v in (active, D, log_m, w, g, s, lo, hi, ok))
+        if active.size == 0 or step == 3 * MAX_CYCLES:
+            break
+        w_prev, g_prev, ok_prev = w, g, ok
+        w = np.where((s > lo) & (s < hi), s, np.where(hi < 1.0, 0.5 * (lo + hi), lo))
+        xs = log_m[:, None] + np.log(np.stack([2.0 - w, w], axis=1))
+        fs, us = ensemble.step(D, xs, n)
+        image = 2.0 * us[:, 1] / (us[:, 0] + us[:, 1])
+        g, ok = w - image, 0.5 * n * np.abs(us * np.exp(-xs) - 1.0).max(axis=1) <= GRAD_TOL
+        x[active], f[active] = xs, fs
+        lo, hi = np.where(g < 0.0, image, lo), np.where(g < 0.0, hi, w)
+    if active.size:
+        raise OptimizerFailure(f"trace line left {active.size} rows above the gradient tolerance {GRAD_TOL:g}")
+    return x, f
 
 
 def _squarem(D, x, f, update, n, ensemble, lo, hi):

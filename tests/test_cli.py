@@ -377,6 +377,12 @@ class TestExperimentCommand:
         else:
             assert seen["reps"] == reps
 
+    def test_fig3_at_n4_certifies_knee_rows(self, tmp_path):
+        # At n = 4 the EM map's root at the knee rho = sqrt(2/n) is 5-fold,
+        # and SQUAREM ran out of cycles on this stream (exit 3).
+        argv = ["experiment", "fig3", "--n", "4", "--reps", "10000", "--theta-count", "3", "--seed", "0"]
+        assert run(tmp_path, *argv) == 0
+
     def test_fig3_rerun_identical_bytes(self, tmp_path):
         argv = ["experiment", "fig3", "--reps", "1000", "--theta-count", "3", "--seed", "5"]
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -31,7 +31,8 @@ from eigengeo.hypothesis_tests import (
     figure3_alternative,
     figure3_thetas,
 )
-from eigengeo.wishart_sim import sample_batch
+from eigengeo.spd_manifold import descending_eigenvalues
+from eigengeo.wishart_sim import color_batch, sample_batch, white_batch
 from conftest import random_orthogonal
 
 
@@ -325,20 +326,89 @@ def exact_objective_on_trace_line(row, n, t):
 
 
 class TestExactProfile:
-    # The exact integral runs the profile search from two starts, l/n and
-    # the mean; every stationary point lies on the trace line, so a dense
-    # 1-D grid over its half t in [0, c] is an oracle for the sup.
+    # The exact integral's profile search is a root find on the trace line,
+    # whose end point competes with the mean; every stationary point lies on
+    # that line, so a dense 1-D grid over its half t in [0, c] is an oracle
+    # for the sup.
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 50, 1000])
     def test_two_start_sup_not_below_dense_trace_line(self, n):
         rng = np.random.default_rng(n)
         knee = np.sqrt(2.0 / n)  # where the mean turns from maximum to saddle
-        cs = np.concatenate([knee * np.array([0.9, 0.99, 1.01, 1.1, 1.5]), rng.uniform(0.01, 0.99, 25)])
+        # Rows at the knee itself, where the root is multiple (5-fold at n = 4).
+        at_knee = 1.0 + np.array([0.0, 1e-8, -1e-8, 1e-6, -1e-6, -1e-4, 1e-3, -1e-3])
+        cs = np.concatenate([knee * np.array([0.9, 0.99, 1.01, 1.1, 1.5]), knee * at_knee,
+                             rng.uniform(0.01, 0.99, 25)])
         cs = cs[cs < 0.999]
         rows = 10.0 * n * np.stack([1.0 + cs, 1.0 - cs], axis=1)
-        sup, _ = _profile_sup(rows, n, ExactO2())
+        sup, argmax = _profile_sup(rows, n, ExactO2())
         for row, c, best in zip(rows, cs, sup):
             oracle = exact_objective_on_trace_line(row, n, np.linspace(0.0, c, 20_001)).max()
             assert best >= oracle - 1e-10
+        _, update = ExactO2().step(rows, argmax, n)
+        assert np.all(0.5 * n * np.abs(update * np.exp(-argmax) - 1.0).max(axis=1) <= ht.GRAD_TOL)
+
+    def test_trace_line_facts(self):
+        # The two facts the trace-line search rests on, for the EM image
+        # T(t) read off ExactO2.step: T(t) > t on one interval that ends at
+        # the largest root t*, and T is concave on [t*, c] when t* > 0.
+        t = np.linspace(1e-4, 1.0 - 1e-4, 4001)
+        for n in [2, 3, 4, 5, 10, 50]:
+            for c in np.linspace(0.02, 0.99, 49):
+                rows = np.array([[1.0 + c, 1.0 - c]])
+                lam = np.stack([1.0 + t, 1.0 - t], axis=1) / n
+                _, u = ExactO2().step(rows, np.log(lam), n)
+                T = (u[:, 0] - u[:, 1]) / (u[:, 0] + u[:, 1])
+                above = T > t
+                assert np.count_nonzero(np.diff(above.astype(int)) == 1) + above[0] <= 1
+                if above.any():
+                    right = (t >= t[above].max()) & (t <= c)
+                    assert np.diff(T[right], 2).max(initial=0.0) <= 1e-12
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        calls = []
+        step = ExactO2.step
+
+        def counted(self, D, log_lam, n):
+            calls.append(D.shape[0])
+            return step(self, D, log_lam, n)
+
+        monkeypatch.setattr(ht, "MAX_CYCLES", 1)
+        monkeypatch.setattr(ExactO2, "step", counted)
+        eigs = wishart_eig_rows(2, 10, 20, 15)
+        with pytest.raises(OptimizerFailure, match="gradient tolerance"):
+            _profile_sup(eigs, 10, ExactO2())
+        # The mean, l/n, then the budget of 3 * MAX_CYCLES trace-line steps.
+        assert len(calls) == 2 + 3
+
+    def test_lost_ground_raises(self, monkeypatch):
+        calls = []
+
+        def sinking(D, x, f, update, n, ensemble):
+            calls.append((D.shape, x.shape))
+            return x, f - 1.0
+
+        monkeypatch.setattr(ht, "_trace_line_root", sinking)
+        # Well separated rows: l/n scores above the mean, so the sunk end
+        # point is below the starts.
+        rows = 100.0 * np.array([[1.8, 0.2], [1.5, 0.5], [1.9, 0.1]])
+        with pytest.raises(OptimizerFailure, match="lost ground"):
+            _profile_sup(rows, 10, ExactO2())
+        assert calls == [((3, 2), (3, 2))]
+
+    def test_step_rows_per_row_on_fig3_calibration(self, monkeypatch):
+        # A timer-free guard on the search's cost: posterior-step rows per
+        # row on fig3's null calibration stream (SQUAREM took 16.8).
+        rows = []
+        step = ExactO2.step
+
+        def counted(self, D, log_lam, n):
+            rows.append(log_lam.shape[0])
+            return step(self, D, log_lam, n)
+
+        monkeypatch.setattr(ExactO2, "step", counted)
+        W = white_batch(2, 10, 1000, 1, "h0-calibration")
+        _profile_sup(descending_eigenvalues(color_batch(W, np.eye(2))), 10, ExactO2())
+        assert sum(rows) <= 10 * 1000
 
     def test_sup_matches_grid_sup(self):
         eigs = wishart_eig_rows(2, 10, 40, 17)
