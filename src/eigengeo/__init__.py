@@ -37,6 +37,7 @@ from .fisher_geometry import (
     curvature_oracle_A,
     curvature_oracle_M,
     curvature_tensor_A,
+    curvature_tensor_A_fd,
     embedding_curvature_A,
     fd_tangent_lambda,
     fd_tangent_u,

@@ -41,8 +41,8 @@ from .estimators import (
 )
 from .fisher_geometry import (
     FD_TOLERANCE,
-    curvature_oracle_A,
     curvature_tensor_A,
+    curvature_tensor_A_fd,
     metric_spectral,
     metric_spectral_fd,
     statistical_curvature,
@@ -78,6 +78,8 @@ class CliNumericError(Exception):
 
 
 def _fmt(x) -> str:
+    if type(x) is float or type(x) is np.float64:
+        return "%.17g" % x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
@@ -108,8 +110,7 @@ def _write_manifest(out_dir: str, command: str, config: dict, seed, outputs: lis
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".manifest")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -189,6 +190,7 @@ def cmd_geometry(args) -> list[str]:
     gamma_a = statistical_curvature(lam)
     base = Spectrum(lam, np.eye(lam.size)) if check else None
     metric_fd = metric_spectral_fd(base) if check else None
+    tensor_fd = curvature_tensor_A_fd(base) if check else None
 
     header = ["kind", "a", "s", "t", "u", "v", "value"]
     if check:
@@ -217,7 +219,7 @@ def cmd_geometry(args) -> list[str]:
         row("metric_pair", "", s + 1, t + 1, "", "", metric.pair_diag[k],
             metric_fd.pair_diag[k] if check else None)
     for k, (s, t) in enumerate(index_pairs(p)):
-        oracles = curvature_oracle_A(base, (s, t), (s, t), range(p)) if check else [None] * p
+        oracles = tensor_fd.slabs[k] if check else [None] * p
         for a in range(p):
             row("curvature", a + 1, s + 1, t + 1, s + 1, t + 1,
                 tensor.slabs[k, a], oracles[a])

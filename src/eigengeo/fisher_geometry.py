@@ -250,11 +250,13 @@ def statistical_curvature(eigenvalues) -> float:
 # Finite-difference oracles.  These recompute metric and curvature from raw
 # coordinate derivatives and exist to validate the closed forms above.  Every
 # one differences the same map, the spectral chart ``spd_manifold._chart``,
-# with the one stencil ``_central``.
+# with the one stencil ``_central``, which sends all of its points to the
+# chart as one stack: each oracle family (the metric, the fixed-eigenvalue
+# curvature, one fixed-frame component) is one chart call per derivative.
 # ---------------------------------------------------------------------------
 
 
-def _steps(base: Spectrum, step: float, h: float | None) -> list[float]:
+def _steps(base: Spectrum, step: float, h: float | None) -> np.ndarray:
     """Step per chart coordinate at ``base``: h along every coordinate when
     given; otherwise ``step`` times max(1, lambda_max) along the eigenvalues
     and ``step`` itself along the rotation angles, whose scale does not
@@ -262,8 +264,8 @@ def _steps(base: Spectrum, step: float, h: float | None) -> list[float]:
     p = base.dim
     angles = p * (p - 1) // 2
     if h is not None:
-        return [h] * (p + angles)
-    return [step * max(1.0, float(base.eigenvalues[0]))] * p + [step] * angles
+        return np.full(p + angles, float(h))
+    return np.array([step * max(1.0, float(base.eigenvalues[0]))] * p + [step] * angles)
 
 
 def fd_tangent_lambda(base: Spectrum, a: int, h: float | None = None) -> SymTangent:
@@ -271,26 +273,41 @@ def fd_tangent_lambda(base: Spectrum, a: int, h: float | None = None) -> SymTang
     the covariance is linear in its eigenvalues at fixed frame)."""
     _check_index(a, base.dim)
     steps = _steps(base, FD_STEP_FIRST, h)
-    return SymTangent(_central(partial(_chart, base), _origin(base), steps, a))
+    return SymTangent(_central(partial(_chart, base), _origin(base), steps, [a])[0])
 
 
 def fd_tangent_u(base: Spectrum, pair, h: float | None = None) -> SymTangent:
     """Central-difference tangent along rotation pair (s, t) at u = 0."""
     k = base.dim + pair_offset(*pair, base.dim)
     steps = _steps(base, FD_STEP_FIRST, h)
-    return SymTangent(_central(partial(_chart, base), _origin(base), steps, k))
+    return SymTangent(_central(partial(_chart, base), _origin(base), steps, [k])[0])
 
 
 def metric_spectral_fd(base: Spectrum, h: float | None = None) -> SpectralMetric:
     """Full finite-difference metric pipeline: build every coordinate tangent
-    by differencing the coordinate map, then evaluate the covariance-entry
-    bilinear form on them."""
+    by differencing the coordinate map (the ``fd_tangent_lambda`` and
+    ``fd_tangent_u`` tangents, all 2(p + p(p-1)/2) points in one chart
+    call), then evaluate the covariance-entry bilinear form
+    ``metric_sigma(compose(base), t, t)`` on them with one batched solve."""
+    p = base.dim
     S = compose(base)
-    eigen_tangents = [fd_tangent_lambda(base, a, h) for a in range(base.dim)]
-    pair_tangents = [fd_tangent_u(base, pr, h) for pr in index_pairs(base.dim)]
-    eigen_diag = np.array([metric_sigma(S, t, t) for t in eigen_tangents])
-    pair_diag = np.array([metric_sigma(S, t, t) for t in pair_tangents])
-    return SpectralMetric(base.dim, eigen_diag, pair_diag)
+    steps = _steps(base, FD_STEP_FIRST, h)
+    T = _central(partial(_chart, base), _origin(base), steps, np.arange(steps.size))
+    X = np.linalg.solve(S.matrix, T)
+    diag = 0.5 * np.einsum("kij,kji->k", X, X)
+    return SpectralMetric(p, diag[:p], diag[p:])
+
+
+def curvature_tensor_A_fd(base: Spectrum, h: float | None = None) -> CurvatureTensor:
+    """Finite-difference twin of ``curvature_tensor_A``: every slab of
+    ``curvature_oracle_A`` at once, from the second differences along all
+    rotation coordinates (one stack of 2 p(p-1)/2 + 1 points with a shared
+    centre), each contracted with every eigenvalue direction a."""
+    p = base.dim
+    k = np.arange(p, p + p * (p - 1) // 2)
+    steps = _steps(base, FD_STEP_SECOND, h)
+    A = _central(partial(_chart, base), _origin(base), steps, k, k)
+    return CurvatureTensor(p, _contract_legs(base, A))
 
 
 def curvature_oracle_A(
@@ -316,13 +333,21 @@ def curvature_oracle_A(
     for b in legs:
         _check_index(b, p)
     steps = _steps(base, FD_STEP_SECOND, h)
-    A = _central(partial(_chart, base), _origin(base), steps, k1, k2)
-    values = []
-    for b in legs:
-        g_b = base.eigenvectors[:, b]
-        B = -np.outer(g_b, g_b) / base.eigenvalues[b] ** 2
-        values.append(-0.5 * float(np.sum(A * B.T)))
+    A = _central(partial(_chart, base), _origin(base), steps, [k1], [k2])
+    values = [float(v) for v in _contract_legs(base, A)[0, legs]]
     return values[0] if scalar else values
+
+
+def _contract_legs(base: Spectrum, A: np.ndarray) -> np.ndarray:
+    """-1/2 trace(A_k B_a) for each second derivative A_k of a (K, p, p)
+    stack and each eigenvalue direction a, with B_a = -lam_a^-2 g_a g_a^T:
+    a (K, p) array.  B is formed, not folded into (g_a^T A_k g_a) / (2
+    lam_a^2), which rounds differently: at a frame of unit vectors each
+    value is then the one product A_k[a, a] * B_a[a, a], as in a per-leg
+    trace."""
+    g = base.eigenvectors.T
+    B = -g[:, :, None] * g[:, None, :] / base.eigenvalues[:, None, None] ** 2
+    return -0.5 * np.einsum("kij,aij->ka", A, B)
 
 
 def curvature_oracle_M(
@@ -344,15 +369,15 @@ def curvature_oracle_M(
         raise ValueError(f"connection must be 'e' or 'm', got {connection!r}")
     steps = _steps(base, FD_STEP_SECOND, h)
 
-    def sigma(x: np.ndarray) -> np.ndarray:
-        return _chart(base, x)[_triu(p)]
+    def sigma(X: np.ndarray) -> np.ndarray:
+        return _chart(base, X)[(slice(None), *_triu(p))]
 
-    def theta(x: np.ndarray) -> np.ndarray:
-        return _natural_packed(_chart(base, x))
+    def theta(X: np.ndarray) -> np.ndarray:
+        return _natural_packed(_chart(base, X))
 
     second, first = (sigma, theta) if connection == "m" else (theta, sigma)
     x0 = _origin(base)
-    return float(np.dot(_central(second, x0, steps, a, b), _central(first, x0, steps, k)))
+    return float(np.dot(_central(second, x0, steps, [a], [b])[0], _central(first, x0, steps, [k])[0]))
 
 
 def _origin(base: Spectrum) -> np.ndarray:
@@ -360,22 +385,34 @@ def _origin(base: Spectrum) -> np.ndarray:
     return np.concatenate([base.eigenvalues, np.zeros(base.dim * (base.dim - 1) // 2)])
 
 
-def _central(fn, x0: np.ndarray, h: list[float], i: int, j: int | None = None) -> np.ndarray:
-    """Central difference of ``fn`` at ``x0`` with step h[k] along each
-    coordinate k: the first derivative along coordinate i, or the second
-    along i and j (three points when i == j, four otherwise)."""
+def _central(fn, x0: np.ndarray, h: np.ndarray, i, j=None) -> np.ndarray:
+    """Central differences of ``fn`` at ``x0`` with step h[k] along each
+    coordinate k, one per entry of the coordinate array i: the first
+    derivative along i[r], or the second along i[r] and j[r] (three points
+    when j equals i, all sharing one centre, and four otherwise).
+
+    ``fn`` maps an (m, n) stack of points to a stack of m values; the whole
+    stencil goes to it in one call, and the derivatives come back stacked
+    in the order of i.
+    """
+    i = np.asarray(i)
+    r = i.size
+    unit = np.eye(x0.size)
     hi = h[i]
-
-    def at(di: float, dj: float = 0.0) -> np.ndarray:
-        x = np.array(x0)
-        x[i] += di
-        if j is not None:
-            x[j] += dj
-        return fn(x)
-
+    di = hi[:, None] * unit[i]
     if j is None:
-        return (at(hi) - at(-hi)) / (2.0 * hi)
+        y = fn(x0 + np.concatenate([di, -di]))
+        return (y[:r] - y[r:]) / _per_row(2.0 * hi, y)
+    j = np.asarray(j)
+    if np.array_equal(i, j):
+        y = fn(x0 + np.concatenate([di, np.zeros((1, x0.size)), -di]))
+        return (y[:r] - 2.0 * y[r] + y[r + 1 :]) / _per_row(hi**2, y)
     hj = h[j]
-    if i == j:
-        return (at(hi) - 2.0 * at(0.0) + at(-hi)) / hi**2
-    return (at(hi, hj) - at(hi, -hj) - at(-hi, hj) + at(-hi, -hj)) / (4.0 * hi * hj)
+    dj = hj[:, None] * unit[j]
+    y = fn(x0 + np.concatenate([di + dj, di - dj, -di + dj, -di - dj]))
+    return (y[:r] - y[r : 2 * r] - y[2 * r : 3 * r] + y[3 * r :]) / _per_row(4.0 * hi * hj, y)
+
+
+def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """v shaped to divide a slice of the stack ``like`` row by row."""
+    return v.reshape(v.shape + (1,) * (like.ndim - 1))

@@ -180,15 +180,20 @@ def _checked_stack(m: np.ndarray):
     """
     # Each check looks only at the slices before the first refusal found so
     # far, so the refusal returned is the first slice's, and no check runs
-    # on a slice an earlier check refused.
+    # on a slice an earlier check refused.  The only full-size temporaries
+    # are sym and m - sym: max |entry| is max(max, -min), and |m - sym| is
+    # taken in place and dropped before the decomposition.
     fault = None
-    scale = np.abs(m).max(axis=(1, 2))
+    scale = np.maximum(m.max(axis=(1, 2)), -m.min(axis=(1, 2)))
     finite = np.isfinite(scale)
     if not finite.all():
         r = int(np.argmin(finite))
         fault, m, scale = (r, _NON_FINITE), m[:r], scale[:r]
-    sym = 0.5 * (m + m.swapaxes(1, 2))
-    asym = np.abs(m - sym).max(axis=(1, 2)) > SYMMETRY_TOLERANCE * np.maximum(1.0, scale)
+    sym = m + m.swapaxes(1, 2)
+    sym *= 0.5
+    dev = m - sym
+    asym = np.abs(dev, out=dev).max(axis=(1, 2)) > SYMMETRY_TOLERANCE * np.maximum(1.0, scale)
+    del dev
     if asym.any():
         r = int(np.argmax(asym))
         fault, sym = (r, _ASYMMETRIC), sym[:r]
@@ -225,8 +230,8 @@ class SpdMatrix:
     ``SpdMatrix.stack`` on a whole stack at once.  Every public constructor
     of a covariance and every CLI matrix file goes through it.  The
     finite-difference stencil points of ``fisher_geometry`` do not: they
-    are ``_chart`` values at a validated ``Spectrum``, symmetric by
-    construction.
+    are rows of one stacked ``_chart`` call at a validated ``Spectrum``,
+    symmetric by construction.
     """
 
     matrix: np.ndarray
@@ -414,24 +419,52 @@ def spectral_decompose(S) -> Spectrum:
 
 def compose(sp: Spectrum) -> SpdMatrix:
     """Rebuild the covariance from a Spectrum: frame @ diag(eigs) @ frame.T."""
-    return SpdMatrix(_chart(sp, sp.eigenvalues))
+    return SpdMatrix(_chart(sp, sp.eigenvalues[None])[0])
 
 
-def _chart(base: Spectrum, x: np.ndarray) -> np.ndarray:
-    """The spectral chart at x = (eigenvalues, rotation coordinates): the
-    symmetrized O @ diag(x[:p]) @ O.T with O = frame @ exp_skew(x[p:]).
+def _chart(base: Spectrum, X: np.ndarray) -> np.ndarray:
+    """The spectral chart on an (m, n) stack of coordinates, one (p, p)
+    matrix per row: the symmetrized O @ diag(x[:p]) @ O.T with
+    O = frame @ exp_skew(x[p:]).
 
-    x holds p eigenvalues, then p(p-1)/2 rotation coordinates or none.  At
-    zero rotation O is ``base.eigenvectors`` (exp_skew of zero is exactly I),
-    and one moved coordinate gives exp_skew's plane rotation.  Nothing is
-    validated: callers returning a covariance wrap it in ``SpdMatrix``.
+    Each row holds p eigenvalues, then p(p-1)/2 rotation coordinates or
+    none.  A row with zero rotation uses ``base.eigenvectors`` as it is
+    (exp_skew of zero is exactly I); a row that moves one rotation
+    coordinate rotates two columns of the frame (``_rotate_planes``, the
+    plane rotation exp_skew gives); the rows that move more go through
+    ``_expm_skew`` together.  Nothing is validated: callers returning a
+    covariance wrap a row in ``SpdMatrix``.
     """
     p = base.dim
-    O = base.eigenvectors
-    if x[p:].any():
-        O = O @ exp_skew(SkewParams(p, x[p:]))
-    m = (O * x[:p]) @ O.T
-    return 0.5 * (m + m.T)
+    F = base.eigenvectors
+    U = X[:, p:]
+    moved = U != 0.0
+    count = moved.sum(axis=1)
+    O = np.repeat(F[None], len(X), axis=0)
+    one = np.flatnonzero(count == 1)
+    if one.size:
+        k = moved[one].argmax(axis=1)
+        s, t = (ix[k] for ix in _triu(p, 1))
+        _rotate_planes(O, one, s, t, U[one, k])
+    many = np.flatnonzero(count > 1)
+    if many.size:
+        W = np.zeros((many.size, p, p))
+        W[(slice(None), *_triu(p, 1))] = U[many]
+        O[many] = F @ _expm_skew(W - W.swapaxes(1, 2))
+    m = (O * X[:, None, :p]) @ O.swapaxes(1, 2)
+    return 0.5 * (m + m.swapaxes(1, 2))
+
+
+def _rotate_planes(O: np.ndarray, rows, s, t, theta) -> None:
+    """In place, O[r] @ the plane rotation by theta on pair (s, t), for each
+    (r, s, t, theta) of the equal-length arrays: only columns s and t of
+    O[r] change, to cos * col_s - sin * col_t and sin * col_s + cos * col_t.
+    (``exp_skew`` writes its four entries directly instead: on the identity
+    this update gives the same values but not always the same signed zeros.)"""
+    c, sn = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    cs, ct = O[rows, :, s], O[rows, :, t]
+    O[rows, :, s] = c * cs - sn * ct
+    O[rows, :, t] = sn * cs + c * ct
 
 
 def exp_skew(u: SkewParams) -> np.ndarray:
@@ -452,8 +485,9 @@ def exp_skew(u: SkewParams) -> np.ndarray:
 
 def _expm_skew(U: np.ndarray) -> np.ndarray:
     # 1j U is Hermitian: with 1j U = V diag(w) V^H, exp(U) = V diag(e^-iw) V^H.
+    # U may be a stack of skew matrices.
     w, V = np.linalg.eigh(1j * U)
-    return ((V * np.exp(-1j * w)) @ V.conj().T).real
+    return ((V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)).real
 
 
 def sigma_of_coords(base: Spectrum, u: SkewParams) -> SpdMatrix:
@@ -467,7 +501,7 @@ def sigma_of_coords(base: Spectrum, u: SkewParams) -> SpdMatrix:
         raise DimensionMismatch(
             f"skew coords dim {u.dim} does not match spectrum dim {base.dim}"
         )
-    return SpdMatrix(_chart(base, np.concatenate([base.eigenvalues, u.coords])))
+    return SpdMatrix(_chart(base, np.concatenate([base.eigenvalues, u.coords])[None])[0])
 
 
 def to_natural(S) -> NaturalCoords:
@@ -477,12 +511,13 @@ def to_natural(S) -> NaturalCoords:
 
 
 def _natural_packed(cov: np.ndarray) -> np.ndarray:
-    """``to_natural(cov).theta`` for a symmetric covariance, unvalidated."""
+    """``to_natural(cov).theta`` for a symmetric covariance, or one row per
+    matrix of a stack of them, unvalidated."""
     prec = np.linalg.inv(cov)
-    prec = 0.5 * (prec + prec.T)
-    rows, cols = _triu(cov.shape[0])
-    packed = -prec[rows, cols]
-    packed[rows == cols] *= 0.5
+    prec = 0.5 * (prec + prec.swapaxes(-1, -2))
+    rows, cols = _triu(cov.shape[-1])
+    packed = -prec[..., rows, cols]
+    packed[..., rows == cols] *= 0.5
     return packed
 
 

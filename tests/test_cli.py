@@ -76,6 +76,14 @@ class TestGeometryCommand:
             want = curvature_oracle_A(base, pair, pair, int(r["a"]) - 1)
             assert float(r["oracle"]) == want
 
+    def test_check_fd_rerun_identical_bytes(self, tmp_path, capsys):
+        argv = ["geometry", "--lambda", "6,5,4,3,2,1", "--check-fd"]
+        assert run(tmp_path / "a", *argv) == 0
+        assert run(tmp_path / "b", *argv) == 0
+        assert "warning" not in capsys.readouterr().err
+        first, second = (tmp_path / d / "geometry.csv" for d in ("a", "b"))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_tied_eigenvalues_exit_2(self, tmp_path):
         assert run(tmp_path, "geometry", "--lambda", "1,1") == 2
 
@@ -85,6 +93,25 @@ class TestGeometryCommand:
         assert manifest["command"] == "geometry"
         assert manifest["outputs"] == ["geometry.csv"]
         assert "library_version" in manifest
+
+
+def test_fmt_is_the_isinstance_chain():
+    def old_fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (float, np.floating)):
+            return f"{float(x):.17g}"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return str(x)
+
+    floats = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
+              123456789.123456789, float("inf"), float("-inf"), float("nan")]
+    values = [*floats, *map(np.float64, floats), np.float32(0.1), np.float16(-3.5),
+              np.longdouble(0.1), 0, -7, 2**70, np.int64(-3), np.uint8(200), True, False,
+              np.True_, np.False_, "", "metric_eigen", "1.5"]
+    for v in values:
+        assert cli._fmt(v) == old_fmt(v), repr(v)
 
 
 class TestInfoLossCommand:

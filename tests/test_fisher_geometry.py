@@ -13,8 +13,10 @@ from eigengeo import (
     curvature_oracle_A,
     curvature_oracle_M,
     curvature_tensor_A,
+    curvature_tensor_A_fd,
     embedding_curvature_A,
     cli,
+    fisher_geometry,
     fd_tangent_lambda,
     fd_tangent_u,
     index_pairs,
@@ -283,15 +285,30 @@ class TestEmbeddingCurvature:
         assert built == [4]
 
     @pytest.fixture
-    def exp_skew_calls(self, monkeypatch):
+    def chart_rows(self, monkeypatch):
+        # Rows per chart call, from both modules that call the chart.
         calls = []
-        exp_skew = spd_manifold.exp_skew
+        chart = spd_manifold._chart
 
-        def spy(u):
-            calls.append(u.dim)
-            return exp_skew(u)
+        def spy(base, X):
+            calls.append(len(X))
+            return chart(base, X)
 
-        monkeypatch.setattr(spd_manifold, "exp_skew", spy)
+        monkeypatch.setattr(spd_manifold, "_chart", spy)
+        monkeypatch.setattr(fisher_geometry, "_chart", spy)
+        return calls
+
+    @pytest.fixture
+    def plane_rotations(self, monkeypatch):
+        # Frames rotated in one plane, per call.
+        calls = []
+        rotate = spd_manifold._rotate_planes
+
+        def spy(O, rows, s, t, theta):
+            calls.append(len(rows))
+            return rotate(O, rows, s, t, theta)
+
+        monkeypatch.setattr(spd_manifold, "_rotate_planes", spy)
         return calls
 
     @pytest.fixture
@@ -300,34 +317,63 @@ class TestEmbeddingCurvature:
         expm_skew = spd_manifold._expm_skew
 
         def spy(U):
-            calls.append(U.shape[0])
+            calls.append(U.shape)
             return expm_skew(U)
 
         monkeypatch.setattr(spd_manifold, "_expm_skew", spy)
         return calls
 
-    def test_check_fd_builds_no_exponential_at_zero_rotation(self, exp_skew_calls, general_path_calls, tmp_path):
-        # p = 6: 15 rotation tangents of two points each, and 15 curvature
-        # stencils of three points each, whose centre has zero rotation.
-        # The eigenvalue tangents have zero rotation throughout.  Every
-        # other point moves one rotation coordinate, so its exponential is
-        # the closed-form plane rotation, never the general path.
+    def test_check_fd_builds_no_exponential_at_zero_rotation(
+        self, chart_rows, plane_rotations, general_path_calls, tmp_path
+    ):
+        # p = 6, 15 pairs.  The metric is one chart call of 2 (6 + 15)
+        # points, after compose(base); the curvature is one call of 15 * 2
+        # points and a shared centre.  The eigenvalue tangents and the
+        # centre have zero rotation.  Every other point moves one rotation
+        # coordinate, so its frame is a plane rotation, never the general
+        # path: 15 * 2 in each family.
         argv = ["geometry", "--lambda", "6,5,4,3,2,1", "--check-fd", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
-        assert len(exp_skew_calls) == 15 * 2 + 15 * 2
+        assert chart_rows == [1, 2 * (6 + 15), 15 * 2 + 1]
+        assert plane_rotations == [15 * 2, 15 * 2]
         assert general_path_calls == []
 
     def test_two_coordinate_stencil_takes_the_general_path(self, rng, general_path_calls):
-        # A distinct-pair stencil moves two rotation coordinates at once.
+        # A distinct-pair stencil moves two rotation coordinates at once in
+        # each of its four points, which go to the general path together.
         curvature_oracle_A(random_spectrum(rng, 4), (0, 1), (2, 3), 0)
-        assert general_path_calls == [4] * 4
+        assert general_path_calls == [(4, 4, 4)]
 
     @pytest.mark.parametrize("connection", ["e", "m"])
     @pytest.mark.parametrize("a, b", [(1, 1), (1, 4)])
-    def test_fixed_frame_oracle_builds_two_exponentials(self, rng, exp_skew_calls, connection, a, b):
-        # Only the rotation derivative leaves zero rotation.
+    def test_fixed_frame_oracle_builds_two_exponentials(
+        self, rng, chart_rows, plane_rotations, general_path_calls, connection, a, b
+    ):
+        # Only the rotation derivative leaves zero rotation: one chart call
+        # for the eigenvalue second difference (3 or 4 points), one for the
+        # rotation first difference, whose two points are plane rotations.
         curvature_oracle_M(random_spectrum(rng, 6), a, b, (2, 5), connection)
-        assert exp_skew_calls == [6, 6]
+        assert chart_rows == [3 if a == b else 4, 2]
+        assert plane_rotations == [2]
+        assert general_path_calls == []
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_fd_tensor_slabs_are_the_oracle(self, rng, p):
+        base = random_spectrum(rng, p)
+        tensor = curvature_tensor_A_fd(base)
+        for k, pr in enumerate(index_pairs(p)):
+            want = curvature_oracle_A(base, pr, pr, range(p))
+            assert tensor.slabs[k].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_fd_metric_is_the_sigma_form_on_fd_tangents(self, rng, p):
+        base = random_spectrum(rng, p)
+        S = compose(base)
+        fd = metric_spectral_fd(base)
+        want = [metric_sigma(S, t, t) for t in (fd_tangent_lambda(base, a) for a in range(p))]
+        want += [metric_sigma(S, t, t) for t in (fd_tangent_u(base, pr) for pr in index_pairs(p))]
+        got = np.concatenate([fd.eigen_diag, fd.pair_diag])
+        assert np.abs(got / np.array(want) - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("lam", [(4.0, 0.2), (6.0, 5.0, 4.0, 3.0, 2.0, 1.0)])
     def test_oracle_deviation_is_scale_invariant(self, lam):

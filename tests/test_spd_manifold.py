@@ -26,7 +26,7 @@ from eigengeo import (
     to_natural,
 )
 from eigengeo.estimators import ExactO2
-from eigengeo.spd_manifold import descending_eigenvalues, separated_rows
+from eigengeo.spd_manifold import _chart, descending_eigenvalues, separated_rows
 from eigengeo.wishart_sim import _batch_lbar, _batch_star, sample_batch
 from conftest import random_orthogonal, random_spd, rotation
 
@@ -404,6 +404,34 @@ class TestSigmaOfCoords:
             eigs = np.linalg.eigvalsh(sigma_of_coords(sp, u).matrix)[::-1]
             rel = np.abs(eigs - sp.eigenvalues) / sp.eigenvalues
             assert rel.max() < 1e-10
+
+
+class TestChart:
+    def test_stacked_rows_are_the_per_point_chart(self, rng):
+        # One stacked call against exp_skew and a 2-D product per point:
+        # rows with zero rotation (the same bits), one moved coordinate (two
+        # frame columns rotated in place) and two moved coordinates (the
+        # general path), on a random frame.
+        def per_point(base, x):
+            O = base.eigenvectors @ exp_skew(SkewParams(base.dim, x[base.dim:]))
+            m = (O * x[: base.dim]) @ O.T
+            return 0.5 * (m + m.T)
+
+        for p in (2, 3, 4, 6):
+            base = Spectrum(np.linspace(5.0, 1.0, p), random_orthogonal(rng, p))
+            n_pairs = p * (p - 1) // 2
+            X = np.tile(np.concatenate([base.eigenvalues, np.zeros(n_pairs)]), (3 + 2 * n_pairs, 1))
+            X[1, :p] *= 1.1
+            for k in range(n_pairs):
+                X[2 + k, p + k] = 1e-3 * (k + 1)
+                X[2 + n_pairs + k, p + k] = -2.5
+            X[-1, p:] = rng.uniform(-1.5, 1.5, n_pairs)
+            X[-1, p] = 0.3
+            for x, got in zip(X, _chart(base, X)):
+                want = per_point(base, x)
+                if not x[p:].any():
+                    assert got.tobytes() == want.tobytes()
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestNaturalCoords:
