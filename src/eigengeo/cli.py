@@ -78,12 +78,10 @@ class CliNumericError(Exception):
 
 
 def _fmt(x) -> str:
-    if type(x) is float or type(x) is np.float64:
+    if isinstance(x, (float, np.floating)):
         return "%.17g" % x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return str(x)
