@@ -29,7 +29,6 @@ from .spd_manifold import (
     as_spd,
     check_eigenvalue_gaps,
     compose,
-    index_pairs,
     pair_offset,
 )
 
@@ -83,7 +82,7 @@ class SpectralMetric:
         u = np.asarray(self.pair_diag, dtype=float)
         if e.shape != (self.dim,) or u.shape != (self.dim * (self.dim - 1) // 2,):
             raise DimensionMismatch("metric component shapes do not match dim")
-        if np.any(e <= 0.0) or np.any(u <= 0.0):
+        if not ((e > 0.0).all() and (u > 0.0).all()):  # NaN too
             raise ValueError("metric components must be positive")
         e.setflags(write=False)
         u.setflags(write=False)
@@ -167,12 +166,8 @@ def metric_spectral(eigenvalues) -> SpectralMetric:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     check_eigenvalue_gaps(lam, "metric_spectral")
-    eigen_diag = 0.5 / lam**2
-    pairs = index_pairs(lam.size)
-    pair_diag = np.array(
-        [(lam[s] - lam[t]) ** 2 / (lam[s] * lam[t]) for s, t in pairs]
-    )
-    return SpectralMetric(lam.size, eigen_diag, pair_diag)
+    s, t = _triu(lam.size, 1)
+    return SpectralMetric(lam.size, 0.5 / lam**2, (lam[s] - lam[t]) ** 2 / (lam[s] * lam[t]))
 
 
 def inverse_metric_eigen(eigenvalues) -> np.ndarray:
@@ -190,9 +185,8 @@ def inverse_metric_pair(eigenvalues) -> np.ndarray:
     lam_s lam_t / (lam_s - lam_t)^2, ordered like ``index_pairs``."""
     lam = np.asarray(eigenvalues, dtype=float)
     check_eigenvalue_gaps(lam, "inverse_metric_pair")
-    return np.array(
-        [lam[s] * lam[t] / (lam[s] - lam[t]) ** 2 for s, t in index_pairs(lam.size)]
-    )
+    s, t = _triu(lam.size, 1)
+    return lam[s] * lam[t] / (lam[s] - lam[t]) ** 2
 
 
 def embedding_curvature_A(eigenvalues, pair1, pair2, a: int) -> float:
@@ -214,20 +208,22 @@ def raised_curvature(eigenvalues, pair1, pair2) -> np.ndarray:
     2(lam_s - lam_t) at a = t; distinct pairs give the zero vector.
     """
     lam = np.asarray(eigenvalues, dtype=float)
+    slabs = curvature_tensor_A(lam).slabs
     k = pair_offset(*pair1, lam.size)
     if pair_offset(*pair2, lam.size) != k:
         return np.zeros(lam.size)
-    return curvature_tensor_A(lam).slabs[k] * inverse_metric_eigen(lam)
+    return slabs[k] * inverse_metric_eigen(lam)
 
 
 def curvature_tensor_A(eigenvalues) -> CurvatureTensor:
     """All nonzero embedding-curvature components, packed per pair slab."""
     lam = np.asarray(eigenvalues, dtype=float)
-    pairs = index_pairs(lam.size)
-    slabs = np.zeros((len(pairs), lam.size))
-    for k, (s, t) in enumerate(pairs):
-        slabs[k, s] = (lam[t] - lam[s]) / lam[s] ** 2
-        slabs[k, t] = (lam[s] - lam[t]) / lam[t] ** 2
+    check_eigenvalue_gaps(lam, "curvature_tensor_A")
+    s, t = _triu(lam.size, 1)
+    k = np.arange(s.size)
+    slabs = np.zeros((s.size, lam.size))
+    slabs[k, s] = (lam[t] - lam[s]) / lam[s] ** 2
+    slabs[k, t] = (lam[s] - lam[t]) / lam[t] ** 2
     return CurvatureTensor(lam.size, slabs)
 
 
@@ -240,10 +236,8 @@ def statistical_curvature(eigenvalues) -> float:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     check_eigenvalue_gaps(lam, "statistical_curvature")
-    total = 0.0
-    for a, b in index_pairs(lam.size):
-        total += (lam[a] ** 2 + lam[b] ** 2) / (lam[a] - lam[b]) ** 2
-    return 2.0 * total
+    a, b = _triu(lam.size, 1)
+    return 2.0 * float(((lam[a] ** 2 + lam[b] ** 2) / (lam[a] - lam[b]) ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +254,12 @@ def _steps(base: Spectrum, step: float, h: float | None) -> np.ndarray:
     """Step per chart coordinate at ``base``: h along every coordinate when
     given; otherwise ``step`` times max(1, lambda_max) along the eigenvalues
     and ``step`` itself along the rotation angles, whose scale does not
-    grow with the eigenvalues'."""
+    grow with the eigenvalues'.  A given h must be finite and > 0."""
     p = base.dim
     angles = p * (p - 1) // 2
     if h is not None:
+        if not 0.0 < float(h) < np.inf:  # NaN too
+            raise ValueError(f"finite-difference step h must be finite and > 0, got {h}")
         return np.full(p + angles, float(h))
     return np.array([step * max(1.0, float(base.eigenvalues[0]))] * p + [step] * angles)
 
@@ -299,10 +295,11 @@ def metric_spectral_fd(base: Spectrum, h: float | None = None) -> SpectralMetric
 
 
 def curvature_tensor_A_fd(base: Spectrum, h: float | None = None) -> CurvatureTensor:
-    """Finite-difference twin of ``curvature_tensor_A``: every slab of
-    ``curvature_oracle_A`` at once, from the second differences along all
-    rotation coordinates (one stack of 2 p(p-1)/2 + 1 points with a shared
-    centre), each contracted with every eigenvalue direction a."""
+    """Finite-difference twin of ``curvature_tensor_A``: every coincident-
+    pair value of ``curvature_oracle_A`` at once, from the second
+    differences along all rotation coordinates (one stack of 2 p(p-1)/2 + 1
+    points with a shared centre), each contracted with every eigenvalue
+    direction a."""
     p = base.dim
     k = np.arange(p, p + p * (p - 1) // 2)
     steps = _steps(base, FD_STEP_SECOND, h)
@@ -310,32 +307,21 @@ def curvature_tensor_A_fd(base: Spectrum, h: float | None = None) -> CurvatureTe
     return CurvatureTensor(p, _contract_legs(base, A))
 
 
-def curvature_oracle_A(
-    base: Spectrum, pair1, pair2, a, h: float | None = None
-) -> float | list[float]:
+def curvature_oracle_A(base: Spectrum, pair1, pair2, a: int, h: float | None = None) -> float:
     """Finite-difference oracle for ``embedding_curvature_A``.
 
     Differentiates the coordinate map twice along the rotation directions,
     then contracts -1/2 * trace with the eigenvalue derivative of the
     precision matrix (-lam_a^-2 g_a g_a^T).  Independent of the closed form
     and, like it, independent of the frame.
-
-    ``a`` is one eigenvalue index (the result is a float) or a sequence of
-    them (the result is a list of floats, one per entry, each the same bits
-    as the scalar call).  The sequence form builds the rotation stencil
-    once, since only the final contraction depends on ``a``.
     """
     p = base.dim
     k1 = p + pair_offset(*pair1, p)
     k2 = p + pair_offset(*pair2, p)
-    scalar = np.ndim(a) == 0
-    legs = [a] if scalar else list(a)
-    for b in legs:
-        _check_index(b, p)
+    _check_index(a, p)
     steps = _steps(base, FD_STEP_SECOND, h)
     A = _central(partial(_chart, base), _origin(base), steps, [k1], [k2])
-    values = [float(v) for v in _contract_legs(base, A)[0, legs]]
-    return values[0] if scalar else values
+    return float(_contract_legs(base, A)[0, a])
 
 
 def _contract_legs(base: Spectrum, A: np.ndarray) -> np.ndarray:

@@ -84,7 +84,6 @@ def loss_contraction(eigenvalues) -> LossMatrix:
     Must agree with ``loss_first_order`` to near machine precision.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    check_eigenvalue_gaps(lam, "loss_contraction")
     slabs = curvature_tensor_A(lam).slabs
     return LossMatrix(0.5 * (slabs.T * inverse_metric_pair(lam) ** 2) @ slabs)
 

@@ -39,11 +39,6 @@ SYMMETRY_TOLERANCE = 1e-9
 ORTHOGONALITY_TOLERANCE = 1e-10
 
 
-def index_pairs(p: int) -> list[tuple[int, int]]:
-    """All index pairs (s, t) with s < t, in row-major (flattened) order."""
-    return [(s, t) for s in range(p - 1) for t in range(s + 1, p)]
-
-
 @cache
 def _triu(p: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """``numpy.triu_indices(p, k)``, built once per (p, k) and read-only."""
@@ -51,6 +46,12 @@ def _triu(p: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
+
+
+def index_pairs(p: int) -> list[tuple[int, int]]:
+    """All index pairs (s, t) with s < t, in row-major (flattened) order."""
+    s, t = _triu(p, 1)
+    return list(zip(s.tolist(), t.tolist()))
 
 
 def pair_offset(s: int, t: int, p: int) -> int:
@@ -428,19 +429,26 @@ def _chart(base: Spectrum, X: np.ndarray) -> np.ndarray:
     O = frame @ exp_skew(x[p:]).
 
     Each row holds p eigenvalues, then p(p-1)/2 rotation coordinates or
-    none.  A row with zero rotation uses ``base.eigenvectors`` as it is
-    (exp_skew of zero is exactly I); a row that moves one rotation
-    coordinate rotates two columns of the frame (``_rotate_planes``, the
-    plane rotation exp_skew gives); the rows that move more go through
-    ``_expm_skew`` together.  Nothing is validated: callers returning a
-    covariance wrap a row in ``SpdMatrix``.
+    none; the frames are ``_rotated_frames``.  Nothing is validated:
+    callers returning a covariance wrap a row in ``SpdMatrix``.
     """
     p = base.dim
-    F = base.eigenvectors
-    U = X[:, p:]
+    O = _rotated_frames(base.eigenvectors, X[:, p:])
+    m = (O * X[:, None, :p]) @ O.swapaxes(1, 2)
+    return 0.5 * (m + m.swapaxes(1, 2))
+
+
+def _rotated_frames(F: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """F @ exp(U) for each row of an (m, p(p-1)/2) stack U of rotation
+    coordinates (or an (m, 0) stack, read as zero rotation): a (m, p, p)
+    stack.  A row with zero rotation is F as it is (exp of zero is exactly
+    I); a row that moves one coordinate rotates two columns of F
+    (``_rotate_planes``); the rows that move more go through
+    ``_expm_skew`` together."""
+    p = F.shape[0]
     moved = U != 0.0
     count = moved.sum(axis=1)
-    O = np.repeat(F[None], len(X), axis=0)
+    O = np.repeat(F[None], len(U), axis=0)
     one = np.flatnonzero(count == 1)
     if one.size:
         k = moved[one].argmax(axis=1)
@@ -451,16 +459,13 @@ def _chart(base: Spectrum, X: np.ndarray) -> np.ndarray:
         W = np.zeros((many.size, p, p))
         W[(slice(None), *_triu(p, 1))] = U[many]
         O[many] = F @ _expm_skew(W - W.swapaxes(1, 2))
-    m = (O * X[:, None, :p]) @ O.swapaxes(1, 2)
-    return 0.5 * (m + m.swapaxes(1, 2))
+    return O
 
 
 def _rotate_planes(O: np.ndarray, rows, s, t, theta) -> None:
     """In place, O[r] @ the plane rotation by theta on pair (s, t), for each
     (r, s, t, theta) of the equal-length arrays: only columns s and t of
-    O[r] change, to cos * col_s - sin * col_t and sin * col_s + cos * col_t.
-    (``exp_skew`` writes its four entries directly instead: on the identity
-    this update gives the same values but not always the same signed zeros.)"""
+    O[r] change, to cos * col_s - sin * col_t and sin * col_s + cos * col_t."""
     c, sn = np.cos(theta)[:, None], np.sin(theta)[:, None]
     cs, ct = O[rows, :, s], O[rows, :, t]
     O[rows, :, s] = c * cs - sn * ct
@@ -469,18 +474,10 @@ def _rotate_planes(O: np.ndarray, rows, s, t, theta) -> None:
 
 def exp_skew(u: SkewParams) -> np.ndarray:
     """Matrix exponential of the skew matrix built from ``u``, orthogonal to
-    rounding at any angle: the closed-form plane rotation when at most one
-    coordinate is non-zero, else read off an eigendecomposition."""
-    hit = np.flatnonzero(u.coords)
-    if hit.size > 1:
-        return _expm_skew(u.to_matrix())
-    O = np.eye(u.dim)
-    if u.dim > 1:
-        k = hit[0] if hit.size else 0
-        s, t = (ix[k] for ix in _triu(u.dim, 1))
-        c, sn = np.cos(u.coords[k]), np.sin(u.coords[k])
-        O[s, s], O[s, t], O[t, s], O[t, t] = c, sn, -sn, c
-    return O
+    rounding at any angle: the chart's frame (``_rotated_frames``) on the
+    identity, so exactly I at zero, the plane rotation when one coordinate
+    is non-zero, else read off an eigendecomposition."""
+    return _rotated_frames(np.eye(u.dim), u.coords[None])[0]
 
 
 def _expm_skew(U: np.ndarray) -> np.ndarray:

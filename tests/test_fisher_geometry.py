@@ -6,7 +6,9 @@ from eigengeo import (
     DimensionMismatch,
     IndexOutOfRange,
     NearDegenerateSpectrum,
+    NotPositiveDefinite,
     SpdMatrix,
+    SpectralMetric,
     Spectrum,
     SymTangent,
     compose,
@@ -33,6 +35,7 @@ from eigengeo import (
     tangent_u,
 )
 from eigengeo.fisher_geometry import FD_TOLERANCE
+from eigengeo.spd_manifold import separated_rows
 from conftest import random_spd, random_spectrum, rotation
 
 
@@ -62,6 +65,34 @@ def brute_force_curvature_contraction(lam):
                             total += h1 * h2 * ginv(k1, k3) * ginv(k2, k4)
             out[a, b] = total
     return out
+
+
+def loop_pairs(p):
+    return [(s, t) for s in range(p - 1) for t in range(s + 1, p)]
+
+
+def loop_metric_pair(lam):
+    return np.array([(lam[s] - lam[t]) ** 2 / (lam[s] * lam[t]) for s, t in loop_pairs(lam.size)])
+
+
+def loop_inverse_metric_pair(lam):
+    return np.array([lam[s] * lam[t] / (lam[s] - lam[t]) ** 2 for s, t in loop_pairs(lam.size)])
+
+
+def loop_curvature_slabs(lam):
+    pairs = loop_pairs(lam.size)
+    slabs = np.zeros((len(pairs), lam.size))
+    for k, (s, t) in enumerate(pairs):
+        slabs[k, s] = (lam[t] - lam[s]) / lam[s] ** 2
+        slabs[k, t] = (lam[s] - lam[t]) / lam[t] ** 2
+    return slabs
+
+
+def loop_statistical_curvature(lam):
+    total = 0.0
+    for a, b in loop_pairs(lam.size):
+        total += (lam[a] ** 2 + lam[b] ** 2) / (lam[a] - lam[b]) ** 2
+    return 2.0 * total
 
 
 def brute_force_statistical_curvature(lam):
@@ -161,6 +192,28 @@ class TestTangents:
             tangent_u(sp, (1, 0))
 
 
+class TestClosedFormsAgainstPairLoops:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_array_forms_are_the_pair_loops(self, p):
+        # The closed forms are array expressions over the pair indices; the
+        # per-pair loops above are their reference.  Array squares and the
+        # summation order may round differently, so they agree to 1e-15
+        # relative, not bit for bit; zero slab entries stay exactly zero.
+        rng = np.random.default_rng(1000 + p)
+        lam = np.sort(np.exp(rng.uniform(-3.0, 3.0, (2000, p))), axis=1)[:, ::-1]
+        lam = lam[separated_rows(lam)][:500]
+        assert len(lam) == 500
+
+        def close(got, want):
+            return bool(np.all(np.abs(got - want) <= 1e-15 * np.abs(want)))
+
+        for row in lam:
+            assert close(metric_spectral(row).pair_diag, loop_metric_pair(row))
+            assert close(inverse_metric_pair(row), loop_inverse_metric_pair(row))
+            assert close(curvature_tensor_A(row).slabs, loop_curvature_slabs(row))
+            assert close(statistical_curvature(row), loop_statistical_curvature(row))
+
+
 class TestMetricSpectral:
     def test_reference_values(self):
         m = metric_spectral([2.0, 1.0])
@@ -174,6 +227,13 @@ class TestMetricSpectral:
     def test_degenerate_rejected(self):
         with pytest.raises(NearDegenerateSpectrum):
             metric_spectral([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_container_refuses_nonpositive_components(self, bad):
+        with pytest.raises(ValueError, match="must be positive"):
+            SpectralMetric(2, [bad, 1.0], [1.0])
+        with pytest.raises(ValueError, match="must be positive"):
+            SpectralMetric(2, [1.0, 1.0], [bad])
 
     def test_cross_block_vanishes(self, rng):
         for p in (2, 3, 4):
@@ -252,22 +312,32 @@ class TestEmbeddingCurvature:
                         got = curvature_oracle_A(sp, pr1, pr2, a)
                         assert abs(got - want) < FD_TOLERANCE * max(1.0, abs(want))
 
-    @pytest.mark.parametrize("p", [3, 4, 5, 6])
-    def test_oracle_sequence_form_is_the_scalar_calls(self, rng, p):
-        sp = random_spectrum(rng, p)
-        pairs = index_pairs(p)
-        for pr1, pr2 in [(pairs[0], pairs[0]), (pairs[-1], pairs[-1]), (pairs[0], pairs[-1])]:
-            want = [curvature_oracle_A(sp, pr1, pr2, a) for a in range(p)]
-            got = curvature_oracle_A(sp, pr1, pr2, range(p))
-            assert isinstance(got, list) and all(type(w) is float for w in want)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert curvature_oracle_A(sp, pr1, pr2, [p - 1, 0]) == [want[-1], want[0]]
+    @pytest.mark.parametrize(
+        "lam, error",
+        [
+            ([1.0, 1.0], NearDegenerateSpectrum),
+            ([1.0, 2.0], NearDegenerateSpectrum),
+            ([2.0, -1.0], NotPositiveDefinite),
+            ([2.0, 0.0], NotPositiveDefinite),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "curvature",
+        [
+            curvature_tensor_A,
+            lambda lam: embedding_curvature_A(lam, (0, 1), (0, 1), 0),
+            lambda lam: raised_curvature(lam, (0, 1), (0, 1)),
+        ],
+        ids=["tensor", "component", "raised"],
+    )
+    def test_degenerate_spectrum_refused(self, curvature, lam, error):
+        with pytest.raises(error):
+            curvature(lam)
 
-    @pytest.mark.parametrize("legs", [[0, 3], [-1], (1, 2, 7)])
-    def test_oracle_sequence_refuses_out_of_range_entry(self, rng, legs):
-        sp = random_spectrum(rng, 3)
+    @pytest.mark.parametrize("a", [-1, 3])
+    def test_oracle_refuses_index(self, rng, a):
         with pytest.raises(IndexOutOfRange):
-            curvature_oracle_A(sp, (0, 1), (0, 1), legs)
+            curvature_oracle_A(random_spectrum(rng, 3), (0, 1), (0, 1), a)
 
     def test_stencil_points_are_not_revalidated(self, rng, monkeypatch):
         # Stencil points come from a validated Spectrum; only
@@ -276,8 +346,9 @@ class TestEmbeddingCurvature:
         post_init = SpdMatrix.__post_init__
         monkeypatch.setattr(SpdMatrix, "__post_init__", lambda S: (post_init(S), built.append(S.dim)))
         sp = random_spectrum(rng, 4)
-        curvature_oracle_A(sp, (0, 1), (0, 1), range(4))
-        curvature_oracle_A(sp, (0, 1), (2, 3), range(4))
+        curvature_oracle_A(sp, (0, 1), (0, 1), 3)
+        curvature_oracle_A(sp, (0, 1), (2, 3), 0)
+        curvature_tensor_A_fd(sp)
         curvature_oracle_M(sp, 0, 1, (1, 2), "e")
         curvature_oracle_M(sp, 2, 2, (0, 3), "m")
         assert built == []
@@ -362,8 +433,9 @@ class TestEmbeddingCurvature:
         base = random_spectrum(rng, p)
         tensor = curvature_tensor_A_fd(base)
         for k, pr in enumerate(index_pairs(p)):
-            want = curvature_oracle_A(base, pr, pr, range(p))
-            assert tensor.slabs[k].tobytes() == np.array(want).tobytes()
+            for a in range(p):
+                want = curvature_oracle_A(base, pr, pr, a)
+                assert tensor.slabs[k, a].tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("p", [2, 3, 6])
     def test_fd_metric_is_the_sigma_form_on_fd_tangents(self, rng, p):
@@ -386,9 +458,7 @@ class TestEmbeddingCurvature:
             base = Spectrum(lam, np.eye(p))
             metric, fd = metric_spectral(lam), metric_spectral_fd(base)
             pairs = [*zip(metric.eigen_diag, fd.eigen_diag), *zip(metric.pair_diag, fd.pair_diag)]
-            tensor = curvature_tensor_A(lam)
-            for k, pr in enumerate(index_pairs(p)):
-                pairs += zip(tensor.slabs[k], curvature_oracle_A(base, pr, pr, range(p)))
+            pairs += zip(curvature_tensor_A(lam).slabs.flat, curvature_tensor_A_fd(base).slabs.flat)
             return max(abs(want - got) / max(1.0, abs(want)) for want, got in pairs)
 
         dev, doubled = worst(lam), worst(2.0 * np.array(lam))
@@ -403,6 +473,23 @@ class TestEmbeddingCurvature:
         ]
         assert np.ptp(values) < 1e-6
         assert abs(values[0] + 0.25) < 1e-5
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda base, h: fd_tangent_lambda(base, 0, h),
+            lambda base, h: fd_tangent_u(base, (0, 1), h),
+            metric_spectral_fd,
+            curvature_tensor_A_fd,
+            lambda base, h: curvature_oracle_A(base, (0, 1), (0, 1), 0, h),
+            lambda base, h: curvature_oracle_M(base, 0, 1, (0, 2), "m", h),
+        ],
+        ids=["tangent_lambda", "tangent_u", "metric", "tensor", "oracle_A", "oracle_M"],
+    )
+    def test_invalid_step_refused(self, rng, oracle, h):
+        with pytest.raises(ValueError, match="step h must be finite and > 0"):
+            oracle(random_spectrum(rng, 3), h)
 
     def test_fixed_frame_oracle_vanishes(self, rng):
         sp = random_spectrum(rng, 3)

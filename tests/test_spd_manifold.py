@@ -329,10 +329,11 @@ class TestExpSkew:
         assert_allclose(O, np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15)
 
     def test_p2_is_the_plane_rotation_bit_for_bit(self, rng):
-        for theta in [0.0, 1e-5, -5e-3, np.pi / 2, 3.0, -10.0, *rng.uniform(-7, 7, 20)]:
+        for theta in [1e-5, -5e-3, np.pi / 2, 3.0, -10.0, *rng.uniform(-7, 7, 20)]:
             c, s = np.cos(theta), np.sin(theta)
             got = exp_skew(SkewParams(2, np.array([theta])))
             assert got.tobytes() == np.array([[c, s], [-s, c]]).tobytes()
+        assert exp_skew(SkewParams(2, np.array([0.0]))).tobytes() == np.eye(2).tobytes()
 
     def test_p3_orthogonal_rotation(self, rng):
         u = SkewParams(3, rng.uniform(-2, 2, 3))
