@@ -1,7 +1,10 @@
 """Command-line surface: geometry reports, estimators, experiment runs.
 
-Every command writes CSV files (numbers at 17 significant digits, so equal
-doubles give equal bytes) plus a ``manifest.json`` echoing the command,
+Each command is a function of the parsed flags that returns its tables,
+(file name, header, rows), and for an experiment with a figure a gnuplot
+spec; it writes nothing.  One writer, ``_write_outputs``, turns them into
+CSV files (numbers at 17 significant digits, so equal doubles give equal
+bytes), the ``--plot`` script, and a ``manifest.json`` echoing the command,
 configuration, seed, library version, wall clock, and output paths.  Given
 the same seed and configuration, every CSV byte is reproducible; the
 manifest records what to re-run.
@@ -87,34 +90,43 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_manifest(out_dir: str, command: str, config: dict, seed, outputs: list[str], started: float) -> str:
+def _write_outputs(args, tables: list, plot, started: float) -> None:
+    """The one writer of a run's files: each (file name, header, rows) table
+    as a CSV, in order; then, with --plot, the gnuplot script of ``plot``
+    (file name, x label, (column, title) pairs), which reads the first
+    table; then ``manifest.json``.  Prints each path but the manifest's."""
+    texts = [(name, "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
+             for name, header, rows in tables]
+    if plot is not None and args.plot:
+        name, xlabel, columns = plot
+        curves = ", ".join(f"'{tables[0][0]}' using 1:{col} with lines title '{title}'" for col, title in columns)
+        texts.append((name, f"set datafile separator ','\nset key outside\nset xlabel '{xlabel}'\n"
+                            f"set ylabel 'value'\nplot {curves}\n"))
+    outputs = [os.path.join(args.out, name) for name, _ in texts]
+    for path, (_, text) in zip(outputs, texts):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    command = args.name if args.command == "experiment" else args.command
     manifest = {
         "command": command,
-        "config": config,
-        "seed": seed,
+        "config": {k: v for k, v in vars(args).items() if k != "command" and v is not None},
+        "seed": getattr(args, "seed", None),
         "library_version": __version__,
         "wall_clock_seconds": round(time.time() - started, 3),
         "outputs": [os.path.basename(p) for p in outputs],
         "csv_schemas": {os.path.basename(p): SCHEMAS.get(command, "v1") for p in outputs if p.endswith(".csv")},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".manifest")
+    fd, tmp = tempfile.mkstemp(dir=args.out, suffix=".manifest")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(args.out, "manifest.json"))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return path
+    for path in outputs:
+        print(path)
 
 
 def _parse_lambda(text: str) -> np.ndarray:
@@ -180,84 +192,49 @@ def read_matrix(path: str) -> SpdMatrix:
         raise CliInputError(f"matrix in {path}: {exc}") from None
 
 
-def cmd_geometry(args) -> list[str]:
+def cmd_geometry(args):
     lam = _parse_lambda(args.lam)
-    check = args.check_fd
-    metric = metric_spectral(lam)
-    tensor = curvature_tensor_A(lam)
-    gamma_a = statistical_curvature(lam)
-    base = Spectrum(lam, np.eye(lam.size)) if check else None
-    metric_fd = metric_spectral_fd(base) if check else None
-    tensor_fd = curvature_tensor_A_fd(base) if check else None
-
+    p = lam.size
+    metric, tensor = metric_spectral(lam), curvature_tensor_A(lam)
+    pairs = [(s + 1, t + 1) for s, t in index_pairs(p)]
+    keys = ([["metric_eigen", a + 1, "", "", "", ""] for a in range(p)]
+            + [["metric_pair", "", s, t, "", ""] for s, t in pairs]
+            + [["curvature", a + 1, s, t, s, t] for s, t in pairs for a in range(p)])
+    values = [*metric.eigen_diag, *metric.pair_diag, *tensor.slabs.ravel()]
+    rows = [key + [value] for key, value in zip(keys, values)]
+    rows.append(["statistical_curvature", "", "", "", "", "", statistical_curvature(lam)])
     header = ["kind", "a", "s", "t", "u", "v", "value"]
-    if check:
+    if args.check_fd:
+        # Every row but the statistical curvature has an oracle, in row order.
+        base = Spectrum(lam, np.eye(p))
+        metric_fd = metric_spectral_fd(base)
+        oracles = [*metric_fd.eigen_diag, *metric_fd.pair_diag, *curvature_tensor_A_fd(base).slabs.ravel()]
+        devs = [abs(value - oracle) for value, oracle in zip(values, oracles)]
         header += ["oracle", "abs_dev"]
-    rows = []
-    devs = []
-    rel_devs = []
-
-    def row(kind, a, s, t, u, v, value, oracle=None):
-        r = [kind, a, s, t, u, v, value]
-        if check:
-            if oracle is None:
-                r += ["", ""]
-            else:
-                dev = abs(value - oracle)
-                devs.append(dev)
-                rel_devs.append(dev / max(1.0, abs(value)))
-                r += [oracle, dev]
-        rows.append(r)
-
-    p = lam.size
-    for a in range(p):
-        row("metric_eigen", a + 1, "", "", "", "", metric.eigen_diag[a],
-            metric_fd.eigen_diag[a] if check else None)
-    for k, (s, t) in enumerate(index_pairs(p)):
-        row("metric_pair", "", s + 1, t + 1, "", "", metric.pair_diag[k],
-            metric_fd.pair_diag[k] if check else None)
-    for k, (s, t) in enumerate(index_pairs(p)):
-        oracles = tensor_fd.slabs[k] if check else [None] * p
-        for a in range(p):
-            row("curvature", a + 1, s + 1, t + 1, s + 1, t + 1,
-                tensor.slabs[k, a], oracles[a])
-    row("statistical_curvature", "", "", "", "", "", gamma_a)
-    if check:
-        rows.append(["fd_max_abs_deviation", "", "", "", "", "",
-                     max(devs) if devs else 0.0, "", ""])
-        if max(rel_devs, default=0.0) > FD_TOLERANCE:
+        cells = [[oracle, dev] for oracle, dev in zip(oracles, devs)] + [["", ""]]
+        rows = [row + extra for row, extra in zip(rows, cells)]
+        rows.append(["fd_max_abs_deviation", "", "", "", "", "", max(devs), "", ""])
+        worst = max(dev / max(1.0, abs(value)) for dev, value in zip(devs, values))
+        if worst > FD_TOLERANCE:
             print(f"warning: a finite-difference oracle deviates from its closed form by "
-                  f"{max(rel_devs):.3e} relative, above FD_TOLERANCE {FD_TOLERANCE:g}",
-                  file=sys.stderr)
-
-    out = os.path.join(args.out, "geometry.csv")
-    _write_csv(out, header, rows)
-    return [out]
+                  f"{worst:.3e} relative, above FD_TOLERANCE {FD_TOLERANCE:g}", file=sys.stderr)
+    return [("geometry.csv", header, rows)], None
 
 
-def cmd_info_loss(args) -> list[str]:
+def cmd_info_loss(args):
     lam = _parse_lambda(args.lam)
-    loss = loss_first_order(lam)
-    header = ["kind", "a", "b", "value", "non_pd"]
-    rows = []
-    p = lam.size
-    for a in range(p):
-        for b in range(p):
-            rows.append(["loss", a + 1, b + 1, loss.B[a, b], ""])
+    cells = [(a + 1, b + 1) for a in range(lam.size) for b in range(lam.size)]
+    rows = [["loss", a, b, value, ""] for (a, b), value in zip(cells, loss_first_order(lam).B.ravel())]
     if args.n is not None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NotPositiveDefiniteWarning)
             info = info_carried_by_l(lam, args.n)
         non_pd = any(issubclass(w.category, NotPositiveDefiniteWarning) for w in caught)
-        for a in range(p):
-            for b in range(p):
-                rows.append(["info", a + 1, b + 1, info[a, b], non_pd])
-    out = os.path.join(args.out, "info_loss.csv")
-    _write_csv(out, header, rows)
-    return [out]
+        rows += [["info", a, b, value, non_pd] for (a, b), value in zip(cells, info.ravel())]
+    return [("info_loss.csv", ["kind", "a", "b", "value", "non_pd"], rows)], None
 
 
-def cmd_estimate(args) -> list[str]:
+def cmd_estimate(args):
     S = read_matrix(args.input)
     rows = []
     p = S.dim
@@ -272,22 +249,13 @@ def cmd_estimate(args) -> list[str]:
                 if np.abs(gamma.T @ gamma - np.eye(p)).max() > 1e-8:
                     raise CliInputError("--gamma matrix is not orthogonal")
                 est = lambda_hat(S, args.n, gamma)
-            elif method == "star":
-                ensemble = _parse_ensemble(args.ensemble, p, args.seed)
-                est = lambda_star(S, args.n, ensemble)
             else:
-                raise CliInputError(f"unknown method {method!r}")
+                est = lambda_star(S, args.n, _parse_ensemble(args.ensemble, p, args.seed))
         except EigengeoError as exc:
             raise CliNumericError(f"{method}: {exc}") from exc
-        meta_kind = est.meta.get("ensemble_kind", "")
-        meta_size = est.meta.get("ensemble_size", "")
-        rows.append([method, meta_kind, meta_size] + list(est.values))
-    header = ["method", "ensemble_kind", "ensemble_size"] + [
-        f"value_{i + 1}" for i in range(p)
-    ]
-    out = os.path.join(args.out, "estimate.csv")
-    _write_csv(out, header, rows)
-    return [out]
+        rows.append([method, est.meta.get("ensemble_kind", ""), est.meta.get("ensemble_size", ""), *est.values])
+    header = ["method", "ensemble_kind", "ensemble_size"] + [f"value_{i + 1}" for i in range(p)]
+    return [("estimate.csv", header, rows)], None
 
 
 def _risk_report_rows(report) -> tuple[list[str], list[list]]:
@@ -305,25 +273,6 @@ def _risk_report_rows(report) -> tuple[list[str], list[list]]:
         row += [report.diff[i].mean, report.diff[i].stderr]
         rows.append(row)
     return header, rows
-
-
-def _plot_script(csv_name: str, xlabel: str, ycols: list[tuple[int, str]]) -> str:
-    plots = ", ".join(
-        f"'{csv_name}' using 1:{col} with lines title '{title}'" for col, title in ycols
-    )
-    return (
-        "set datafile separator ','\n"
-        "set key outside\n"
-        f"set xlabel '{xlabel}'\n"
-        "set ylabel 'value'\n"
-        f"plot {plots}\n"
-    )
-
-
-def _given(value, default):
-    """An optional flag's value, or the experiment's default when it is
-    absent (an explicit 0 is passed on and validated, not replaced)."""
-    return default if value is None else value
 
 
 # The flags each experiment reads.  Any other experiment flag is refused
@@ -346,86 +295,29 @@ def _refuse_unused_flags(args) -> None:
             raise CliInputError(f"experiment {args.name} does not use {flag}")
 
 
-def cmd_experiment(args) -> list[str]:
+def cmd_experiment(args):
     name = args.name
     _refuse_unused_flags(args)
     if args.paper_scale:
         if args.reps is not None or args.theta_count is not None:
             raise CliInputError("--paper-scale cannot be combined with --reps or --theta-count")
-        # The paper's counts; fig3's default fan already has its 51 angles.
+        # The paper's counts (the manifest records them as --reps), and fig3's full fan.
         args.reps = {"fig3": 100_000, "fig4": 100_000, "fig5": 100_000, "fig6": 10_000}[name]
-    outputs = []
-    if name in ("fig4", "fig5", "fig6"):
-        runners = {"fig4": figure4_experiment, "fig5": figure5_experiment, "fig6": figure6_experiment}
-        kwargs = {"reps": args.reps, "seed": args.seed}
-        if name == "fig6" and args.ensemble is not None:
-            # Refuse other kinds from the flag text, before anything is built.
-            if args.ensemble.partition(":")[0] != "equidistant":
-                raise CliInputError("fig6 takes only --ensemble equidistant:K")
-            kwargs["ensemble"] = _parse_ensemble(args.ensemble, 2, 0)
-        report = runners[name](**{k: v for k, v in kwargs.items() if v is not None})
-        header, rows = _risk_report_rows(report)
-        out = os.path.join(args.out, f"{name}.csv")
-        _write_csv(out, header, rows)
-        outputs.append(out)
-        if args.plot:
-            yc = [(2, f"risk {report.methods[0]}"), (6, f"risk {report.methods[1]}")]
-            plot = os.path.join(args.out, f"{name}.plot")
-            with open(plot, "w") as fh:
-                fh.write(_plot_script(f"{name}.csv", report.param_name, yc))
-            outputs.append(plot)
-    elif name == "fig3":
-        seed = _given(args.seed, 0)
-        ensemble = None
-        if args.ensemble is not None:
-            ensemble = _parse_ensemble(args.ensemble, 2, seed)
-        study = figure3_experiment(
-            reps=_given(args.reps, 10_000),
-            seed=seed,
-            alpha=_given(args.alpha, 0.05),
-            n=_given(args.n, 10),
-            theta_count=_given(args.theta_count, 51),
-            ensemble=ensemble,
-        )
-        header = ["theta", "lambda_1", "lambda_2", "power_full", "stderr_full",
-                  "power_eigen", "stderr_eigen", "reps"]
-        rows = [
-            [study.thetas[i], study.alternatives[i, 0], study.alternatives[i, 1],
-             study.power_full[i], study.stderr_full[i],
-             study.power_eigen[i], study.stderr_eigen[i], study.reps]
-            for i in range(study.thetas.size)
-        ]
-        out = os.path.join(args.out, "fig3_power.csv")
-        _write_csv(out, header, rows)
-        outputs.append(out)
-        calib = os.path.join(args.out, "fig3_calibration.csv")
-        _write_csv(
-            calib,
-            ["kind", "alpha", "threshold", "calib_reps", "size", "size_stderr"],
-            [
-                ["full-lrt", study.alpha, study.cv_full.threshold, study.cv_full.calib_reps,
-                 study.size_full, study.size_full_stderr],
-                ["eigen-lrt", study.alpha, study.cv_eigen.threshold, study.cv_eigen.calib_reps,
-                 study.size_eigen, study.size_eigen_stderr],
-            ],
-        )
-        outputs.append(calib)
-        if args.plot:
-            plot = os.path.join(args.out, "fig3.plot")
-            with open(plot, "w") as fh:
-                fh.write(_plot_script("fig3_power.csv", "theta",
-                                      [(4, "power full"), (6, "power eigen")]))
-            outputs.append(plot)
-    elif name == "bias":
-        p = _given(args.p, 2)
+    # Only the flags given are passed on, so each experiment's own defaults
+    # apply (an explicit 0 is passed on and validated, not replaced).
+    given = {k: v for k, v in vars(args).items()
+             if k in ("reps", "seed", "p", "n", "alpha", "theta_count") and v is not None}
+    if args.paper_scale and name == "fig3":
+        given["theta_count"] = 51
+    if name == "bias":
+        p = given.pop("p", 2)
         if p < 1:
             raise CliInputError(f"--p must be >= 1, got {p}")
         lam = _parse_lambda(args.lam) if args.lam else np.ones(p)
         if lam.size != p:
             raise CliInputError(f"--lambda has {lam.size} entries but --p is {p}")
-        report = bias_majorization_check(
-            np.diag(lam), _given(args.n, 10), _given(args.reps, 100_000), _given(args.seed, 0)
-        )
+        # bias_majorization_check has no defaults; these are the command's.
+        report = bias_majorization_check(np.diag(lam), **{"n": 10, "reps": 100_000, "seed": 0, **given})
         header = ["j", "mean_partial_sum", "target_partial_sum", "margin",
                   "stderr", "holds_3sigma", "trace_max_rel_dev"]
         rows = [
@@ -434,12 +326,38 @@ def cmd_experiment(args) -> list[str]:
              report.trace_max_rel_dev]
             for j in range(lam.size)
         ]
-        out = os.path.join(args.out, "bias.csv")
-        _write_csv(out, header, rows)
-        outputs.append(out)
-    else:
-        raise CliInputError(f"unknown experiment {name!r}")
-    return outputs
+        return [("bias.csv", header, rows)], None
+    if args.ensemble is not None:
+        # Refuse fig6's other kinds from the flag text, before anything is built.
+        if name == "fig6" and args.ensemble.partition(":")[0] != "equidistant":
+            raise CliInputError("fig6 takes only --ensemble equidistant:K")
+        # Haar nodes are drawn from the run's seed (0 when none is given).
+        given["ensemble"] = _parse_ensemble(args.ensemble, 2, args.seed or 0)
+    if name == "fig3":
+        study = figure3_experiment(**given)
+        header = ["theta", "lambda_1", "lambda_2", "power_full", "stderr_full",
+                  "power_eigen", "stderr_eigen", "reps"]
+        rows = [
+            [study.thetas[i], study.alternatives[i, 0], study.alternatives[i, 1],
+             study.power_full[i], study.stderr_full[i],
+             study.power_eigen[i], study.stderr_eigen[i], study.reps]
+            for i in range(study.thetas.size)
+        ]
+        calibration = [
+            ["full-lrt", study.alpha, study.cv_full.threshold, study.cv_full.calib_reps,
+             study.size_full, study.size_full_stderr],
+            ["eigen-lrt", study.alpha, study.cv_eigen.threshold, study.cv_eigen.calib_reps,
+             study.size_eigen, study.size_eigen_stderr],
+        ]
+        tables = [("fig3_power.csv", header, rows),
+                  ("fig3_calibration.csv", ["kind", "alpha", "threshold", "calib_reps", "size", "size_stderr"],
+                   calibration)]
+        return tables, ("fig3.plot", "theta", [(4, "power full"), (6, "power eigen")])
+    runner = {"fig4": figure4_experiment, "fig5": figure5_experiment, "fig6": figure6_experiment}[name]
+    report = runner(**given)
+    header, rows = _risk_report_rows(report)
+    columns = [(2, f"risk {report.methods[0]}"), (6, f"risk {report.methods[1]}")]
+    return [(f"{name}.csv", header, rows)], (f"{name}.plot", report.param_name, columns)
 
 
 @functools.cache
@@ -510,7 +428,7 @@ def main(argv=None) -> int:
         "experiment": cmd_experiment,
     }
     try:
-        outputs = handlers[args.command](args)
+        tables, plot = handlers[args.command](args)
     except (CliNumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -523,11 +441,7 @@ def main(argv=None) -> int:
     except EigengeoError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    config = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
-    _write_manifest(args.out, args.command if args.command != "experiment" else args.name,
-                    config, getattr(args, "seed", None), outputs, started)
-    for path in outputs:
-        print(path)
+    _write_outputs(args, tables, plot, started)
     return 0
 
 

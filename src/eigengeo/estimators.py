@@ -13,12 +13,14 @@ S of n observations:
 At p = 2 the group integral is exact, exp(-a) I0(b) (``ExactO2``; James,
 Ann. Math. Statist. 1964).  For p >= 3 it is a quadrature over an
 ``OrthogonalEnsemble`` of Haar draws; ``o2_equidistant`` grids cross-check p = 2.
-Both integrals answer to one interface: ``diagonals(eig_rows, frame)`` gives
-the frame diagonals diag(H^T L H) the integrand depends on, ``step(D,
-log_lam, n)`` one posterior step over the frame (the profile objective and
-the EM update), and the class flag ``symmetric`` says whether the integral
-is exactly symmetric under permuting the population eigenvalues, which
-selects the profile maximizer (a trace-line root, or SQUAREM from starts).
+Both integrals answer to one interface: ``diagonals(eig_rows)`` gives the
+frame diagonals diag(H^T L H) the integrand depends on, ``step(D, log_lam,
+n)`` one posterior step over the frame (the profile objective and the EM
+update), and the class flag ``symmetric`` says whether the integral is
+exactly symmetric under permuting the population eigenvalues, which selects
+the profile maximizer (a trace-line root, or SQUAREM from starts).  Haar
+measure is invariant under H -> H G, so an integrand at a covariance G
+diag(lam) G^T depends on lam alone and no interface takes a frame.
 """
 
 from __future__ import annotations
@@ -116,24 +118,19 @@ class OrthogonalEnsemble:
     @cached_property
     def squared_nodes(self) -> np.ndarray:
         """Read-only (p, p K) array Q[j, i K + k] = H_k[j, i]^2, one allocation."""
-        out = self._squares(self.matrices)
+        out = np.square(self.matrices.transpose(1, 2, 0), order="C").reshape(self.dim, -1)
         out.setflags(write=False)
         return out
 
-    def _squares(self, matrices: np.ndarray) -> np.ndarray:
-        return np.square(matrices.transpose(1, 2, 0), order="C").reshape(self.dim, -1)
-
-    def diagonals(self, eig_rows: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
+    def diagonals(self, eig_rows: np.ndarray) -> np.ndarray:
         """D[r, i, k] = diag_i(H_k^T L_r H_k) = sum_j H_k[j, i]^2 l_rj for L_r =
         diag(eig_rows[r]) and the nodes H_k, nodes last: one BLAS matmul of
-        the rows, copied to C order, with the cached ``squared_nodes``.  With
-        an orthogonal ``frame`` G the nodes are H_k G instead, squared afresh.
+        the rows, copied to C order, with the cached ``squared_nodes``.
         Refuses rows of another dimension (DimensionMismatch)."""
         _check_dim(self, eig_rows)
-        nodes = self.squared_nodes if frame is None else self._squares(self.matrices @ frame)
         # A strided row (the reversed eigvalsh view) would take numpy's own
         # matmul loop, about 4x slower than BLAS.
-        D = np.ascontiguousarray(eig_rows) @ nodes
+        D = np.ascontiguousarray(eig_rows) @ self.squared_nodes
         return D.reshape(eig_rows.shape[0], self.dim, self.size)
 
     def step(self, D: np.ndarray, log_lam: np.ndarray, n: int):
@@ -172,9 +169,8 @@ class ExactO2:
     size: ClassVar[int] = 0
     symmetric: ClassVar[bool] = True
 
-    def diagonals(self, eig_rows: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
-        """The rows themselves: the integral is Haar-invariant, so a
-        ``frame`` drops out.  Refuses rows of another dimension."""
+    def diagonals(self, eig_rows: np.ndarray) -> np.ndarray:
+        """The rows themselves.  Refuses rows of another dimension."""
         _check_dim(self, eig_rows)
         return eig_rows
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatch, OptimizerFailure
 from .estimators import ExactO2, OrthogonalEnsemble, default_ensemble
 from .spd_manifold import as_spd, check_eigenvalue_gaps, descending_eigenvalues
-from .wishart_sim import color_batch, parallel_points, sample_batch, white_batch
+from .wishart_sim import DRAW_CHUNK, color_batch, parallel_points, sample_batch, white_batch
 
 FULL_LRT = "full-lrt"
 EIGEN_LRT = "eigen-lrt"
@@ -102,8 +102,9 @@ def _full_lrt_batch(S_batch: np.ndarray, n: int) -> np.ndarray:
 def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> float:
     """Covariance-dependent part of the sample-eigenvalue log density:
     -(n/2) log det Sigma + log of the group-averaged exp(-trace(H^T L H
-    Sigma^-1)/2).  At diagonal Sigma = diag(lam) this is the profile
-    objective of ``ensemble.step``, whose sup over lam the eigen-LRT takes.
+    Sigma^-1)/2).  The average is over the frame's Haar measure, so it is
+    the profile objective of ``ensemble.step`` at Sigma's eigenvalues
+    (descending), whose sup over them the eigen-LRT takes.
 
     The covariance-free factors (normalizing constant, eigenvalue powers,
     Vandermonde spread) are omitted: they cancel in every likelihood ratio
@@ -117,10 +118,9 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     if not ensemble.dim == Sigma.dim == eigs.size:
         raise DimensionMismatch(f"ensemble dim {ensemble.dim}, Sigma dim {Sigma.dim}, {eigs.size} eigenvalues")
     # With Sigma = G diag(lam) G^T, trace(H^T L H Sigma^-1) is
-    # sum_i diag_i((H G)^T L (H G)) / lam_i: the profile objective at lam
-    # over the nodes rotated into Sigma's eigenframe (same weights).
-    lam, G = np.linalg.eigh(Sigma.matrix)
-    objective, _ = ensemble.step(ensemble.diagonals(eigs[None, :], G), np.log(lam)[None, :], n)
+    # sum_i diag_i((H G)^T L (H G)) / lam_i, and H G is Haar whenever H is:
+    # the profile objective at Sigma's eigenvalues.
+    objective, _ = ensemble.step(ensemble.diagonals(eigs[None, :]), np.log(Sigma.eigenvalues)[None, :], n)
     return float(objective[0])
 
 
@@ -161,7 +161,8 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
     (starts x nodes), they run one row at a time as the rows of one
     ``_squarem`` call against that row's shared (1, p, K) diagonal, and only
     one row's diagonal is held.  Otherwise (small grids) each start runs
-    over all rows at once.
+    over a block of at most DRAW_CHUNK rows at once, and one block's
+    diagonals are held.
     """
     reps, p = eig_rows.shape
     log_l = np.log(eig_rows / n)
@@ -181,14 +182,21 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
         start_best = np.full(reps, -np.inf)
         argmax = np.zeros((reps, p))
         if len(starts) * ensemble.size < ROW_BATCH_TERMS:
-            D = ensemble.diagonals(eig_rows)
-            for x in starts:
-                f, update = ensemble.step(D, x, n)
-                start_best = np.maximum(start_best, f)
-                x, f = _squarem(D, x, f, update, n, ensemble, lo, hi)
-                better = f > best
-                best[better] = f[better]
-                argmax[better] = x[better]
+            # Near-equal blocks of at most DRAW_CHUNK rows: no block is a lone
+            # row unless the batch is, since one row's D reads as shared.
+            blocks = -(-reps // DRAW_CHUNK)
+            for b in range(blocks):
+                rows = slice(reps * b // blocks, reps * (b + 1) // blocks)
+                D = ensemble.diagonals(eig_rows[rows])
+                # Views: updating them updates the whole-batch arrays.
+                block_start, block_best, block_argmax = start_best[rows], best[rows], argmax[rows]
+                for x in starts:
+                    f, update = ensemble.step(D, x[rows], n)
+                    np.maximum(block_start, f, out=block_start)
+                    x, f = _squarem(D, x[rows], f, update, n, ensemble, lo[rows], hi[rows])
+                    better = f > block_best
+                    block_best[better] = f[better]
+                    block_argmax[better] = x[better]
         else:
             starts = np.stack(starts, axis=1)
             for r in range(reps):

@@ -171,7 +171,8 @@ def color_batch(W: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
     At p = 2 this stacks ``_color_p2`` of the Grams' entry columns.  At
     p >= 3 both products are single (reps p, p) @ A^T GEMMs over the stacked
     rows, and the result is averaged with its transpose.  Either way it is
-    exactly symmetric.
+    exactly symmetric.  Each transposed stack is copied explicitly and freed
+    before the next one is made, so at most two result-sized arrays are live.
     """
     A = np.linalg.cholesky(Sigma_matrix)
     reps, p = W.shape[:2]
@@ -179,9 +180,10 @@ def color_batch(W: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
         cols = _color_p2(W[:, 0, 0], W[:, 1, 0], W[:, 1, 1], A)
         return cols[[0, 1, 1, 2]].T.reshape(reps, 2, 2)
     # W A^T for every replication at once; W is symmetric, so its transpose is A W.
-    AW = (W.reshape(reps * p, p) @ A.T).reshape(reps, p, p).swapaxes(1, 2)
+    AW = np.ascontiguousarray((W.reshape(reps * p, p) @ A.T).reshape(reps, p, p).swapaxes(1, 2))
     S = (AW.reshape(reps * p, p) @ A.T).reshape(reps, p, p)
-    S += S.swapaxes(1, 2)  # numpy reads the overlapping operand as if copied first
+    del AW
+    S += np.ascontiguousarray(S.swapaxes(1, 2))
     S *= 0.5
     return S
 

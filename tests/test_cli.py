@@ -417,3 +417,41 @@ class TestExperimentCommand:
         assert main([*argv, "--out", str(d2)]) == 0
         for name in ("fig3_power.csv", "fig3_calibration.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+WRITER_RUNS = {
+    "geometry": ["geometry", "--lambda", "3,2,1"],
+    "geometry-check-fd": ["geometry", "--lambda", "3,2,1", "--check-fd"],
+    "info-loss": ["info-loss", "--lambda", "2,1", "--n", "50"],
+    "estimate": ["estimate", "--input", "S.txt", "--n", "10", "--method", "lbar", "--method", "star"],
+    "bias": ["experiment", "bias", "--reps", "200"],
+    **{name + tag: ["experiment", name, "--reps", reps, *extra, *plot]
+       for name, reps, extra in [("fig3", "1000", ["--theta-count", "2"]), ("fig4", "20", []),
+                                 ("fig5", "20", []), ("fig6", "20", [])]
+       for tag, plot in [("", []), ("-plot", ["--plot"])]},
+}
+
+
+@pytest.mark.parametrize("argv", WRITER_RUNS.values(), ids=WRITER_RUNS.keys())
+def test_writer_prints_and_lists_every_output(tmp_path, capsys, argv):
+    # One writer emits every file: the printed paths, in order, are the
+    # manifest's outputs; --plot adds one script, after the CSVs, that
+    # reads the first CSV.
+    def outputs(out, argv):
+        argv = [write_matrix(tmp_path, a, np.array([[5.0, 1.0], [1.0, 2.0]])) if a == "S.txt" else a
+                for a in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [os.path.basename(p) for p in printed]
+        assert all((out / name).is_file() for name in manifest["outputs"])
+        return manifest["outputs"]
+
+    names = outputs(tmp_path / "run", argv)
+    if "--plot" in argv:
+        plain = outputs(tmp_path / "plain", [a for a in argv if a != "--plot"])
+        assert names[:-1] == plain and names[-1].endswith(".plot")
+        script = (tmp_path / "run" / names[-1]).read_text()
+        assert f"plot '{names[0]}' using 1:" in script
+    else:
+        assert all(name.endswith(".csv") for name in names)

@@ -184,19 +184,6 @@ class TestDiagonals:
         rows = np.sort(rng.uniform(1.0, 20.0, (200, ens.dim)), axis=1)[:, ::-1]
         assert_allclose(ens.diagonals(rows), self.einsum_oracle(rows, ens), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("make", ENSEMBLES)
-    def test_frame_rotates_the_nodes(self, make, rng):
-        # With a frame G the nodes are H_k G: the diagonals are those of the
-        # rotated ensemble, bit for bit, and its brute-force diag(G^T H^T L H G).
-        ens = make()
-        G = random_orthogonal(rng, ens.dim)
-        row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
-        rotated = OrthogonalEnsemble(ens.matrices @ G, ens.weights, ens.kind)
-        got = ens.diagonals(row, G)
-        assert np.array_equal(got, rotated.diagonals(row))
-        brute = np.array([np.diagonal((H @ G).T @ np.diag(row[0]) @ H @ G) for H in ens.matrices])
-        assert_allclose(got[0].T, brute, rtol=1e-13)
-
     def test_squared_nodes_read_only_layout(self):
         ens = haar_sample(3, 7, 4)
         q = ens.squared_nodes
@@ -382,14 +369,6 @@ class TestExactO2:
         assert isinstance(ens, ExactO2) and ens.kind == EXACT_O2
         assert ens.dim == 2 and ens.size == 0 and ens.symmetric
         assert default_ensemble(3).size == 4096 and not default_ensemble(3).symmetric
-
-    def test_diagonals_are_the_rows_in_any_frame(self):
-        # The exact integral is Haar-invariant, so a frame drops out.
-        row = np.array([[9.0, 4.0]])
-        assert ExactO2().diagonals(row) is row
-        assert ExactO2().diagonals(row, rotation(0.3)) is row
-        with pytest.raises(DimensionMismatch, match="2.*3"):
-            ExactO2().diagonals(np.array([[9.0, 4.0, 1.0]]))
 
     def test_step_matches_dense_grid(self):
         grid = o2_equidistant(400)

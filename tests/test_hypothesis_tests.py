@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ class TestEigenDensityKernel:
         a = eigen_log_density_kernel(eigs, sigma, 6, base)
         b = eigen_log_density_kernel(eigs, sigma, 6, shifted)
         assert abs(a - b) < 0.05
+
+    def test_invariant_under_rotating_sigma(self, rng):
+        # The frame average is over Haar measure, so the kernel at Q Sigma Q^T
+        # is the kernel at Sigma for a quadrature ensemble too.
+        ens = haar_sample(3, 512, 0)
+        eigs = np.array([40.0, 15.0, 5.0])
+        R = random_orthogonal(rng, 3)
+        sigma = (R * np.array([3.0, 1.5, 0.6])) @ R.T
+        want = eigen_log_density_kernel(eigs, sigma, 10, ens)
+        for _ in range(20):
+            Q = random_orthogonal(rng, 3)
+            assert abs(eigen_log_density_kernel(eigs, Q @ sigma @ Q.T, 10, ens) - want) <= 1e-12
 
     def test_is_profile_objective_at_diagonal_sigma(self):
         # The eigen-LRT takes its sup over lam of this function.
@@ -291,17 +304,51 @@ class TestProfileMaximizer:
             else:
                 assert calls == [((3, 2, K), (3, 2))] * 5
 
-    @pytest.mark.parametrize("p", [3, 4])
-    def test_batch_is_row_by_row_bits(self, p):
-        # A row's starts run against its own diagonal, so its sup and
-        # argmax do not depend on the other rows of the batch.
-        ens = haar_sample(p, 1024, p)
+    @pytest.mark.parametrize(
+        "p, make, group",
+        [(2, lambda: o2_equidistant(100), 2), (3, lambda: haar_sample(3, 1024, 3), 1),
+         (4, lambda: haar_sample(4, 1024, 4), 1)],
+        ids=["2", "3", "4"],
+    )
+    def test_batch_is_row_by_row_bits(self, p, make, group):
+        # A row's starts run against its own diagonal, or (small grids) beside
+        # other rows, so its sup and argmax do not depend on the other rows of
+        # the batch.  A small grid is run on two rows: a lone row's diagonal
+        # reads as shared, which takes another GEMM.
+        ens = make()
         eigs = wishart_eig_rows(p, 10, 5, 20 + p)
         sup, argmax = _profile_sup(eigs, 10, ens)
-        for r, row in enumerate(eigs):
-            one_sup, one_argmax = _profile_sup(row[None, :], 10, ens)
+        for r in range(len(eigs)):
+            one_sup, one_argmax = _profile_sup(eigs[[r, (r + 1) % 5][:group]], 10, ens)
             assert one_sup[0] == sup[r]
             assert np.array_equal(one_argmax[0], argmax[r])
+
+    @pytest.mark.parametrize("count", [5, 9])
+    def test_small_grid_blocks_are_bit_neutral(self, monkeypatch, count):
+        # Blocks of at most 4 rows (2 + 3, 3 + 3 + 3): no lone row is left
+        # over, so the bits are those of one block.
+        ens = o2_equidistant(100)
+        eigs = wishart_eig_rows(2, 10, count, 30 + count)
+        want = _profile_sup(eigs, 10, ens)
+        monkeypatch.setattr(ht, "DRAW_CHUNK", 4)
+        for got, ref in zip(_profile_sup(eigs, 10, ens), want):
+            assert np.array_equal(got, ref)
+
+    def test_small_grid_memory_is_bounded_by_blocks(self):
+        # Small grids run DRAW_CHUNK rows at a time, so only one block's
+        # diagonals (1.6 kB per row at 100 nodes) are held, not every row's.
+        ens = o2_equidistant(100)
+
+        def peak(reps):
+            eigs = descending_eigenvalues(sample_batch(np.diag([2.0, 1.0]), 10, reps, 3, "sup-peak"))
+            tracemalloc.start()
+            try:
+                _profile_sup(eigs, 10, ens)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8192) - peak(2048) < 4e6
 
     def test_haar_p3_rows_pinned(self):
         # The benchmark's four haar-p3 eigen-LRT rows, pinned to the values
@@ -441,8 +488,8 @@ class InterfaceOnly:
         self.dim, self.size, self.kind = real.dim, real.size, real.kind
         self.symmetric = real.symmetric
 
-    def diagonals(self, eig_rows, frame=None):
-        return self._real.diagonals(eig_rows, frame)
+    def diagonals(self, eig_rows):
+        return self._real.diagonals(eig_rows)
 
     def step(self, D, log_lam, n):
         return self._real.step(D, log_lam, n)

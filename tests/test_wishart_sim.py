@@ -129,6 +129,28 @@ class TestSubstreams:
         x = z @ np.linalg.cholesky(sigma).T
         assert_allclose(color_batch(gram(z), sigma), gram(x), rtol=1e-13, atol=1e-12)
 
+    @pytest.mark.parametrize("general", [False, True], ids=["identity", "general"])
+    def test_color_batch_peaks_at_twice_its_output(self, general):
+        # The transposed stacks are explicit copies, each freed before the
+        # next is made; the bytes are those of the overlapping in-place form.
+        p, reps = 5, 20_000
+        sigma = np.diag(np.arange(p, 0, -1.0)) + 0.1 * (1.0 - np.eye(p)) if general else np.eye(p)
+        W = white_batch(p, 10, reps, 0, "color-peak")
+        A = np.linalg.cholesky(sigma)
+        AW = (W.reshape(reps * p, p) @ A.T).reshape(reps, p, p).swapaxes(1, 2)
+        want = (AW.reshape(reps * p, p) @ A.T).reshape(reps, p, p)
+        want += want.swapaxes(1, 2)
+        want *= 0.5
+        del AW
+        tracemalloc.start()
+        try:
+            S = color_batch(W, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.tobytes() == want.tobytes()
+        assert peak <= 2.1 * S.nbytes
+
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
     def test_kl_risk_draws_match_per_replication_generators(self, seed):
         sigma = np.diag([3.0, 2.0, 1.0])
@@ -500,6 +522,24 @@ class TestExperiments:
         lbar_risks = np.array([r.mean for r in report.risks["lbar"]])
         stderrs = np.array([r.stderr for r in report.risks["lbar"]])
         assert np.ptp(lbar_risks) < 6 * stderrs.max()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("experiment", [figure4_experiment, figure5_experiment], ids=["fig4", "fig5"])
+    def test_frame_diagonal_risk_is_the_exact_value(self, experiment, seed):
+        # diag(S)_ii ~ Sigma_ii chi^2_n, so with d_i = Sigma_ii / lam_i the
+        # risk of diag(S) / n is sum_i (d_i - log d_i - 1) + p (log(n/2) -
+        # psi(n/2)), where psi(5) = H_4 - Euler's gamma.  Every cell of every
+        # seed lies within 4 of its own standard errors.
+        n, lam = 10, np.array([1.0, 0.8])
+        report = experiment(reps=10_000, seed=seed)
+        psi = 1.0 + 1.0 / 2 + 1.0 / 3 + 1.0 / 4 - np.euler_gamma
+        for value, risk in zip(report.param_values, report.risks["gamma-frame"]):
+            d = np.ones(2)
+            if experiment is figure5_experiment:
+                c, s = np.cos(value), np.sin(value)
+                d = np.diag(np.array([[c, -s], [s, c]]) @ np.diag(lam) @ np.array([[c, s], [-s, c]])) / lam
+            exact = (d - np.log(d) - 1.0).sum() + 2 * (np.log(n / 2) - psi)
+            assert abs(risk.mean - exact) < 4 * risk.stderr
 
     def test_figure6_star_beats_lbar_when_close(self):
         report = figure6_experiment(reps=400, seed=5)
