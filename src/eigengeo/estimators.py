@@ -14,13 +14,14 @@ At p = 2 the group integral is exact, exp(-a) I0(b) (``ExactO2``; James,
 Ann. Math. Statist. 1964).  For p >= 3 it is a quadrature over an
 ``OrthogonalEnsemble`` of Haar draws; ``o2_equidistant`` grids cross-check p = 2.
 Both integrals answer to one interface: ``diagonals(eig_rows)`` gives the
-frame diagonals diag(H^T L H) the integrand depends on, ``step(D, log_lam,
-n)`` one posterior step over the frame (the profile objective and the EM
-update), and the class flag ``symmetric`` says whether the integral is
-exactly symmetric under permuting the population eigenvalues, which selects
-the profile maximizer (a trace-line root, or SQUAREM from starts).  Haar
-measure is invariant under H -> H G, so an integrand at a covariance G
-diag(lam) G^T depends on lam alone and no interface takes a frame.
+frame diagonals diag(H^T L H), (rows, p, K), ``step(D, log_lam, n)`` one
+posterior step over the frame (the profile objective and the EM update) at
+log-eigenvalues (rows, starts, p), each row's bits batch-free, and the class
+flag ``symmetric`` says whether the integral is exactly symmetric under
+permuting the population eigenvalues, which selects the profile maximizer
+(a trace-line root, or SQUAREM from starts).  Haar measure is invariant
+under H -> H G, so an integrand at a covariance G diag(lam) G^T depends on
+lam alone and no interface takes a frame.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureUnderflow
-from .spd_manifold import (
-    ORTHOGONALITY_TOLERANCE, as_spd, check_eigenvalue_gaps, kl_project, separated_rows,
-)
+from .spd_manifold import _check_orthogonal, as_spd, check_eigenvalue_gaps, kl_project, separated_rows
 
 LBAR = "lbar"
 GAMMA_FRAME = "gamma-frame"
@@ -92,11 +91,7 @@ class OrthogonalEnsemble:
         total = w.sum()
         if not np.isclose(total, 1.0, rtol=0.0, atol=1e-9):
             raise ValueError(f"weights must sum to 1, got {total}")
-        errs = np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(m.shape[1])).max(axis=(1, 2))
-        bad = np.flatnonzero(errs > ORTHOGONALITY_TOLERANCE)
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"member {k} is not orthogonal (deviation {errs[k]:.3e})")
+        _check_orthogonal(m, "member")
         m.setflags(write=False)
         w = w / total
         w.setflags(write=False)
@@ -124,39 +119,39 @@ class OrthogonalEnsemble:
 
     def diagonals(self, eig_rows: np.ndarray) -> np.ndarray:
         """D[r, i, k] = diag_i(H_k^T L_r H_k) = sum_j H_k[j, i]^2 l_rj for L_r =
-        diag(eig_rows[r]) and the nodes H_k, nodes last: one BLAS matmul of
-        the rows, copied to C order, with the cached ``squared_nodes``.
+        diag(eig_rows[r]) and the nodes H_k, nodes last: one BLAS product per
+        row, copied to C order, with the cached ``squared_nodes``.
         Refuses rows of another dimension (DimensionMismatch)."""
         _check_dim(self, eig_rows)
         # A strided row (the reversed eigvalsh view) would take numpy's own
-        # matmul loop, about 4x slower than BLAS.
-        D = np.ascontiguousarray(eig_rows) @ self.squared_nodes
+        # matmul loop, about 4x slower than BLAS.  A (1 x p)(p x p K) product
+        # per row, not one GEMM of all rows, keeps a row's bits batch-free.
+        D = (np.ascontiguousarray(eig_rows)[:, None, :] @ self.squared_nodes)[:, 0]
         return D.reshape(eig_rows.shape[0], self.dim, self.size)
 
     def step(self, D: np.ndarray, log_lam: np.ndarray, n: int):
         """One posterior step over the frame for population eigenvalues
-        exp(log_lam): one row per row of ``D`` (from ``diagonals``), or every
-        row against ``D``'s single row when it has one.
+        exp(log_lam), on a grid: ``D`` (rows, p, K) from ``diagonals``,
+        ``log_lam`` (rows, starts, p).
 
         The frame posterior puts log-weight log w_k - sum_i D[r, i, k] /
-        (2 lam_i) on node k.  Returns ``(objective, update)``: the profile
-        log-likelihood -(n/2) sum(log lam) + log sum_k w_k exp(-sum_i D_i /
-        (2 lam_i)), and the posterior mean of D / n, which is the EM map for
-        the eigenvalue-only likelihood.  Its log-space gradient is
-        (n/2) (update / lam - 1).  All weights are combined in log scale with
-        the maximum subtracted (``relative_weights``), so the average stays
-        finite even though the raw exponents scale like -n p / 2.
+        (2 lam_i) on node k.  Returns ``(objective, update)``, of shapes
+        (rows, starts) and (rows, starts, p): the profile log-likelihood
+        -(n/2) sum(log lam) + log sum_k w_k exp(-sum_i D_i / (2 lam_i)), and
+        the posterior mean of D / n, which is the EM map for the
+        eigenvalue-only likelihood.  Its log-space gradient is (n/2) (update
+        / lam - 1).  A row's entries come from its own products alone.  All
+        weights are combined in log scale with the maximum subtracted
+        (``relative_weights``), so the average stays finite even though the
+        raw exponents scale like -n p / 2.
         """
         coef = -0.5 * np.exp(-log_lam)
-        # A shared diagonal makes both contractions GEMMs over all rows:
-        # (rows x p)(p x K) and (rows x K)(K x p).
-        shared = D.shape[0] == 1
-        log_terms = coef @ D[0] if shared else (coef[:, None, :] @ D)[:, 0, :]
+        log_terms = coef @ D
         log_terms += self.log_weights
         peak, rel, total = relative_weights(log_terms)
-        objective = -0.5 * n * log_lam.sum(axis=1) + (peak + np.log(total))
-        update = rel @ D[0].T if shared else (D @ rel[:, :, None])[:, :, 0]
-        return objective, update / (n * total[:, None])
+        objective = -0.5 * n * log_lam.sum(axis=2) + (peak + np.log(total))
+        update = rel @ D.swapaxes(1, 2)
+        return objective, update / (n * total[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -170,26 +165,27 @@ class ExactO2:
     symmetric: ClassVar[bool] = True
 
     def diagonals(self, eig_rows: np.ndarray) -> np.ndarray:
-        """The rows themselves.  Refuses rows of another dimension."""
+        """The rows themselves, (rows, 2).  Refuses rows of another dimension."""
         _check_dim(self, eig_rows)
         return eig_rows
 
     def step(self, D: np.ndarray, log_lam: np.ndarray, n: int):
-        """``OrthogonalEnsemble.step`` in closed form, with D = l.
+        """``OrthogonalEnsemble.step`` in closed form, with D = l, broadcast
+        over the starts axis of ``log_lam`` (rows, starts, 2).
 
         At rotation theta the diagonal is m +/- h cos(2 theta) (m, h: mean
         and half-difference of l), so the log average is -a + log I0(b),
         a = m (1/lam_1 + 1/lam_2) / 2, b = h (1/lam_1 - 1/lam_2) / 2, and the
         update is (m -/+ h I1(b) / I0(b)) / n.
         """
-        inv = np.exp(-log_lam)
-        m, h = 0.5 * (D[:, 0] + D[:, 1]), 0.5 * (D[:, 0] - D[:, 1])
-        b = 0.5 * h * (inv[:, 0] - inv[:, 1])
-        log_i0, ratio = log_i0_and_ratio(np.abs(b))
-        objective = -0.5 * n * (log_lam[:, 0] + log_lam[:, 1]) - 0.5 * m * (inv[:, 0] + inv[:, 1]) + log_i0
+        inv, l1, l2 = np.exp(-log_lam), D[:, 0, None], D[:, 1, None]
+        m, h = 0.5 * (l1 + l2), 0.5 * (l1 - l2)
+        b = 0.5 * h * (inv[..., 0] - inv[..., 1])
+        # Boolean masks run faster on a vector than on the (rows, starts) grid.
+        log_i0, ratio = (v.reshape(b.shape) for v in log_i0_and_ratio(np.abs(b).ravel()))
+        objective = -0.5 * n * (log_lam[..., 0] + log_lam[..., 1]) - 0.5 * m * (inv[..., 0] + inv[..., 1]) + log_i0
         shift = h * np.copysign(ratio, b)
-        update = np.empty((shift.size, 2))
-        update[:, 0], update[:, 1] = m - shift, m + shift
+        update = np.stack([m - shift, m + shift], axis=2)
         return objective, np.divide(update, n, out=update)
 
 
@@ -257,7 +253,8 @@ def lambda_hat(S, n: int, gamma: np.ndarray) -> EigenEstimate:
 
     Unbiased for the population eigenvalues when ``gamma`` is the true
     eigenvector matrix; with the sample eigenvector frame it reproduces
-    ``lbar`` exactly.  Components keep the frame's index order.
+    ``lbar`` exactly.  Components keep the frame's index order.  A frame
+    that is not orthogonal is refused (ValueError, from ``kl_project``).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -295,8 +292,8 @@ def lambda_star_from_eigs(
         raise ValueError(f"need n >= p, got n={n}, p={batch.shape[1]}")
     if check_gaps and not (ok := separated_rows(batch)).all():
         check_eigenvalue_gaps(batch[np.argmin(ok)], "lambda_star")  # the first bad row
-    _, result = ensemble.step(ensemble.diagonals(batch), np.log(batch / n), n)
-    return result[0] if single else result
+    _, result = ensemble.step(ensemble.diagonals(batch), np.log(batch / n)[:, None], n)
+    return result[0, 0] if single else result[:, 0]
 
 
 def relative_weights(log_terms: np.ndarray):

@@ -39,10 +39,10 @@ EIGEN_LRT = "eigen-lrt"
 GRAD_TOL = 1e-8
 MAX_CYCLES = 500
 # Row-at-a-time start batches pay once a row's starts x nodes reach this
-# many log-weight terms; below it per-call overhead dominates and starts run
-# over all rows at once.  Measured on a 2-core Xeon, one thread: at 100
-# nodes (p = 2) one row at a time is 13x slower; at p = 3 and 4096 nodes it
-# is 1.5x faster.
+# many log-weight terms; below it per-call overhead dominates and each start
+# runs over DRAW_CHUNK rows at once.  Measured on a 2-core Xeon, one thread:
+# at 100 nodes (p = 2) one row at a time is 13x slower; at p = 3 and 4096
+# nodes it is 1.5x faster.
 ROW_BATCH_TERMS = 1 << 13
 
 
@@ -120,8 +120,8 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     # With Sigma = G diag(lam) G^T, trace(H^T L H Sigma^-1) is
     # sum_i diag_i((H G)^T L (H G)) / lam_i, and H G is Haar whenever H is:
     # the profile objective at Sigma's eigenvalues.
-    objective, _ = ensemble.step(ensemble.diagonals(eigs[None, :]), np.log(Sigma.eigenvalues)[None, :], n)
-    return float(objective[0])
+    objective, _ = ensemble.step(ensemble.diagonals(eigs[None, :]), np.log(Sigma.eigenvalues)[None, None, :], n)
+    return float(objective[0, 0])
 
 
 def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> TestStatistic:
@@ -157,55 +157,43 @@ def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | Ex
     reaching different heights), SQUAREM-accelerated EM from every ordering
     of l/n, the mean, their midpoint in log space, and the null point.
 
-    When a row's starts span at least ROW_BATCH_TERMS log-weight terms
-    (starts x nodes), they run one row at a time as the rows of one
-    ``_squarem`` call against that row's shared (1, p, K) diagonal, and only
-    one row's diagonal is held.  Otherwise (small grids) each start runs
-    over a block of at most DRAW_CHUNK rows at once, and one block's
-    diagonals are held.
+    The quadrature search is one loop over blocks of the (rows, starts)
+    grid, each one ``_squarem`` call: one row with all its starts once they
+    span ROW_BATCH_TERMS log-weight terms (starts x nodes), else DRAW_CHUNK
+    rows per start.  One block's diagonals are held at a time, and since
+    ``step`` computes each row alone, the blocks do not change a row's bits.
     """
     reps, p = eig_rows.shape
     log_l = np.log(eig_rows / n)
     mean_log = np.log(eig_rows.mean(axis=1) / n)[:, None]
+    mean = np.repeat(mean_log, p, axis=1)
     if ensemble.symmetric:
-        D, mean = ensemble.diagonals(eig_rows), np.repeat(mean_log, p, axis=1)
-        (f_mean, _), (f, update) = ensemble.step(D, mean, n), ensemble.step(D, log_l, n)
+        D = ensemble.diagonals(eig_rows)
+        f, update = ensemble.step(D, np.stack([mean, log_l], axis=1), n)
+        f_mean, f, update = f[:, 0], f[:, 1], update[:, 1]
         start_best, (x, f) = np.maximum(f, f_mean), _trace_line_root(D, log_l, f, update, n, ensemble)
         best, argmax = np.where(f_mean > f, f_mean, f), np.where((f_mean > f)[:, None], mean, x)
     else:
-        starts = [log_l[:, list(order)] for order in itertools.permutations(range(p))]
-        starts += [np.repeat(mean_log, p, axis=1), 0.5 * (log_l + mean_log), np.zeros((reps, p))]
+        extra = np.stack([mean, 0.5 * (log_l + mean_log), np.zeros((reps, p))], axis=1)
+        starts = np.concatenate([log_l[:, list(itertools.permutations(range(p)))], extra], axis=1)
         # Every EM image is a posterior mean of convex combinations of l/n, so
         # the image, and with it the sup, lies in this box.
-        lo, hi = log_l.min(axis=1, keepdims=True), log_l.max(axis=1, keepdims=True)
-        best = np.full(reps, -np.inf)
-        start_best = np.full(reps, -np.inf)
-        argmax = np.zeros((reps, p))
-        if len(starts) * ensemble.size < ROW_BATCH_TERMS:
-            # Near-equal blocks of at most DRAW_CHUNK rows: no block is a lone
-            # row unless the batch is, since one row's D reads as shared.
-            blocks = -(-reps // DRAW_CHUNK)
-            for b in range(blocks):
-                rows = slice(reps * b // blocks, reps * (b + 1) // blocks)
-                D = ensemble.diagonals(eig_rows[rows])
-                # Views: updating them updates the whole-batch arrays.
-                block_start, block_best, block_argmax = start_best[rows], best[rows], argmax[rows]
-                for x in starts:
-                    f, update = ensemble.step(D, x[rows], n)
-                    np.maximum(block_start, f, out=block_start)
-                    x, f = _squarem(D, x[rows], f, update, n, ensemble, lo[rows], hi[rows])
-                    better = f > block_best
-                    block_best[better] = f[better]
-                    block_argmax[better] = x[better]
-        else:
-            starts = np.stack(starts, axis=1)
-            for r in range(reps):
-                D = ensemble.diagonals(eig_rows[r : r + 1])
-                f, update = ensemble.step(D, starts[r], n)
-                start_best[r] = f.max()
-                x, f = _squarem(D, starts[r], f, update, n, ensemble, lo[r : r + 1], hi[r : r + 1])
-                j = np.argmax(f)
-                best[r], argmax[r] = f[j], x[j]
+        lo, hi = log_l.min(axis=1)[:, None, None], log_l.max(axis=1)[:, None, None]
+        best, start_best, argmax = np.full(reps, -np.inf), np.full(reps, -np.inf), np.zeros((reps, p))
+        count = starts.shape[1]
+        block, group = (1, count) if count * ensemble.size >= ROW_BATCH_TERMS else (DRAW_CHUNK, 1)
+        for r0 in range(0, reps, block):
+            rows = slice(r0, r0 + block)
+            D = ensemble.diagonals(eig_rows[rows])
+            # Views: updating them updates the whole-batch arrays.
+            block_start, block_best, block_argmax = start_best[rows], best[rows], argmax[rows]
+            for s0 in range(0, count, group):
+                f, update = ensemble.step(D, starts[rows, s0 : s0 + group], n)
+                np.maximum(block_start, f.max(axis=1), out=block_start)
+                x, f = _squarem(D, starts[rows, s0 : s0 + group], f, update, n, ensemble, lo[rows], hi[rows])
+                j = (np.arange(f.shape[0]), f.argmax(axis=1))
+                better = f[j] > block_best
+                block_best[better], block_argmax[better] = f[j][better], x[j][better]
     if not np.all(np.isfinite(best)) or np.any(best < start_best - 1e-12):
         raise OptimizerFailure("profile maximization lost ground on its starts")
     return best, argmax
@@ -240,7 +228,7 @@ def _trace_line_root(D, x, f, update, n, ensemble):
         w_prev, g_prev, ok_prev = w, g, ok
         w = np.where((s > lo) & (s < hi), s, np.where(hi < 1.0, 0.5 * (lo + hi), lo))
         xs = log_m[:, None] + np.log(np.stack([2.0 - w, w], axis=1))
-        fs, us = ensemble.step(D, xs, n)
+        fs, us = (v[:, 0] for v in ensemble.step(D, xs[:, None], n))
         image = 2.0 * us[:, 1] / (us[:, 0] + us[:, 1])
         g, ok = w - image, 0.5 * n * np.abs(us * np.exp(-xs) - 1.0).max(axis=1) <= GRAD_TOL
         x[active], f[active] = xs, fs
@@ -251,50 +239,49 @@ def _trace_line_root(D, x, f, update, n, ensemble):
 
 
 def _squarem(D, x, f, update, n, ensemble, lo, hi):
-    """SQUAREM-accelerated EM in log-eigenvalue space from ``x``, where the
-    objective is ``f`` and the EM map gives ``update``.
+    """SQUAREM-accelerated EM in log-eigenvalue space from the points ``x``
+    (rows, starts, p), where the objective is ``f`` and the EM map gives
+    ``update``; ``D`` and the box [lo, hi] have one entry per row.
 
-    ``D`` and the box [lo, hi] have one row per row of ``x``, or a single
-    row shared by all of them (see ``OrthogonalEnsemble.step``).  Each cycle
-    takes two EM steps and extrapolates along them (step length at least
-    the plain double step, clipped to the box); the extrapolated point is
-    kept only where the objective did not drop, otherwise the double EM
-    step is, so the ascent is monotone.  A row stops once its log-space
-    gradient (n/2) max|update/lam - 1| is at most GRAD_TOL; converged rows
-    leave the working set, and a per-row ``D`` and box are compacted with
-    them only then.
+    Each cycle takes two EM steps and extrapolates along them (step length
+    at least the plain double step, clipped to the box); the extrapolated
+    point is kept only where the objective did not drop, otherwise the
+    double EM step is, so the ascent is monotone.  A point is certified once
+    its log-space gradient (n/2) max|update/lam - 1| is at most GRAD_TOL.  A
+    row or start column certified throughout leaves the grid, so on a grid
+    of one row or one start each point stops once certified.
     """
-    x, f, update = x.copy(), f.copy(), update.copy()
-    shared = D.shape[0] == 1
-    active = np.arange(x.shape[0])
+    x_out, f_out = np.empty_like(x), np.empty_like(f)
+    rows, cols = np.arange(f.shape[0])[:, None], np.arange(f.shape[1])
     for cycle in range(MAX_CYCLES + 1):
-        grad = 0.5 * n * np.abs(update[active] * np.exp(-x[active]) - 1.0).max(axis=1)
-        still = grad > GRAD_TOL
-        if not still.all():
-            active = active[still]
-            if not shared:
-                D, lo, hi = D[still], lo[still], hi[still]
-        if active.size == 0:
-            return x, f
+        still = 0.5 * n * np.abs(update * np.exp(-x) - 1.0).max(axis=2) > GRAD_TOL
+        keep_rows, keep_cols = still.any(axis=1), still.any(axis=0)
+        if not keep_rows.all():  # no copy of D while only starts leave
+            x_out[rows[~keep_rows], cols], f_out[rows[~keep_rows], cols] = x[~keep_rows], f[~keep_rows]
+            x, f, update, D, lo, hi, rows = (v[keep_rows] for v in (x, f, update, D, lo, hi, rows))
+        if not keep_cols.all():
+            x_out[rows, cols[~keep_cols]], f_out[rows, cols[~keep_cols]] = x[:, ~keep_cols], f[:, ~keep_cols]
+            x, f, update, cols = x[:, keep_cols], f[:, keep_cols], update[:, keep_cols], cols[keep_cols]
+        if f.size == 0:
+            return x_out, f_out
         if cycle == MAX_CYCLES:
             break
-        x0 = x[active]
-        x1 = np.log(update[active])
+        x1 = np.log(update)
         _, update1 = ensemble.step(D, x1, n)
         x2 = np.log(update1)
         f2, update2 = ensemble.step(D, x2, n)
-        r = x1 - x0
+        r = x1 - x
         v = x2 - x1 - r
-        step = np.sqrt((r * r).sum(axis=1) / np.maximum((v * v).sum(axis=1), np.finfo(float).tiny))
-        step = np.maximum(step, 1.0)[:, None]
-        xs = np.clip(x0 + 2.0 * step * r + step**2 * v, lo, hi)
+        step = np.sqrt((r * r).sum(axis=2) / np.maximum((v * v).sum(axis=2), np.finfo(float).tiny))
+        step = np.maximum(step, 1.0)[:, :, None]
+        xs = np.clip(x + 2.0 * step * r + step**2 * v, lo, hi)
         fs, updates = ensemble.step(D, xs, n)
-        keep = fs >= f[active]
-        x[active] = np.where(keep[:, None], xs, x2)
-        f[active] = np.where(keep, fs, f2)
-        update[active] = np.where(keep[:, None], updates, update2)
+        keep = fs >= f
+        x = np.where(keep[:, :, None], xs, x2)
+        f = np.where(keep, fs, f2)
+        update = np.where(keep[:, :, None], updates, update2)
     raise OptimizerFailure(
-        f"profile maximization left {active.size} rows above the gradient "
+        f"profile maximization left {np.count_nonzero(still)} points above the gradient "
         f"tolerance {GRAD_TOL:g} after {MAX_CYCLES} SQUAREM cycles"
     )
 

@@ -321,15 +321,23 @@ class Spectrum:
                 f"eigenvector matrix shape {gamma.shape} does not match p={p}"
             )
         check_eigenvalue_gaps(lam, "Spectrum")
-        err = np.abs(gamma.T @ gamma - np.eye(p)).max()
-        if err > ORTHOGONALITY_TOLERANCE:
-            raise NotPositiveDefinite(
-                f"eigenvector matrix is not orthogonal (max deviation {err:.3e})"
-            )
+        _check_orthogonal(gamma, "eigenvector matrix")
         gamma = _fix_column_signs(gamma)
         object.__setattr__(self, "eigenvalues", _frozen(lam))
         object.__setattr__(self, "eigenvectors", _frozen(gamma))
         object.__setattr__(self, "dim", p)
+
+
+def _check_orthogonal(frames: np.ndarray, what: str) -> None:
+    """The one orthogonality check, |F^T F - I| <= ORTHOGONALITY_TOLERANCE
+    entrywise, on a frame or a (count, p, p) stack: else ValueError, naming
+    a stack's first bad member.  A non-finite frame fails."""
+    dev = np.abs(np.swapaxes(frames, -1, -2) @ frames - np.eye(frames.shape[-1]))
+    if not dev.max() <= ORTHOGONALITY_TOLERANCE:  # one reduction when every frame passes
+        errs = dev.reshape(-1, dev.shape[-1] ** 2).max(axis=1)
+        k = int(np.argmax(~(errs <= ORTHOGONALITY_TOLERANCE)))
+        name = f"{what} {k}" if frames.ndim == 3 else what
+        raise ValueError(f"{name} is not orthogonal (deviation {errs[k]:.3e})")
 
 
 def _fix_column_signs(gamma: np.ndarray) -> np.ndarray:
@@ -556,7 +564,8 @@ def kl_project(S, gamma: np.ndarray) -> np.ndarray:
 
     For each coordinate this is the minimizer of KL(S, gamma diag(x) gamma.T),
     so perturbing any returned entry strictly increases the divergence.
-    A frame with a non-finite entry is refused (ValueError).
+    A frame with a non-finite entry, or one that is not orthogonal, is
+    refused (ValueError).
     """
     S = as_spd(S)
     gamma = np.asarray(gamma, dtype=float)
@@ -566,4 +575,5 @@ def kl_project(S, gamma: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(gamma).all():
         raise ValueError("frame has non-finite entries")
+    _check_orthogonal(gamma, "frame")
     return np.einsum("ij,ik,kj->j", gamma, S.matrix, gamma)

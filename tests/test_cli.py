@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigengeo import Spectrum, cli, curvature_oracle_A
+from eigengeo import SpdMatrix, Spectrum, cli, curvature_oracle_A
 from eigengeo.cli import main, read_matrix
 from eigengeo.cli import CliInputError
 from eigengeo.fisher_geometry import FD_TOLERANCE
@@ -93,6 +93,14 @@ class TestGeometryCommand:
         assert manifest["command"] == "geometry"
         assert manifest["outputs"] == ["geometry.csv"]
         assert "library_version" in manifest
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__ and env["workers"] == cli.worker_count()
+        assert {"blas", "blas_version"} <= env.keys()
+
+    def test_malformed_thread_cap_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EIGENGEO_THREADS", "0")
+        assert run(tmp_path, "geometry", "--lambda", "3,1") == 2
+        assert not (tmp_path / "geometry.csv").exists()
 
 
 def test_fmt_is_the_isinstance_chain():
@@ -183,7 +191,9 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize(
         "frame",
-        [np.eye(3), np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]) * 1.001],
+        # The last is off by 2e-9: refused at ORTHOGONALITY_TOLERANCE (1e-10).
+        [np.eye(3), np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]) * 1.001,
+         np.eye(2) * (1.0 + 1e-9)],
     )
     def test_gamma_frame_bad_file_exit_2(self, tmp_path, frame):
         path = write_matrix(tmp_path, "S.txt", np.diag([2.0, 1.0]))
@@ -220,6 +230,14 @@ class TestEstimateCommand:
         path.write_text("2\n1.0 0.5\n0.4 1.0\n")
         with pytest.raises(CliInputError):
             read_matrix(str(path))
+
+    def test_read_matrix_symmetry_is_relative(self, tmp_path):
+        # Asymmetry 0.1 is 3e-10 of the largest entry: SpdMatrix's policy
+        # accepts it, as the command does.
+        m = np.array([[3e8, 1e8 + 0.1], [1e8, 2e8]])
+        path = write_matrix(tmp_path, "S.txt", m)
+        assert np.array_equal(read_matrix(path).matrix, SpdMatrix(m).matrix)
+        assert run(tmp_path, "estimate", "--input", path, "--n", "10", "--method", "lbar") == 0
 
 
 class TestExperimentCommand:

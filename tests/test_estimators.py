@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +68,10 @@ class TestLambdaHat:
         gamma[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             lambda_hat(np.diag([3.0, 2.0, 1.0]), 10, gamma)
+
+    def test_non_orthogonal_frame_refused(self):
+        with pytest.raises(ValueError, match=r"frame is not orthogonal \(deviation 5\.000e-01\)"):
+            lambda_hat(np.diag([3.0, 1.0]), 10, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
     def test_sample_frame_reproduces_lbar(self, rng):
@@ -149,6 +154,10 @@ class TestOrthogonalEnsemble:
         mats[4] *= 1.001
         with pytest.raises(ValueError, match="member 4 is not orthogonal"):
             OrthogonalEnsemble(mats, np.full(6, 1.0 / 6), HAAR_MC)
+        mats[4] /= 1.001
+        mats[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="member 2 is not orthogonal"):
+            OrthogonalEnsemble(mats, np.full(6, 1.0 / 6), HAAR_MC)
 
 
 class TestDiagonals:
@@ -202,19 +211,21 @@ class TestDiagonals:
 
 
 class TestStep:
-    @pytest.mark.parametrize("make", TestDiagonals.ENSEMBLES)
-    def test_shared_diagonal_matches_per_row(self, make, rng):
-        # A D with one leading row serves every row of log_lam (two GEMMs)
-        # and agrees with that D repeated per row (batched products).
+    @pytest.mark.parametrize("make", [*TestDiagonals.ENSEMBLES, pytest.param(ExactO2, id="exact-o2")])
+    def test_rows_by_starts_grid_matches_per_entry_calls(self, make, rng):
+        # log_lam (rows, starts, p) gives objectives (rows, starts) and
+        # updates (rows, starts, p), each entry that of its own one-row,
+        # one-start call.
         ens = make()
-        row = np.sort(rng.uniform(1.0, 20.0, ens.dim))[::-1][None, :]
-        D = ens.diagonals(row)
-        log_lam = np.log(row / 10) + rng.normal(0.0, 0.3, (9, ens.dim))
+        rows = np.sort(rng.uniform(1.0, 20.0, (4, ens.dim)), axis=1)[:, ::-1]
+        D = ens.diagonals(rows)
+        log_lam = np.log(rows / 10)[:, None, :] + rng.normal(0.0, 0.3, (4, 7, ens.dim))
         f, update = ens.step(D, log_lam, 10)
-        g, per_row = ens.step(np.repeat(D, 9, axis=0), log_lam, 10)
-        assert f.shape == (9,) and update.shape == (9, ens.dim)
-        assert_allclose(f, g, rtol=1e-14, atol=0)
-        assert_allclose(update, per_row, rtol=1e-14, atol=0)
+        assert f.shape == (4, 7) and update.shape == (4, 7, ens.dim)
+        for r, s in itertools.product(range(4), range(7)):
+            g, one = ens.step(D[r : r + 1], log_lam[r : r + 1, s : s + 1], 10)
+            assert_allclose(f[r, s], g[0, 0], rtol=1e-14, atol=0)
+            assert_allclose(update[r, s], one[0, 0], rtol=1e-14, atol=0)
 
 
 class TestLambdaStar:
@@ -373,18 +384,18 @@ class TestExactO2:
     def test_step_matches_dense_grid(self):
         grid = o2_equidistant(400)
         eigs, log_lam = exact_and_grid_rows(31)
-        f, update = ExactO2().step(ExactO2().diagonals(eigs), log_lam, 10)
-        g, grid_update = grid.step(grid.diagonals(eigs), log_lam, 10)
+        f, update = ExactO2().step(ExactO2().diagonals(eigs), log_lam[:, None], 10)
+        g, grid_update = grid.step(grid.diagonals(eigs), log_lam[:, None], 10)
         assert_allclose(f, g, rtol=0.0, atol=1e-12)
         assert_allclose(update, grid_update, rtol=1e-12, atol=0.0)
 
     def test_symmetric_under_swapping_lambda(self):
         # The objective is symmetric and the EM map equivariant.
         eigs, log_lam = exact_and_grid_rows(32)
-        f, update = ExactO2().step(eigs, log_lam, 10)
-        g, swapped = ExactO2().step(eigs, log_lam[:, ::-1], 10)
+        f, update = ExactO2().step(eigs, log_lam[:, None], 10)
+        g, swapped = ExactO2().step(eigs, log_lam[:, None, ::-1], 10)
         assert_allclose(f, g, rtol=1e-15, atol=0.0)
-        assert_allclose(update, swapped[:, ::-1], rtol=1e-15, atol=0.0)
+        assert_allclose(update, swapped[..., ::-1], rtol=1e-15, atol=0.0)
 
     def test_lambda_star_matches_dense_grid(self):
         eigs, _ = exact_and_grid_rows(33)

@@ -105,8 +105,8 @@ class TestEigenDensityKernel:
         eigs = np.array([40.0, 15.0, 5.0])
         lam = np.array([3.0, 1.5, 0.6])
         got = eigen_log_density_kernel(eigs, np.diag(lam), 10, ens)
-        objective, _ = ens.step(ens.diagonals(eigs[None, :]), np.log(lam)[None, :], 10)
-        assert abs(got - objective[0]) < 1e-10
+        objective, _ = ens.step(ens.diagonals(eigs[None, :]), np.log(lam)[None, None, :], 10)
+        assert abs(got - objective[0, 0]) < 1e-10
         assert abs(got - (-25.0253)) < 5e-5
 
     def test_rejects_unsorted(self):
@@ -264,26 +264,26 @@ class TestProfileMaximizer:
         grid = np.stack([a.ravel() for a in np.meshgrid(g, g, g)], axis=1)
         assert sup[0] >= profile_objective(node_diagonals(row, ens), 10, ens, grid).max() - 1e-9
 
-    # A 100-node grid runs each start over all rows at once; a 4096-node
-    # grid runs one row's starts at a time against that row's shared D.
-    LOOP_ORDERS = ((100, False), (4096, True))
-
     def test_budget_exhausted_raises(self, monkeypatch):
-        leading = []
+        shapes = []
         step = OrthogonalEnsemble.step
 
         def counted(self, D, log_lam, n):
-            leading.append(D.shape[0])
+            shapes.append(log_lam.shape)
             return step(self, D, log_lam, n)
 
         monkeypatch.setattr(ht, "MAX_CYCLES", 1)
         monkeypatch.setattr(OrthogonalEnsemble, "step", counted)
         eigs = wishart_eig_rows(2, 10, 20, 15)
-        for K, shared in self.LOOP_ORDERS:
-            leading.clear()
+        # A 100-node grid runs each start over DRAW_CHUNK rows at once, blocks
+        # of (rows, 1, p); a 4096-node grid runs one row's five starts at a
+        # time, blocks of (1, starts, p).  SQUAREM drops certified points
+        # along the non-unit axis only.
+        for K, block, unit in ((100, (20, 1, 2), 1), (4096, (1, 5, 2), 0)):
+            shapes.clear()
             with pytest.raises(OptimizerFailure, match="gradient tolerance"):
                 _profile_sup(eigs, 10, o2_equidistant(K))
-            assert leading and (set(leading) == {1}) == shared
+            assert shapes[0] == block and all(shape[unit] == 1 for shape in shapes)
 
     def test_lost_ground_raises(self, monkeypatch):
         calls = []
@@ -294,39 +294,39 @@ class TestProfileMaximizer:
 
         monkeypatch.setattr(ht, "_squarem", sinking)
         eigs = wishart_eig_rows(2, 10, 3, 16)
-        for K, shared in self.LOOP_ORDERS:
+        # Starts: the 2! orderings of l/n, the mean, midpoint and null: five
+        # blocks of all three rows, or three rows of all five starts.
+        for K, want in ((100, [((3, 2, 100), (3, 1, 2))] * 5), (4096, [((1, 2, 4096), (1, 5, 2))] * 3)):
             calls.clear()
             with pytest.raises(OptimizerFailure, match="lost ground"):
                 _profile_sup(eigs, 10, o2_equidistant(K))
-            # Starts: the 2! orderings of l/n, the mean, midpoint and null.
-            if shared:
-                assert calls == [((1, 2, K), (5, 2))] * 3
-            else:
-                assert calls == [((3, 2, K), (3, 2))] * 5
+            assert calls == want
 
     @pytest.mark.parametrize(
-        "p, make, group",
-        [(2, lambda: o2_equidistant(100), 2), (3, lambda: haar_sample(3, 1024, 3), 1),
-         (4, lambda: haar_sample(4, 1024, 4), 1)],
-        ids=["2", "3", "4"],
+        "make",
+        [lambda: o2_equidistant(100), lambda: haar_sample(3, 64, 3), lambda: haar_sample(3, 1024, 3),
+         lambda: haar_sample(4, 1024, 4)],
+        ids=["equidistant-100", "haar-p3-64", "haar-p3-1024", "haar-p4-1024"],
     )
-    def test_batch_is_row_by_row_bits(self, p, make, group):
-        # A row's starts run against its own diagonal, or (small grids) beside
-        # other rows, so its sup and argmax do not depend on the other rows of
-        # the batch.  A small grid is run on two rows: a lone row's diagonal
-        # reads as shared, which takes another GEMM.
+    def test_batch_is_row_by_row_bits(self, make):
+        # step and diagonals compute each row from its own products, so a
+        # lone row's sup, argmax and lambda_star are the bits it gets inside
+        # a batch, on the small-grid blocks (100 and 64 nodes) and the
+        # row-at-a-time layout (1024 nodes) alike.
         ens = make()
-        eigs = wishart_eig_rows(p, 10, 5, 20 + p)
+        eigs = wishart_eig_rows(ens.dim, 10, 9, 20 + ens.dim)
         sup, argmax = _profile_sup(eigs, 10, ens)
+        star = lambda_star_from_eigs(eigs, 10, ens)
         for r in range(len(eigs)):
-            one_sup, one_argmax = _profile_sup(eigs[[r, (r + 1) % 5][:group]], 10, ens)
+            one_sup, one_argmax = _profile_sup(eigs[r : r + 1], 10, ens)
             assert one_sup[0] == sup[r]
             assert np.array_equal(one_argmax[0], argmax[r])
+            assert np.array_equal(lambda_star_from_eigs(eigs[r], 10, ens), star[r])
 
     @pytest.mark.parametrize("count", [5, 9])
     def test_small_grid_blocks_are_bit_neutral(self, monkeypatch, count):
-        # Blocks of at most 4 rows (2 + 3, 3 + 3 + 3): no lone row is left
-        # over, so the bits are those of one block.
+        # Blocks of 4 rows and a last lone row (4 + 1, 4 + 4 + 1) give the
+        # bits of one block.
         ens = o2_equidistant(100)
         eigs = wishart_eig_rows(2, 10, count, 30 + count)
         want = _profile_sup(eigs, 10, ens)
@@ -391,8 +391,8 @@ class TestExactProfile:
         for row, c, best in zip(rows, cs, sup):
             oracle = exact_objective_on_trace_line(row, n, np.linspace(0.0, c, 20_001)).max()
             assert best >= oracle - 1e-10
-        _, update = ExactO2().step(rows, argmax, n)
-        assert np.all(0.5 * n * np.abs(update * np.exp(-argmax) - 1.0).max(axis=1) <= ht.GRAD_TOL)
+        _, update = ExactO2().step(rows, argmax[:, None], n)
+        assert np.all(0.5 * n * np.abs(update[:, 0] * np.exp(-argmax) - 1.0).max(axis=1) <= ht.GRAD_TOL)
 
     def test_trace_line_facts(self):
         # The two facts the trace-line search rests on, for the EM image
@@ -403,8 +403,8 @@ class TestExactProfile:
             for c in np.linspace(0.02, 0.99, 49):
                 rows = np.array([[1.0 + c, 1.0 - c]])
                 lam = np.stack([1.0 + t, 1.0 - t], axis=1) / n
-                _, u = ExactO2().step(rows, np.log(lam), n)
-                T = (u[:, 0] - u[:, 1]) / (u[:, 0] + u[:, 1])
+                _, u = ExactO2().step(rows, np.log(lam)[None], n)
+                T = (u[0, :, 0] - u[0, :, 1]) / (u[0, :, 0] + u[0, :, 1])
                 above = T > t
                 assert np.count_nonzero(np.diff(above.astype(int)) == 1) + above[0] <= 1
                 if above.any():
@@ -424,8 +424,9 @@ class TestExactProfile:
         eigs = wishart_eig_rows(2, 10, 20, 15)
         with pytest.raises(OptimizerFailure, match="gradient tolerance"):
             _profile_sup(eigs, 10, ExactO2())
-        # The mean, l/n, then the budget of 3 * MAX_CYCLES trace-line steps.
-        assert len(calls) == 2 + 3
+        # The mean and l/n as two starts, then the budget of 3 * MAX_CYCLES
+        # trace-line steps.
+        assert len(calls) == 1 + 3
 
     def test_lost_ground_raises(self, monkeypatch):
         calls = []
@@ -443,13 +444,14 @@ class TestExactProfile:
         assert calls == [((3, 2), (3, 2))]
 
     def test_step_rows_per_row_on_fig3_calibration(self, monkeypatch):
-        # A timer-free guard on the search's cost: posterior-step rows per
-        # row on fig3's null calibration stream (SQUAREM took 16.8).
+        # A timer-free guard on the search's cost: posterior-step points
+        # (rows x starts) per row on fig3's null calibration stream (SQUAREM
+        # took 16.8).
         rows = []
         step = ExactO2.step
 
         def counted(self, D, log_lam, n):
-            rows.append(log_lam.shape[0])
+            rows.append(log_lam.shape[0] * log_lam.shape[1])
             return step(self, D, log_lam, n)
 
         monkeypatch.setattr(ExactO2, "step", counted)

@@ -312,6 +312,12 @@ class TestCompose:
         with pytest.raises(NearDegenerateSpectrum):
             Spectrum([1.0, 1.0 - 1e-12], np.eye(2))
 
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
+    def test_non_orthogonal_frame_rejected_by_spectrum(self, scale):
+        # The one orthogonality check: ORTHOGONALITY_TOLERANCE, ValueError.
+        with pytest.raises(ValueError, match="eigenvector matrix is not orthogonal"):
+            Spectrum([2.0, 1.0], rotation(0.3) * scale)
+
     def test_rotated_frame_offdiagonal(self):
         sp = Spectrum([3.0, 1.0], rotation(np.pi / 6))
         got = compose(sp).matrix

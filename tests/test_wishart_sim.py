@@ -575,8 +575,12 @@ class TestExperiments:
                 ["fig3", "--reps", "1000", "--theta-count", "3", "--seed", "4"],
                 ["fig3_power.csv", "fig3_calibration.csv"],
             ),
+            (
+                ["fig3", "--reps", "1000", "--theta-count", "3", "--seed", "4", "--ensemble", "equidistant:40"],
+                ["fig3_power.csv", "fig3_calibration.csv"],
+            ),
         ],
-        ids=["fig5", "fig3"],
+        ids=["fig5", "fig3", "fig3-equidistant"],
     )
     def test_csv_bytes_independent_of_thread_count(self, monkeypatch, tmp_path, argv, names):
         # Grid points and alternatives recolour one shared white batch.
