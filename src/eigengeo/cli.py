@@ -132,10 +132,15 @@ def _write_outputs(args, tables: list, plot, started: float, environment: dict) 
 
 
 def _environment() -> dict:
-    """numpy, its BLAS (GEMM and GEMV round by kernel) and the worker cap."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "workers": worker_count()}
+    """numpy, its BLAS (GEMM and GEMV round by kernel; None where numpy does
+    not report it: show_config has no ``mode`` before 1.26) and the worker cap."""
+    env = {"numpy": np.__version__, "blas": None, "blas_version": None, "workers": worker_count()}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env.update(blas=blas.get("name"), blas_version=blas.get("version"))
+    except (TypeError, KeyError, AttributeError):
+        pass
+    return env
 
 
 def _parse_lambda(text: str) -> np.ndarray:

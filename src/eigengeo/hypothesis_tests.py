@@ -267,8 +267,7 @@ def _squarem(D, x, f, update, n, ensemble, lo, hi):
         if cycle == MAX_CYCLES:
             break
         x1 = np.log(update)
-        _, update1 = ensemble.step(D, x1, n)
-        x2 = np.log(update1)
+        x2 = np.log(ensemble.step(D, x1, n)[1])
         f2, update2 = ensemble.step(D, x2, n)
         r = x1 - x
         v = x2 - x1 - r

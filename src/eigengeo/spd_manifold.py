@@ -317,9 +317,7 @@ class Spectrum:
         gamma = np.asarray(self.eigenvectors, dtype=float)
         p = lam.size
         if gamma.shape != (p, p):
-            raise DimensionMismatch(
-                f"eigenvector matrix shape {gamma.shape} does not match p={p}"
-            )
+            raise DimensionMismatch(f"eigenvector matrix shape {gamma.shape} does not match p={p}")
         check_eigenvalue_gaps(lam, "Spectrum")
         _check_orthogonal(gamma, "eigenvector matrix")
         gamma = _fix_column_signs(gamma)
@@ -331,13 +329,15 @@ class Spectrum:
 def _check_orthogonal(frames: np.ndarray, what: str) -> None:
     """The one orthogonality check, |F^T F - I| <= ORTHOGONALITY_TOLERANCE
     entrywise, on a frame or a (count, p, p) stack: else ValueError, naming
-    a stack's first bad member.  A non-finite frame fails."""
-    dev = np.abs(np.swapaxes(frames, -1, -2) @ frames - np.eye(frames.shape[-1]))
+    a stack's first bad member and its deviation, or its non-finite entries."""
+    dev = np.abs(frames.swapaxes(-1, -2) @ frames - np.eye(frames.shape[-1]))
     if not dev.max() <= ORTHOGONALITY_TOLERANCE:  # one reduction when every frame passes
         errs = dev.reshape(-1, dev.shape[-1] ** 2).max(axis=1)
         k = int(np.argmax(~(errs <= ORTHOGONALITY_TOLERANCE)))
         name = f"{what} {k}" if frames.ndim == 3 else what
-        raise ValueError(f"{name} is not orthogonal (deviation {errs[k]:.3e})")
+        finite = np.isfinite(frames.reshape(errs.size, -1)[k]).all()
+        detail = f"deviation {errs[k]:.3e}" if finite else "non-finite entries"
+        raise ValueError(f"{name} is not orthogonal ({detail})")
 
 
 def _fix_column_signs(gamma: np.ndarray) -> np.ndarray:
@@ -564,16 +564,12 @@ def kl_project(S, gamma: np.ndarray) -> np.ndarray:
 
     For each coordinate this is the minimizer of KL(S, gamma diag(x) gamma.T),
     so perturbing any returned entry strictly increases the divergence.
-    A frame with a non-finite entry, or one that is not orthogonal, is
-    refused (ValueError).
+    A frame that is not orthogonal, or has a non-finite entry, is refused
+    (ValueError).
     """
     S = as_spd(S)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (S.dim, S.dim):
-        raise DimensionMismatch(
-            f"frame shape {gamma.shape} does not match dim {S.dim}"
-        )
-    if not np.isfinite(gamma).all():
-        raise ValueError("frame has non-finite entries")
+        raise DimensionMismatch(f"frame shape {gamma.shape} does not match dim {S.dim}")
     _check_orthogonal(gamma, "frame")
     return np.einsum("ij,ik,kj->j", gamma, S.matrix, gamma)

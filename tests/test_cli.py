@@ -97,6 +97,14 @@ class TestGeometryCommand:
         assert env["numpy"] == np.__version__ and env["workers"] == cli.worker_count()
         assert {"blas", "blas_version"} <= env.keys()
 
+    def test_manifest_without_blas_report(self, tmp_path, monkeypatch):
+        # numpy before 1.26: show_config() takes no mode and prints instead.
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert run(tmp_path, "geometry", "--lambda", "3,1") == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["blas"] is None and env["blas_version"] is None
+        assert env["numpy"] == np.__version__ and env["workers"] == cli.worker_count()
+
     def test_malformed_thread_cap_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENGEO_THREADS", "0")
         assert run(tmp_path, "geometry", "--lambda", "3,1") == 2
