@@ -9,6 +9,10 @@ configuration, seed, library version, numpy and BLAS builds, worker count,
 wall clock, and output paths.  Given the same seed and configuration, every
 CSV byte is reproducible; the manifest records what to re-run.
 
+Each experiment has its own parser holding only the flags it reads
+(``eigengeo experiment NAME --help`` lists them); argparse refuses any
+other flag with exit code 2 before anything runs.
+
 Exit codes: 0 success, 2 input or domain error, 3 numeric failure.
 """
 
@@ -284,49 +288,20 @@ def _risk_report_rows(report) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-# The flags each experiment reads.  Any other experiment flag is refused
-# (exit 2) rather than silently ignored.
-EXPERIMENT_FLAGS = {
-    "fig3": {"reps", "seed", "n", "alpha", "theta_count", "ensemble", "paper_scale", "plot"},
-    "fig4": {"reps", "seed", "paper_scale", "plot"},
-    "fig5": {"reps", "seed", "paper_scale", "plot"},
-    "fig6": {"reps", "seed", "ensemble", "paper_scale", "plot"},
-    "bias": {"reps", "seed", "p", "n", "lam"},
-}
-
-
-def _refuse_unused_flags(args) -> None:
-    for dest, value in vars(args).items():
-        if dest in ("command", "name", "out") or value is None or value is False:
-            continue
-        if dest not in EXPERIMENT_FLAGS[args.name]:
-            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
-            raise CliInputError(f"experiment {args.name} does not use {flag}")
-
-
 def cmd_experiment(args):
     name = args.name
-    _refuse_unused_flags(args)
-    if args.paper_scale:
-        if args.reps is not None or args.theta_count is not None:
-            raise CliInputError("--paper-scale cannot be combined with --reps or --theta-count")
-        # The paper's counts (the manifest records them as --reps), and fig3's full fan.
-        args.reps = {"fig3": 100_000, "fig4": 100_000, "fig5": 100_000, "fig6": 10_000}[name]
-    # Only the flags given are passed on, so each experiment's own defaults
-    # apply (an explicit 0 is passed on and validated, not replaced).
-    given = {k: v for k, v in vars(args).items()
-             if k in ("reps", "seed", "p", "n", "alpha", "theta_count") and v is not None}
-    if args.paper_scale and name == "fig3":
-        given["theta_count"] = 51
+    # Every key but the writer's is a flag the experiment's parser holds and
+    # was given, so each experiment's own defaults apply (an explicit 0 is
+    # passed on and validated, not replaced).
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "name", "out", "plot", "paper_scale")}
     if name == "bias":
         p = given.pop("p", 2)
         if p < 1:
             raise CliInputError(f"--p must be >= 1, got {p}")
-        lam = _parse_lambda(args.lam) if args.lam else np.ones(p)
+        lam = _parse_lambda(given.pop("lam")) if "lam" in given else np.ones(p)
         if lam.size != p:
             raise CliInputError(f"--lambda has {lam.size} entries but --p is {p}")
-        # bias_majorization_check has no defaults; these are the command's.
-        report = bias_majorization_check(np.diag(lam), **{"n": 10, "reps": 100_000, "seed": 0, **given})
+        report = bias_majorization_check(np.diag(lam), **given)
         header = ["j", "mean_partial_sum", "target_partial_sum", "margin",
                   "stderr", "holds_3sigma", "trace_max_rel_dev"]
         rows = [
@@ -336,12 +311,19 @@ def cmd_experiment(args):
             for j in range(lam.size)
         ]
         return [("bias.csv", header, rows)], None
-    if args.ensemble is not None:
+    if args.paper_scale:
+        if "reps" in given or "theta_count" in given:
+            raise CliInputError("--paper-scale cannot be combined with --reps or --theta-count")
+        # The paper's counts (the manifest records them as --reps), and fig3's full fan.
+        args.reps = given["reps"] = {"fig3": 100_000, "fig4": 100_000, "fig5": 100_000, "fig6": 10_000}[name]
+        if name == "fig3":
+            given["theta_count"] = 51
+    if "ensemble" in given:
         # Refuse fig6's other kinds from the flag text, before anything is built.
-        if name == "fig6" and args.ensemble.partition(":")[0] != "equidistant":
+        if name == "fig6" and given["ensemble"].partition(":")[0] != "equidistant":
             raise CliInputError("fig6 takes only --ensemble equidistant:K")
         # Haar nodes are drawn from the run's seed (0 when none is given).
-        given["ensemble"] = _parse_ensemble(args.ensemble, 2, args.seed or 0)
+        given["ensemble"] = _parse_ensemble(given["ensemble"], 2, given.get("seed", 0))
     if name == "fig3":
         study = figure3_experiment(**given)
         header = ["theta", "lambda_1", "lambda_2", "power_full", "stderr_full",
@@ -406,21 +388,32 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--out", default=".")
 
     exp = sub.add_parser("experiment", help="run a Monte-Carlo experiment and write CSV reports")
-    exp.add_argument("name", choices=["fig3", "fig4", "fig5", "fig6", "bias"])
-    exp.add_argument("--reps", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--p", type=int, default=None)
-    exp.add_argument("--n", type=int, default=None)
-    exp.add_argument("--lambda", dest="lam", default=None,
-                     help="population eigenvalues for the bias experiment")
-    exp.add_argument("--alpha", type=float, default=None, help="fig3: test level (default 0.05)")
-    exp.add_argument("--theta-count", type=int, default=None,
-                     help="fig3: thin the 51-angle fan to this many points (default 51)")
-    exp.add_argument("--ensemble", default=None, help="equidistant:K or haar:m (default: exact at p=2)")
-    exp.add_argument("--paper-scale", action="store_true",
-                     help="the paper's replication counts (slow; not with --reps or --theta-count)")
-    exp.add_argument("--plot", action="store_true", help="emit a gnuplot script")
-    exp.add_argument("--out", default=".")
+    runs = exp.add_subparsers(dest="name", required=True)
+    # One parser per experiment, holding only the flags it reads: any other
+    # is refused (exit 2), not ignored.  A flag not given stays out of the
+    # namespace (SUPPRESS), so the experiment's own default applies.
+    for name in ("fig3", "fig4", "fig5", "fig6", "bias"):
+        run = runs.add_parser(name, argument_default=argparse.SUPPRESS)
+        run.add_argument("--reps", type=int, help="replications")
+        run.add_argument("--seed", type=int, help="replication seed (default 0)")
+        if name == "bias":
+            run.add_argument("--p", type=int, help="dimension (default 2)")
+            run.add_argument("--n", type=int, help="observations per replication (default 10)")
+            run.add_argument("--lambda", dest="lam", help="population eigenvalues (default all 1)")
+        if name == "fig3":
+            run.add_argument("--n", type=int, help="observations per replication (default 10)")
+            run.add_argument("--alpha", type=float, help="test level (default 0.05)")
+            run.add_argument("--theta-count", type=int,
+                             help="thin the 51-angle fan to this many points (default 51)")
+        if name in ("fig3", "fig6"):
+            kinds = "equidistant:K or haar:m" if name == "fig3" else "equidistant:K"
+            run.add_argument("--ensemble", help=f"{kinds} (default: exact at p=2)")
+        if name != "bias":
+            # Read as args.paper_scale and args.plot, so False when not given.
+            run.add_argument("--paper-scale", action="store_true", default=False,
+                             help="the paper's replication counts (slow; not with explicit counts)")
+            run.add_argument("--plot", action="store_true", default=False, help="emit a gnuplot script")
+        run.add_argument("--out", default=".", help="output directory")
     return parser
 
 

@@ -34,7 +34,15 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureUnderflow
-from .spd_manifold import _check_orthogonal, as_spd, check_eigenvalue_gaps, kl_project, separated_rows
+from .spd_manifold import (
+    _check_orthogonal,
+    _frozen,
+    as_spd,
+    check_eigenvalue_gaps,
+    check_sample_size,
+    kl_project,
+    separated_rows,
+)
 
 LBAR = "lbar"
 GAMMA_FRAME = "gamma-frame"
@@ -54,12 +62,11 @@ class EigenEstimate:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen(self.values)
         if v.ndim != 1:
             raise DimensionMismatch("estimate must be a vector")
         if not np.all(np.isfinite(v) & (v > 0.0)):
             raise ValueError(f"estimate entries must be finite and positive, got {v}")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -80,7 +87,7 @@ class OrthogonalEnsemble:
     symmetric: ClassVar[bool] = False
 
     def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=float)
+        m = _frozen(self.matrices)
         w = np.asarray(self.weights, dtype=float)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise DimensionMismatch(f"expected (count, p, p) matrices, got {m.shape}")
@@ -92,11 +99,8 @@ class OrthogonalEnsemble:
         if not np.isclose(total, 1.0, rtol=0.0, atol=1e-9):
             raise ValueError(f"weights must sum to 1, got {total}")
         _check_orthogonal(m, "member")
-        m.setflags(write=False)
-        w = w / total
-        w.setflags(write=False)
         object.__setattr__(self, "matrices", m)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(w / total))
 
     @property
     def dim(self) -> int:
@@ -122,7 +126,7 @@ class OrthogonalEnsemble:
         diag(eig_rows[r]) and the nodes H_k, nodes last: one BLAS product per
         row, copied to C order, with the cached ``squared_nodes``.
         Refuses rows of another dimension (DimensionMismatch)."""
-        _check_dim(self, eig_rows)
+        _check_dim(self, eig_rows.shape[1])
         # A strided row (the reversed eigvalsh view) would take numpy's own
         # matmul loop, about 4x slower than BLAS.  A (1 x p)(p x p K) product
         # per row, not one GEMM of all rows, keeps a row's bits batch-free.
@@ -166,7 +170,7 @@ class ExactO2:
 
     def diagonals(self, eig_rows: np.ndarray) -> np.ndarray:
         """The rows themselves, (rows, 2).  Refuses rows of another dimension."""
-        _check_dim(self, eig_rows)
+        _check_dim(self, eig_rows.shape[1])
         return eig_rows
 
     def step(self, D: np.ndarray, log_lam: np.ndarray, n: int):
@@ -189,11 +193,10 @@ class ExactO2:
         return objective, np.divide(update, n, out=update)
 
 
-def _check_dim(ensemble, eig_rows: np.ndarray) -> None:
-    if ensemble.dim != eig_rows.shape[1]:
-        raise DimensionMismatch(
-            f"ensemble dim {ensemble.dim} does not match {eig_rows.shape[1]} eigenvalues"
-        )
+def _check_dim(ensemble, p: int) -> None:
+    """The one ensemble-size refusal: a frame integral serves only p = its dim."""
+    if ensemble.dim != p:
+        raise DimensionMismatch(f"ensemble dim {ensemble.dim} does not match p = {p}")
 
 
 def o2_equidistant(count: int) -> OrthogonalEnsemble:
@@ -242,8 +245,7 @@ def default_ensemble(p: int, rng=0) -> OrthogonalEnsemble | ExactO2:
 def lbar(S, n: int) -> EigenEstimate:
     """Scaled sample eigenvalues: the spectrum of S/n, descending."""
     S = as_spd(S)
-    if n < S.dim:
-        raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
+    check_sample_size(n, S.dim)
     return EigenEstimate(S.eigenvalues / n, LBAR)
 
 
@@ -288,8 +290,7 @@ def lambda_star_from_eigs(
     eigs = np.asarray(sample_eigs, dtype=float)
     single = eigs.ndim == 1
     batch = np.atleast_2d(eigs)
-    if n < batch.shape[1]:
-        raise ValueError(f"need n >= p, got n={n}, p={batch.shape[1]}")
+    check_sample_size(n, batch.shape[1])
     if check_gaps and not (ok := separated_rows(batch)).all():
         check_eigenvalue_gaps(batch[np.argmin(ok)], "lambda_star")  # the first bad row
     _, result = ensemble.step(ensemble.diagonals(batch), np.log(batch / n)[:, None], n)

@@ -24,6 +24,7 @@ from .spd_manifold import (
     Spectrum,
     _chart,
     _check_index,
+    _frozen,
     _natural_packed,
     _triu,
     as_spd,
@@ -58,9 +59,7 @@ class SymTangent:
             raise ValueError("tangent matrix has non-finite entries")
         if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
             raise DimensionMismatch("tangent matrix must be symmetric")
-        sym = 0.5 * (m + m.T)
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
+        object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.T)))
         object.__setattr__(self, "dim", m.shape[0])
 
 
@@ -78,14 +77,11 @@ class SpectralMetric:
     pair_diag: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.eigen_diag, dtype=float)
-        u = np.asarray(self.pair_diag, dtype=float)
+        e, u = _frozen(self.eigen_diag), _frozen(self.pair_diag)
         if e.shape != (self.dim,) or u.shape != (self.dim * (self.dim - 1) // 2,):
             raise DimensionMismatch("metric component shapes do not match dim")
         if not ((e > 0.0).all() and (u > 0.0).all()):  # NaN too
             raise ValueError("metric components must be positive")
-        e.setflags(write=False)
-        u.setflags(write=False)
         object.__setattr__(self, "eigen_diag", e)
         object.__setattr__(self, "pair_diag", u)
 
@@ -107,13 +103,12 @@ class CurvatureTensor:
     slabs: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.slabs, dtype=float)
+        s = _frozen(self.slabs)
         n_pairs = self.dim * (self.dim - 1) // 2
         if s.shape != (n_pairs, self.dim):
             raise DimensionMismatch(
                 f"slab shape {s.shape} does not match ({n_pairs}, {self.dim})"
             )
-        s.setflags(write=False)
         object.__setattr__(self, "slabs", s)
 
     def component(self, pair1, pair2, a: int) -> float:
@@ -164,8 +159,7 @@ def metric_spectral(eigenvalues) -> SpectralMetric:
     (lam_s - lam_t)^2 / (lam_s lam_t).  Cross block: zero.  The components
     depend on the eigenvalues alone, not on the frame.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    check_eigenvalue_gaps(lam, "metric_spectral")
+    lam = check_eigenvalue_gaps(eigenvalues, "metric_spectral")
     s, t = _triu(lam.size, 1)
     return SpectralMetric(lam.size, 0.5 / lam**2, (lam[s] - lam[t]) ** 2 / (lam[s] * lam[t]))
 
@@ -174,17 +168,16 @@ def inverse_metric_eigen(eigenvalues) -> np.ndarray:
     """Diagonal of the inverse metric on the eigenvalue block: 2 lam_a^2.
 
     Analytic inverse; the metric is diagonal so no matrix inversion is ever
-    needed.
+    needed.  Defined where the metric is: refuses the spectra that
+    ``metric_spectral`` refuses.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    return 2.0 * lam**2
+    return 2.0 * check_eigenvalue_gaps(eigenvalues, "inverse_metric_eigen") ** 2
 
 
 def inverse_metric_pair(eigenvalues) -> np.ndarray:
     """Diagonal of the inverse metric on the rotation block:
     lam_s lam_t / (lam_s - lam_t)^2, ordered like ``index_pairs``."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    check_eigenvalue_gaps(lam, "inverse_metric_pair")
+    lam = check_eigenvalue_gaps(eigenvalues, "inverse_metric_pair")
     s, t = _triu(lam.size, 1)
     return lam[s] * lam[t] / (lam[s] - lam[t]) ** 2
 
@@ -217,8 +210,7 @@ def raised_curvature(eigenvalues, pair1, pair2) -> np.ndarray:
 
 def curvature_tensor_A(eigenvalues) -> CurvatureTensor:
     """All nonzero embedding-curvature components, packed per pair slab."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    check_eigenvalue_gaps(lam, "curvature_tensor_A")
+    lam = check_eigenvalue_gaps(eigenvalues, "curvature_tensor_A")
     s, t = _triu(lam.size, 1)
     k = np.arange(s.size)
     slabs = np.zeros((s.size, lam.size))
@@ -234,8 +226,7 @@ def statistical_curvature(eigenvalues) -> float:
     Equals the full contraction of the embedding curvature with the inverse
     metrics; grows without bound as eigenvalues approach each other.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    check_eigenvalue_gaps(lam, "statistical_curvature")
+    lam = check_eigenvalue_gaps(eigenvalues, "statistical_curvature")
     a, b = _triu(lam.size, 1)
     return 2.0 * float(((lam[a] ** 2 + lam[b] ** 2) / (lam[a] - lam[b]) ** 2).sum())
 

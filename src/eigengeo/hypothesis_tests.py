@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OptimizerFailure
-from .estimators import ExactO2, OrthogonalEnsemble, default_ensemble
-from .spd_manifold import as_spd, check_eigenvalue_gaps, descending_eigenvalues
+from .estimators import ExactO2, OrthogonalEnsemble, _check_dim, default_ensemble
+from .spd_manifold import as_spd, check_eigenvalue_gaps, check_sample_size, descending_eigenvalues
 from .wishart_sim import DRAW_CHUNK, color_batch, parallel_points, sample_batch, white_batch
 
 FULL_LRT = "full-lrt"
@@ -74,9 +74,9 @@ class CriticalValue:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
-    def rejects(self, stat) -> bool:
-        value = stat.value if isinstance(stat, TestStatistic) else float(stat)
-        return value < self.threshold
+    def rejects(self, stat):
+        """stat < threshold, for a TestStatistic, a value or (elementwise) an array of values."""
+        return (stat.value if isinstance(stat, TestStatistic) else stat) < self.threshold
 
 
 def full_lrt_stat(S, n: int) -> TestStatistic:
@@ -86,8 +86,7 @@ def full_lrt_stat(S, n: int) -> TestStatistic:
     Zero when S = n I; invariant under orthogonal conjugation of S.
     """
     S = as_spd(S)
-    if n < S.dim:
-        raise ValueError(f"need n >= p, got n={n}, p={S.dim}")
+    check_sample_size(n, S.dim)
     value = _full_lrt_batch(S.matrix[None, :, :], n)[0]
     return TestStatistic(float(value), FULL_LRT, n, S.dim)
 
@@ -110,13 +109,11 @@ def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEns
     Vandermonde spread) are omitted: they cancel in every likelihood ratio
     this kernel feeds, so the value is not a normalized density.
     """
-    eigs = np.asarray(sample_eigs, dtype=float)
-    if n < eigs.size:
-        raise ValueError(f"need n >= p, got n={n}, p={eigs.size}")
-    check_eigenvalue_gaps(eigs, "eigen_log_density_kernel")
+    eigs = check_eigenvalue_gaps(sample_eigs, "eigen_log_density_kernel")
+    check_sample_size(n, eigs.size)
     Sigma = as_spd(Sigma)
-    if not ensemble.dim == Sigma.dim == eigs.size:
-        raise DimensionMismatch(f"ensemble dim {ensemble.dim}, Sigma dim {Sigma.dim}, {eigs.size} eigenvalues")
+    if Sigma.dim != eigs.size:
+        raise DimensionMismatch(f"Sigma dim {Sigma.dim} does not match {eigs.size} eigenvalues")
     # With Sigma = G diag(lam) G^T, trace(H^T L H Sigma^-1) is
     # sum_i diag_i((H G)^T L (H G)) / lam_i, and H G is Haar whenever H is:
     # the profile objective at Sigma's eigenvalues.
@@ -132,10 +129,8 @@ def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2) 
     The maximizer starts from the mean of l/n, which scores at least as
     high as the null point, so the statistic is never positive.
     """
-    eigs = np.asarray(sample_eigs, dtype=float)
-    if n < eigs.size:
-        raise ValueError(f"need n >= p, got n={n}, p={eigs.size}")
-    check_eigenvalue_gaps(eigs, "eigen_lrt_stat")
+    eigs = check_eigenvalue_gaps(sample_eigs, "eigen_lrt_stat")
+    check_sample_size(n, eigs.size)
     value = _eigen_lrt_batch(eigs[None, :], n, ensemble)[0]
     return TestStatistic(float(value), EIGEN_LRT, n, eigs.size)
 
@@ -217,7 +212,7 @@ def _trace_line_root(D, x, f, update, n, ensemble):
     # Iterates are w = 1 - t = lam_2 / m (precise at a tiny lam_2); w* is in [lo, hi).
     log_m, w = np.log(0.5 * (update[:, 0] + update[:, 1])), 2.0 / (1.0 + np.exp(x[:, 0] - x[:, 1]))
     lo, hi = 2.0 * update[:, 1] / (update[:, 0] + update[:, 1]), np.ones_like(w)
-    g, ok = w - lo, 0.5 * n * np.abs(update * np.exp(-x) - 1.0).max(axis=1) <= GRAD_TOL  # g = T(t) - t
+    g, ok = w - lo, _certified(update, x, n)  # g = T(t) - t
     x, f, active, w_prev, g_prev, ok_prev = x.copy(), f.copy(), np.arange(w.size), np.nan, np.nan, False
     for step in range(3 * MAX_CYCLES + 1):
         s = w - np.divide(g * (w - w_prev), g - g_prev, out=np.full_like(w, np.nan), where=g != g_prev)
@@ -230,12 +225,18 @@ def _trace_line_root(D, x, f, update, n, ensemble):
         xs = log_m[:, None] + np.log(np.stack([2.0 - w, w], axis=1))
         fs, us = (v[:, 0] for v in ensemble.step(D, xs[:, None], n))
         image = 2.0 * us[:, 1] / (us[:, 0] + us[:, 1])
-        g, ok = w - image, 0.5 * n * np.abs(us * np.exp(-xs) - 1.0).max(axis=1) <= GRAD_TOL
+        g, ok = w - image, _certified(us, xs, n)
         x[active], f[active] = xs, fs
         lo, hi = np.where(g < 0.0, image, lo), np.where(g < 0.0, hi, w)
     if active.size:
         raise OptimizerFailure(f"trace line left {active.size} rows above the gradient tolerance {GRAD_TOL:g}")
     return x, f
+
+
+def _certified(update, x, n):
+    """The certificate of a profile maximum at log-eigenvalues x, EM map ``update``:
+    its log-space gradient (n/2) max|update/lam - 1| (last axis) is <= GRAD_TOL."""
+    return 0.5 * n * np.abs(update * np.exp(-x) - 1.0).max(axis=-1) <= GRAD_TOL
 
 
 def _squarem(D, x, f, update, n, ensemble, lo, hi):
@@ -246,15 +247,14 @@ def _squarem(D, x, f, update, n, ensemble, lo, hi):
     Each cycle takes two EM steps and extrapolates along them (step length
     at least the plain double step, clipped to the box); the extrapolated
     point is kept only where the objective did not drop, otherwise the
-    double EM step is, so the ascent is monotone.  A point is certified once
-    its log-space gradient (n/2) max|update/lam - 1| is at most GRAD_TOL.  A
-    row or start column certified throughout leaves the grid, so on a grid
-    of one row or one start each point stops once certified.
+    double EM step is, so the ascent is monotone.  A row or start column
+    ``_certified`` throughout leaves the grid, so on a grid of one row or one
+    start each point stops once certified.
     """
     x_out, f_out = np.empty_like(x), np.empty_like(f)
     rows, cols = np.arange(f.shape[0])[:, None], np.arange(f.shape[1])
     for cycle in range(MAX_CYCLES + 1):
-        still = 0.5 * n * np.abs(update * np.exp(-x) - 1.0).max(axis=2) > GRAD_TOL
+        still = ~_certified(update, x, n)
         keep_rows, keep_cols = still.any(axis=1), still.any(axis=0)
         if not keep_rows.all():  # no copy of D while only starts leave
             x_out[rows[~keep_rows], cols], f_out[rows[~keep_rows], cols] = x[~keep_rows], f[~keep_rows]
@@ -328,8 +328,7 @@ def _test_ensemble(kind, ensemble, p, seed):
         return None
     if ensemble is None:
         ensemble = default_ensemble(p, seed)
-    if ensemble.dim != p:
-        raise DimensionMismatch(f"ensemble dim {ensemble.dim} does not match p = {p}")
+    _check_dim(ensemble, p)
     return ensemble
 
 
@@ -387,7 +386,7 @@ def _power_curve(kind, mats, cv, n, ensemble, W) -> list[PowerPoint]:
 
 def _power_point(alternative, stats, cv) -> PowerPoint:
     """Rejection rate of ``cv`` over the statistics drawn at ``alternative``."""
-    rate = float(np.mean(stats < cv.threshold))
+    rate = float(np.mean(cv.rejects(stats)))
     return PowerPoint(alternative, rate, float(np.sqrt(rate * (1.0 - rate) / stats.size)), stats.size)
 
 

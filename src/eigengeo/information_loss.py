@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefiniteWarning
 from .fisher_geometry import curvature_tensor_A, inverse_metric_pair
-from .spd_manifold import check_eigenvalue_gaps
+from .spd_manifold import _frozen, check_eigenvalue_gaps
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class LossMatrix:
         off = sym[~np.eye(p, dtype=bool)]
         if off.size and np.any(off > 1e-12 * max(1.0, np.abs(sym).max())):
             raise ValueError("loss matrix off-diagonal must be nonpositive")
-        sym.setflags(write=False)
-        object.__setattr__(self, "B", sym)
+        object.__setattr__(self, "B", _frozen(sym))
         object.__setattr__(self, "dim", p)
 
 
@@ -60,8 +59,7 @@ def loss_first_order(eigenvalues) -> LossMatrix:
     Homogeneous of degree -2 in the eigenvalues; blows up as eigenvalues
     approach each other, which is where ignoring the sample frame hurts most.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    check_eigenvalue_gaps(lam, "loss_first_order")
+    lam = check_eigenvalue_gaps(eigenvalues, "loss_first_order")
     gap2 = np.subtract.outer(lam, lam) ** 2
     np.fill_diagonal(gap2, np.inf)
     B = -0.5 / gap2

@@ -70,10 +70,18 @@ def _check_pair(s: int, t: int, p: int) -> None:
         raise IndexOutOfRange(f"pair ({s}, {t}) must satisfy 0 <= s < t < {p}")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy (the caller's array stays writeable): how every
+    value type freezes an array it is given."""
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def check_sample_size(n: int, p: int) -> None:
+    """The one n >= p check (ValueError): fewer observations give a singular product-sum matrix."""
+    if n < p:
+        raise ValueError(f"need n >= p, got n={n}, p={p}")
 
 
 def separated_rows(eig_rows: np.ndarray) -> np.ndarray:
@@ -139,14 +147,15 @@ def _p2_eigenvalues(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out if shift is None else np.ldexp(out, shift)
 
 
-def check_eigenvalue_gaps(eigenvalues: np.ndarray, what: str = "spectrum") -> None:
-    """Raise NearDegenerateSpectrum unless eigenvalues are strictly descending
-    with all consecutive gaps >= GAP_TOLERANCE_REL * largest eigenvalue."""
+def check_eigenvalue_gaps(eigenvalues, what: str = "spectrum") -> np.ndarray:
+    """The eigenvalues as a float vector, once checked: NearDegenerateSpectrum
+    unless strictly descending with all consecutive gaps >= GAP_TOLERANCE_REL
+    * largest eigenvalue (NotPositiveDefinite unless all positive)."""
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise DimensionMismatch("eigenvalues must be a 1-d vector")
     if separated_rows(lam[None])[0]:
-        return
+        return lam
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite(f"{what}: eigenvalues must be positive, got {lam}")
     gaps = lam[:-1] - lam[1:]

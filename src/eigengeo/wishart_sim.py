@@ -53,7 +53,14 @@ from .estimators import (
     default_ensemble,
     lambda_star_from_eigs,
 )
-from .spd_manifold import SpdMatrix, _p2_eigenvalues, as_spd, descending_eigenvalues, separated_rows
+from .spd_manifold import (
+    SpdMatrix,
+    _p2_eigenvalues,
+    as_spd,
+    check_sample_size,
+    descending_eigenvalues,
+    separated_rows,
+)
 
 
 def worker_count() -> int:
@@ -133,8 +140,7 @@ def sample_product_sum(Sigma, n: int, rng: np.random.Generator) -> SpdMatrix:
     """Sum of n outer products of independent zero-mean Gaussian draws with
     covariance Sigma: one replication of ``sample_batch``, drawn from ``rng``."""
     Sigma = as_spd(Sigma)
-    if n < Sigma.dim:
-        raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={Sigma.dim}")
+    check_sample_size(n, Sigma.dim)
     z = rng.standard_normal((1, n, Sigma.dim))
     return SpdMatrix(color_batch(z.swapaxes(1, 2) @ z, Sigma.matrix)[0])
 
@@ -148,8 +154,7 @@ def white_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray
     buffer, so the (reps, n, p) normals never exist at once.  The result is
     read-only: experiments share it across grid-point threads.
     """
-    if n < p:
-        raise ValueError(f"need n >= p for an a.s. SPD sample, got n={n}, p={p}")
+    check_sample_size(n, p)
     if reps > 1 << 32:
         raise ValueError(f"replication index must be in [0, 2**32), got {reps - 1}")
     rekey = _substreams(seed, stream)
@@ -445,7 +450,7 @@ class MajorizationReport:
     reps: int
 
 
-def bias_majorization_check(Sigma, n: int, reps: int, seed: int) -> MajorizationReport:
+def bias_majorization_check(Sigma, n: int = 10, reps: int = 100_000, seed: int = 0) -> MajorizationReport:
     """Verify that mean scaled sample eigenvalues majorize the population
     eigenvalues: every proper partial sum exceeds its target (3-sigma bands)
     while the full sum matches the trace exactly draw by draw."""

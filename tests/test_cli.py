@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -382,9 +383,42 @@ class TestExperimentCommand:
         ],
     )
     def test_unused_flags_exit_2(self, tmp_path, argv, capsys):
-        assert run(tmp_path, "experiment", *argv, "--reps", "1000") == 2
-        assert f"does not use {argv[1]}" in capsys.readouterr().err
+        # The experiment's parser does not hold the flag, so argparse refuses
+        # it: as unknown, or (--p on a figure) as a prefix of two of its flags.
+        with pytest.raises(SystemExit) as exit_info:
+            run(tmp_path, "experiment", *argv, "--reps", "1000")
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"error: (unrecognized arguments|ambiguous option): {argv[1]}\s", err), err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_unused_flag_process_exit_status_2(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigengeo.cli", "experiment", "fig4", "--alpha", "0.9", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --alpha 0.9" in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    # README's list of the flags each experiment uses.
+    FLAGS = {
+        "fig3": "--reps --seed --n --alpha --theta-count --ensemble --paper-scale --plot",
+        "fig4": "--reps --seed --paper-scale --plot",
+        "fig5": "--reps --seed --paper-scale --plot",
+        "fig6": "--reps --seed --ensemble --paper-scale --plot",
+        "bias": "--reps --seed --p --n --lambda",
+    }
+
+    @pytest.mark.parametrize("name", FLAGS)
+    def test_help_lists_exactly_the_experiments_flags(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", name, "--help"])
+        assert exit_info.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert listed == ["--help", *self.FLAGS[name].split(), "--out"]
 
     @pytest.mark.parametrize("alpha", ["1.0", "0", "-0.5"])
     def test_fig3_alpha_outside_unit_interval_exit_2(self, tmp_path, alpha):

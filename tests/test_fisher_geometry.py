@@ -228,6 +228,15 @@ class TestMetricSpectral:
         with pytest.raises(NearDegenerateSpectrum):
             metric_spectral([1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "lam, error", [([-1.0, 2.0], NotPositiveDefinite), ([1.0, 2.0], NearDegenerateSpectrum)]
+    )
+    @pytest.mark.parametrize("fn", [metric_spectral, inverse_metric_eigen, inverse_metric_pair])
+    def test_inverse_blocks_refuse_what_the_metric_refuses(self, fn, lam, error):
+        # inverse_metric_eigen([-1, 2]) returned [2, 8].
+        with pytest.raises(error):
+            fn(lam)
+
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
     def test_container_refuses_nonpositive_components(self, bad):
         with pytest.raises(ValueError, match="must be positive"):

@@ -16,6 +16,7 @@ from eigengeo import (
     full_lrt_stat,
     haar_sample,
     lambda_star_from_eigs,
+    lbar,
     o2_equidistant,
     power_curve,
     replication_rng,
@@ -126,16 +127,22 @@ class TestSampleEigenvalueGuards:
             eigen_log_density_kernel(eigs, np.eye(2), 10, ens)
 
     def test_wrong_sized_ensemble_refused(self):
+        # One refusal, with one message, wherever an ensemble meets p = 3.
         eigs = np.array([30.0, 10.0, 4.0])
         ens = o2_equidistant(10)
-        with pytest.raises(DimensionMismatch, match="2.*3"):
-            eigen_lrt_stat(eigs, 10, ens)
-        with pytest.raises(DimensionMismatch, match="2.*3"):
-            eigen_log_density_kernel(eigs, np.eye(3), 10, ens)
-        with pytest.raises(DimensionMismatch, match="2.*3"):
+        cv = CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT)
+        calls = [
+            lambda: eigen_lrt_stat(eigs, 10, ens),
+            lambda: eigen_log_density_kernel(eigs, np.eye(3), 10, ens),
+            lambda: lambda_star_from_eigs(eigs, 10, ens),
+            lambda: calibrate(EIGEN_LRT, 0.05, 3, 10, 1000, 0, ens),
+            lambda: power_curve(EIGEN_LRT, [np.eye(3)], cv, 10, 1000, 0, ens),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match="^ensemble dim 2 does not match p = 3$"):
+                call()
+        with pytest.raises(DimensionMismatch, match="Sigma dim 2 does not match 3 eigenvalues"):
             eigen_log_density_kernel(eigs, np.eye(2), 10, ens)
-        with pytest.raises(DimensionMismatch, match="2.*3"):
-            calibrate(EIGEN_LRT, 0.05, 3, 10, 1000, 0, ens)
 
     @pytest.mark.parametrize("n", [0, -3, "p - 1"])
     @pytest.mark.parametrize(
@@ -147,15 +154,21 @@ class TestSampleEigenvalueGuards:
             lambda eigs, n, ens: lambda_star_from_eigs(eigs, n, ens),
             lambda eigs, n, ens: eigen_lrt_stat(eigs, n, ens),
             lambda eigs, n, ens: eigen_log_density_kernel(eigs, np.eye(eigs.size), n, ens),
+            lambda eigs, n, ens: lbar(np.diag(eigs), n),
+            lambda eigs, n, ens: full_lrt_stat(np.diag(eigs), n),
+            lambda eigs, n, ens: sample_product_sum(np.diag(eigs), n, replication_rng(0, "s", 0)),
+            lambda eigs, n, ens: white_batch(eigs.size, n, 10, 0, "s"),
         ],
-        ids=["lambda_star_from_eigs", "eigen_lrt_stat", "eigen_log_density_kernel"],
+        ids=["lambda_star_from_eigs", "eigen_lrt_stat", "eigen_log_density_kernel", "lbar", "full_lrt_stat",
+             "sample_product_sum", "white_batch"],
     )
     def test_fewer_observations_than_dimensions_refused(self, call, ens, n):
-        # Without the refusal these gave inf, nan, a silent 0.0 statistic or
-        # a numeric failure instead of an input error.
+        # One refusal, spd_manifold.check_sample_size, with one message.
+        # Without it the first three gave inf, nan, a silent 0.0 statistic
+        # or a numeric failure instead of an input error.
         eigs = np.array([3.0, 1.0] if ens.dim == 2 else [3.0, 2.0, 1.0])
         n = ens.dim - 1 if n == "p - 1" else n
-        with pytest.raises(ValueError, match="need n >= p"):
+        with pytest.raises(ValueError, match=rf"^need n >= p, got n={n}, p={eigs.size}$"):
             call(eigs, n, ens)
 
 
@@ -574,6 +587,12 @@ class TestCalibration:
 
 
 class TestPowerCurve:
+    def test_rejects_is_elementwise(self):
+        # power_curve counts rejections with this rule.
+        cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
+        assert cv.rejects(np.array([-2.0, -1.0, 0.5])).tolist() == [True, False, False]
+        assert cv.rejects(ht.TestStatistic(-2.0, FULL_LRT, 10, 2)) and not cv.rejects(-1.0)
+
     def test_size_and_far_alternative(self):
         reps = 3000
         cv = calibrate(FULL_LRT, 0.05, 2, 10, reps, 3)

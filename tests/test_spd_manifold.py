@@ -6,12 +6,19 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eigengeo import (
+    CurvatureTensor,
     DimensionMismatch,
+    EigenEstimate,
+    LossMatrix,
+    NaturalCoords,
     NearDegenerateSpectrum,
     NotPositiveDefinite,
+    OrthogonalEnsemble,
     SkewParams,
     SpdMatrix,
+    SpectralMetric,
     Spectrum,
+    SymTangent,
     compose,
     exp_skew,
     from_natural,
@@ -29,6 +36,30 @@ from eigengeo.estimators import ExactO2
 from eigengeo.spd_manifold import _chart, descending_eigenvalues, separated_rows
 from eigengeo.wishart_sim import _batch_lbar, _batch_star, sample_batch
 from conftest import random_orthogonal, random_spd, rotation
+
+
+FROZEN_VALUES = {
+    "EigenEstimate": (lambda a: EigenEstimate(a, "x").values, [3.0, 1.0]),
+    "SpectralMetric": (lambda a: SpectralMetric(2, a, [1.0]).eigen_diag, [3.0, 1.0]),
+    "CurvatureTensor": (lambda a: CurvatureTensor(2, a).slabs, [[3.0, 1.0]]),
+    "OrthogonalEnsemble": (lambda a: OrthogonalEnsemble(a, [1.0], "haar-mc").matrices, [np.eye(2)]),
+    "Spectrum": (lambda a: Spectrum(a, np.eye(2)).eigenvalues, [3.0, 1.0]),
+    "SkewParams": (lambda a: SkewParams(2, a).coords, [0.5]),
+    "NaturalCoords": (lambda a: NaturalCoords(1, a).theta, [-0.5]),
+    "SymTangent": (lambda a: SymTangent(a).matrix, [[1.0, 0.5], [0.5, 2.0]]),
+    "LossMatrix": (lambda a: LossMatrix(a).B, [[1.0, -0.5], [-0.5, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("build, entries", FROZEN_VALUES.values(), ids=FROZEN_VALUES.keys())
+def test_value_types_freeze_a_copy(build, entries):
+    # One policy, spd_manifold._frozen: the value is a read-only copy, and
+    # the caller's array stays writeable (the first four froze it in place).
+    a = np.array(entries)
+    value = build(a)
+    assert a.flags.writeable and not value.flags.writeable
+    assert not np.shares_memory(a, value)
+    assert np.array_equal(value, entries)
 
 
 class TestSpdMatrix:
