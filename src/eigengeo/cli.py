@@ -357,25 +357,29 @@ def build_parser() -> argparse.ArgumentParser:
     returns a fresh namespace, so no state carries between calls)."""
     parser = argparse.ArgumentParser(
         prog="eigengeo",
+        allow_abbrev=False,
         description="Fisher geometry of Gaussian covariance spectra: reports and experiments.",
     )
     parser.add_argument("--version", action="version", version=f"eigengeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    geo = sub.add_parser("geometry", help="metric, curvature, and scalar curvature for given eigenvalues")
+    geo = sub.add_parser("geometry", allow_abbrev=False,
+                         help="metric, curvature, and scalar curvature for given eigenvalues")
     geo.add_argument("--lambda", dest="lam", required=True,
                      help="comma-separated eigenvalues, strictly descending")
     geo.add_argument("--check-fd", action="store_true",
                      help="add finite-difference oracle columns and the max deviation")
     geo.add_argument("--out", default=".", help="output directory")
 
-    loss = sub.add_parser("info-loss", help="leading information loss of the sample eigenvalues")
+    loss = sub.add_parser("info-loss", allow_abbrev=False,
+                          help="leading information loss of the sample eigenvalues")
     loss.add_argument("--lambda", dest="lam", required=True)
     loss.add_argument("--n", type=int, default=None,
                       help="also report the first-order information carried by the eigenvalues")
     loss.add_argument("--out", default=".")
 
-    est = sub.add_parser("estimate", help="run eigenvalue estimators on a matrix file")
+    est = sub.add_parser("estimate", allow_abbrev=False,
+                         help="run eigenvalue estimators on a matrix file")
     est.add_argument("--input", required=True, help="matrix file: first line p, then p rows")
     est.add_argument("--n", type=int, required=True, help="number of observations behind the matrix")
     est.add_argument("--method", action="append", required=True,
@@ -387,13 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", default=".")
 
-    exp = sub.add_parser("experiment", help="run a Monte-Carlo experiment and write CSV reports")
+    exp = sub.add_parser("experiment", allow_abbrev=False,
+                         help="run a Monte-Carlo experiment and write CSV reports")
     runs = exp.add_subparsers(dest="name", required=True)
     # One parser per experiment, holding only the flags it reads: any other
     # is refused (exit 2), not ignored.  A flag not given stays out of the
     # namespace (SUPPRESS), so the experiment's own default applies.
     for name in ("fig3", "fig4", "fig5", "fig6", "bias"):
-        run = runs.add_parser(name, argument_default=argparse.SUPPRESS)
+        run = runs.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         run.add_argument("--reps", type=int, help="replications")
         run.add_argument("--seed", type=int, help="replication seed (default 0)")
         if name == "bias":

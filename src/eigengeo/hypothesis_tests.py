@@ -1,11 +1,12 @@
 """Likelihood-ratio tests of a unit covariance, with and without the frame.
 
-Two tests of the null "covariance equals the identity": the classical test
-on the full product-sum matrix, and a test that sees only its eigenvalues.
-The eigenvalue test needs the density of the sample eigenvalues, whose
-frame integral is exact at p = 2 and a Haar quadrature above
-(``estimators.default_ensemble``), and a profile maximization over
-candidate population eigenvalues.  Treating the frame as missing data makes
+Two tests of the null "covariance equals the identity", from the full
+product-sum matrix and from its eigenvalues l alone.  Both are orthogonally
+invariant: each statistic is -sum(l)/2 minus a supremum (``_lrt_batch``).
+The full-data one, over Sigma, is -(n/2) sum(log(l/n) + 1) at Sigma = S/n.
+The eigenvalue test's is over population eigenvalues with the frame
+integrated out, exactly at p = 2 and by a Haar quadrature above
+(``estimators.default_ensemble``).  Treating the frame as missing data makes
 that maximization an EM iteration, lam <- E_post[diag(H^T L H)] / n (the
 integral's ``step`` on its ``diagonals``; see ``estimators``).  Its flag
 ``symmetric`` selects a root on the trace line or EM from a few starts,
@@ -15,7 +16,8 @@ maximum carries a gradient certificate or raises ``OptimizerFailure``.
 Critical values are calibrated by Monte-Carlo under the null (no
 asymptotic approximations), and powers come from fresh replication
 substreams, shared across alternatives and across the two tests so that
-power comparisons are paired.
+power comparisons are paired; ``figure3_experiment`` decomposes each draw
+once for both tests.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, OptimizerFailure
 from .estimators import ExactO2, OrthogonalEnsemble, _check_dim, default_ensemble
-from .spd_manifold import as_spd, check_eigenvalue_gaps, check_sample_size, descending_eigenvalues
-from .wishart_sim import DRAW_CHUNK, color_batch, parallel_points, sample_batch, white_batch
+from .spd_manifold import _frozen, as_spd, check_eigenvalue_gaps, check_sample_size, descending_eigenvalues
+from .wishart_sim import DRAW_CHUNK, color_batch, parallel_points, white_batch
 
 FULL_LRT = "full-lrt"
 EIGEN_LRT = "eigen-lrt"
@@ -80,22 +82,26 @@ class CriticalValue:
 
 
 def full_lrt_stat(S, n: int) -> TestStatistic:
-    """Log likelihood-ratio statistic of the full-data test:
+    """Log likelihood-ratio statistic of the full-data test, from S's eigenvalues:
     (pn/2)(1 - log n) - trace(S)/2 + (n/2) log det S.
 
     Zero when S = n I; invariant under orthogonal conjugation of S.
     """
     S = as_spd(S)
     check_sample_size(n, S.dim)
-    value = _full_lrt_batch(S.matrix[None, :, :], n)[0]
+    value = _lrt_batch(FULL_LRT, S.eigenvalues[None, :], n, None)[0]
     return TestStatistic(float(value), FULL_LRT, n, S.dim)
 
 
-def _full_lrt_batch(S_batch: np.ndarray, n: int) -> np.ndarray:
-    p = S_batch.shape[1]
-    _, logdet = np.linalg.slogdet(S_batch)
-    traces = np.trace(S_batch, axis1=1, axis2=2)
-    return 0.5 * p * n * (1.0 - np.log(n)) - 0.5 * traces + 0.5 * n * logdet
+def _lrt_batch(kind, eig_rows: np.ndarray, n: int, ensemble) -> np.ndarray:
+    """Statistics of one kind on descending spectra: -sum(l)/2 minus the
+    supremum, in closed form for the full-data test, ``_profile_sup`` over
+    the eigen-LRT's ``ensemble`` (from ``_test_ensemble``) for the other."""
+    if kind == FULL_LRT:
+        sup = -0.5 * n * (np.log(eig_rows / n) + 1.0).sum(axis=1)
+    else:
+        sup, _ = _profile_sup(eig_rows, n, ensemble)
+    return -0.5 * eig_rows.sum(axis=1) - sup
 
 
 def eigen_log_density_kernel(sample_eigs, Sigma, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> float:
@@ -131,14 +137,8 @@ def eigen_lrt_stat(sample_eigs, n: int, ensemble: OrthogonalEnsemble | ExactO2) 
     """
     eigs = check_eigenvalue_gaps(sample_eigs, "eigen_lrt_stat")
     check_sample_size(n, eigs.size)
-    value = _eigen_lrt_batch(eigs[None, :], n, ensemble)[0]
+    value = _lrt_batch(EIGEN_LRT, eigs[None, :], n, ensemble)[0]
     return TestStatistic(float(value), EIGEN_LRT, n, eigs.size)
-
-
-def _eigen_lrt_batch(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> np.ndarray:
-    numerator = -0.5 * eig_rows.sum(axis=1)
-    sup, _ = _profile_sup(eig_rows, n, ensemble)
-    return numerator - sup
 
 
 def _profile_sup(eig_rows: np.ndarray, n: int, ensemble: OrthogonalEnsemble | ExactO2):
@@ -304,7 +304,8 @@ def calibrate(
     if kind not in (FULL_LRT, EIGEN_LRT):
         raise ValueError(f"unknown test kind {kind!r}")
     ensemble = _test_ensemble(kind, ensemble, p, seed)
-    return _calibrate(kind, alpha, n, seed, ensemble, white_batch(p, n, reps, seed, "h0-calibration"))
+    eigs = descending_eigenvalues(color_batch(white_batch(p, n, reps, seed, "h0-calibration"), np.eye(p)))
+    return _critical_value(kind, alpha, seed, _lrt_batch(kind, eigs, n, ensemble))
 
 
 def _check_calibration(alpha: float, reps: int) -> None:
@@ -314,12 +315,10 @@ def _check_calibration(alpha: float, reps: int) -> None:
         raise ValueError(f"calibration needs reps >= 1000, got {reps}")
 
 
-def _calibrate(kind, alpha, n, seed, ensemble, W) -> CriticalValue:
-    """``calibrate`` on the null white Grams W, already drawn and checked."""
-    reps, p = W.shape[:2]
-    order = np.sort(_stat_batch(kind, color_batch(W, np.eye(p)), n, ensemble))
-    threshold = float(order[int(np.floor(alpha * reps))])
-    return CriticalValue(alpha, threshold, reps, seed, kind)
+def _critical_value(kind, alpha, seed, stats) -> CriticalValue:
+    """``calibrate``'s threshold from the null statistics ``stats``."""
+    threshold = float(np.sort(stats)[int(np.floor(alpha * stats.size))])
+    return CriticalValue(alpha, threshold, stats.size, seed, kind)
 
 
 def _test_ensemble(kind, ensemble, p, seed):
@@ -330,14 +329,6 @@ def _test_ensemble(kind, ensemble, p, seed):
         ensemble = default_ensemble(p, seed)
     _check_dim(ensemble, p)
     return ensemble
-
-
-def _stat_batch(kind, S_batch, n, ensemble) -> np.ndarray:
-    """Statistics of one kind on a stack; the eigen-LRT's ``ensemble`` comes
-    from ``_test_ensemble``."""
-    if kind == FULL_LRT:
-        return _full_lrt_batch(S_batch, n)
-    return _eigen_lrt_batch(descending_eigenvalues(S_batch), n, ensemble)
 
 
 @dataclass(frozen=True)
@@ -372,14 +363,11 @@ def power_curve(
         return []
     p = mats[0].shape[0]
     ensemble = _test_ensemble(kind, ensemble, p, seed)
-    return _power_curve(kind, mats, cv, n, ensemble, white_batch(p, n, reps, seed, "power"))
-
-
-def _power_curve(kind, mats, cv, n, ensemble, W) -> list[PowerPoint]:
-    """``power_curve`` on the shared white Grams W, recoloured per alternative."""
+    W = white_batch(p, n, reps, seed, "power")
 
     def at(i: int) -> PowerPoint:
-        return _power_point(mats[i], _stat_batch(kind, color_batch(W, mats[i]), n, ensemble), cv)
+        eigs = descending_eigenvalues(color_batch(W, mats[i]))
+        return _power_point(mats[i], _lrt_batch(kind, eigs, n, ensemble), cv)
 
     return parallel_points(at, len(mats))
 
@@ -387,7 +375,7 @@ def _power_curve(kind, mats, cv, n, ensemble, W) -> list[PowerPoint]:
 def _power_point(alternative, stats, cv) -> PowerPoint:
     """Rejection rate of ``cv`` over the statistics drawn at ``alternative``."""
     rate = float(np.mean(cv.rejects(stats)))
-    return PowerPoint(alternative, rate, float(np.sqrt(rate * (1.0 - rate) / stats.size)), stats.size)
+    return PowerPoint(_frozen(alternative), rate, float(np.sqrt(rate * (1.0 - rate) / stats.size)), stats.size)
 
 
 def figure3_thetas(count: int = 51) -> np.ndarray:
@@ -449,26 +437,29 @@ def figure3_experiment(
     ensemble = _test_ensemble(EIGEN_LRT, ensemble, p, seed)
     thetas = figure3_thetas(theta_count)
     fan = [figure3_alternative(theta) for theta in thetas]
-    # Each stream is drawn once and shared by both tests.
-    S_null = sample_batch(np.eye(p), n, reps, seed, "size-check")
-    W_null = white_batch(p, n, reps, seed, "h0-calibration")
+    tests = ((FULL_LRT, None), (EIGEN_LRT, ensemble))
+
+    def scores(W, Sigma):
+        # One spectrum per stream and alternative, scored by both tests.
+        eigs = descending_eigenvalues(color_batch(W, Sigma))
+        return [_lrt_batch(kind, eigs, n, ens) for kind, ens in tests]
+
+    null = scores(white_batch(p, n, reps, seed, "h0-calibration"), np.eye(p))
+    cv_full, cv_eigen = cvs = [_critical_value(kind, alpha, seed, stats) for (kind, _), stats in zip(tests, null)]
+
+    def points(W, Sigma):
+        return [_power_point(Sigma, stats, cv) for stats, cv in zip(scores(W, Sigma), cvs)]
+
+    size_full, size_eigen = points(white_batch(p, n, reps, seed, "size-check"), np.eye(p))
     W_alt = white_batch(p, n, reps, seed, "power")
-
-    def paired(kind, ens):
-        cv = _calibrate(kind, alpha, n, seed, ens, W_null)
-        points = _power_curve(kind, fan, cv, n, ens, W_alt)
-        size = _power_point(np.eye(p), _stat_batch(kind, S_null, n, ens), cv)
-        return cv, points, size
-
-    cv_full, full, size_full = paired(FULL_LRT, None)
-    cv_eigen, eigen, size_eigen = paired(EIGEN_LRT, ensemble)
+    full, eigen = zip(*parallel_points(lambda i: points(W_alt, fan[i]), len(fan)))
     return PowerStudy(
-        thetas=thetas,
-        alternatives=np.array([np.diag(S) for S in fan]),
-        power_full=np.array([pt.power for pt in full]),
-        stderr_full=np.array([pt.stderr for pt in full]),
-        power_eigen=np.array([pt.power for pt in eigen]),
-        stderr_eigen=np.array([pt.stderr for pt in eigen]),
+        thetas=_frozen(thetas),
+        alternatives=_frozen([np.diag(S) for S in fan]),
+        power_full=_frozen([pt.power for pt in full]),
+        stderr_full=_frozen([pt.stderr for pt in full]),
+        power_eigen=_frozen([pt.power for pt in eigen]),
+        stderr_eigen=_frozen([pt.stderr for pt in eigen]),
         cv_full=cv_full,
         cv_eigen=cv_eigen,
         size_full=size_full.power,

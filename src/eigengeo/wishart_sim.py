@@ -17,9 +17,10 @@ The p = 2 risk grids work on entry columns: the white Grams' three
 distinct entries (w00, w10, w11) are taken once per grid as read-only
 length-reps arrays shared by the grid threads, and each point colours them
 with ``_color_p2`` (the p = 2 closed form of A W A^T, which
-``color_batch`` also stacks at p = 2), reads their eigenvalues with
+``color_batch`` also stacks at p = 2), reads their eigenvalues once with
 ``spd_manifold._p2_eigenvalues`` (the closed form behind
-``descending_eigenvalues`` at p = 2) and scores them with
+``descending_eigenvalues`` at p = 2), hands the entry columns and that
+spectrum to both estimator runners and scores the estimates with
 ``kl_loss_diag`` column by column: no (reps, 2, 2) stack, GEMM or
 length-2 reduction per point, about 1.6 ms per point at 10^4 replications
 (one thread, 2-core Xeon).  The columns form their products and sums
@@ -40,6 +41,7 @@ import operator
 import os
 import zlib
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .estimators import (
 )
 from .spd_manifold import (
     SpdMatrix,
+    _frozen,
     _p2_eigenvalues,
     as_spd,
     check_sample_size,
@@ -152,9 +155,12 @@ def white_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray
 
     The blocks are drawn DRAW_CHUNK replications at a time into one reused
     buffer, so the (reps, n, p) normals never exist at once.  The result is
-    read-only: experiments share it across grid-point threads.
+    read-only: experiments share it across grid-point threads.  The one
+    check of the replication count: reps must lie in [1, 2**32].
     """
     check_sample_size(n, p)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if reps > 1 << 32:
         raise ValueError(f"replication index must be in [0, 2**32), got {reps - 1}")
     rekey = _substreams(seed, stream)
@@ -257,25 +263,25 @@ class RiskReport:
     param_name: str
     param_values: np.ndarray
     methods: tuple[str, ...]
-    risks: dict
-    diff: list
+    risks: MappingProxyType  # tag -> tuple of RiskResult, one per grid value
+    diff: tuple[RiskResult, ...]
 
 
 # Grid runners: from the entry columns (s00, s10, s11) of the coloured
-# Grams, one estimator's (2, reps) estimate columns and its row mask.
+# Grams and their (2, reps) eigenvalue columns, one estimator's (2, reps)
+# estimate columns and its row mask.
 
 
-def _batch_lbar(S: np.ndarray, n: int):
-    return _p2_eigenvalues(*S) / n, np.ones(S.shape[1], dtype=bool)
+def _batch_lbar(S: np.ndarray, eigs: np.ndarray, n: int):
+    return eigs / n, np.ones(S.shape[1], dtype=bool)
 
 
-def _batch_identity_frame(S: np.ndarray, n: int):
+def _batch_identity_frame(S: np.ndarray, eigs: np.ndarray, n: int):
     return S[::2] / n, np.ones(S.shape[1], dtype=bool)
 
 
 def _batch_star(ensemble: OrthogonalEnsemble | ExactO2):
-    def run(S: np.ndarray, n: int):
-        eigs = _p2_eigenvalues(*S)
+    def run(S: np.ndarray, eigs: np.ndarray, n: int):
         valid = separated_rows(eigs.T)
         vals = np.full_like(eigs, np.nan)
         if valid.any():
@@ -296,10 +302,11 @@ def _summarize(losses: np.ndarray, valid: np.ndarray, reps: int) -> RiskResult:
 def _risk_point(w: np.ndarray, n: int, sigma: np.ndarray, target: np.ndarray, runners) -> tuple:
     reps = w.shape[1]
     S = _color_p2(*w, np.linalg.cholesky(sigma))
+    eigs = _p2_eigenvalues(*S)
     losses = {}
     valids = {}
     for tag, runner in runners:
-        vals, valid = runner(S, n)
+        vals, valid = runner(S, eigs, n)
         with np.errstate(invalid="ignore"):
             losses[tag] = kl_loss_diag(vals.T, target)
         valids[tag] = valid
@@ -329,8 +336,6 @@ def _risk_grid(experiment: str, reps: int, seed: int, param_name: str, grid: np.
     holds two (tag, batched estimator) pairs.  The experiment name is the
     replication stream name.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     # Every grid point reuses the same replication substreams (common random
     # numbers): draw the white Grams once and recolour their entry columns
     # per point.
@@ -342,10 +347,10 @@ def _risk_grid(experiment: str, reps: int, seed: int, param_name: str, grid: np.
     return RiskReport(
         experiment=experiment,
         param_name=param_name,
-        param_values=grid,
+        param_values=_frozen(grid),
         methods=tuple(tag for tag, _ in runners),
-        risks={tag: [res[tag] for res, _ in outcomes] for tag, _ in runners},
-        diff=[d for _, d in outcomes],
+        risks=MappingProxyType({tag: tuple(res[tag] for res, _ in outcomes) for tag, _ in runners}),
+        diff=tuple(d for _, d in outcomes),
     )
 
 
@@ -404,13 +409,11 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
     (ValueError); both name the replication.  The estimates are scored in one batched
     ``kl_loss_diag``.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     Sigma = as_spd(Sigma)
     target = np.linalg.eigvalsh(Sigma.matrix)[::-1]
+    samples = SpdMatrix._checked_slices(sample_batch(Sigma.matrix, n, reps, seed, stream))
     estimates = np.ones((reps, Sigma.dim))
     valid = np.zeros(reps, dtype=bool)
-    samples = SpdMatrix._checked_slices(sample_batch(Sigma.matrix, n, reps, seed, stream))
     for r, S in enumerate(samples):
         try:
             est = estimator(S, n)
@@ -470,12 +473,13 @@ def bias_majorization_check(Sigma, n: int = 10, reps: int = 100_000, seed: int =
     holds = np.empty(lam.size, dtype=bool)
     holds[:-1] = margins[:-1] > 3.0 * stderrs[:-1]
     holds[-1] = abs(margins[-1]) < 3.0 * stderrs[-1] + 1e-9
+    holds.setflags(write=False)  # a bool mask: _frozen would make it float
     return MajorizationReport(
-        eigenvalues=lam,
-        mean_partial_sums=mean_partial,
-        target_partial_sums=target_partial,
-        margins=margins,
-        stderrs=stderrs,
+        eigenvalues=_frozen(lam),
+        mean_partial_sums=_frozen(mean_partial),
+        target_partial_sums=_frozen(target_partial),
+        margins=_frozen(margins),
+        stderrs=_frozen(stderrs),
         holds_3sigma=holds,
         trace_max_rel_dev=float(trace_dev.max()),
         reps=reps,

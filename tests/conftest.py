@@ -1,3 +1,6 @@
+import dataclasses
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,28 @@ def random_spectrum(rng, p, low=0.5, high=5.0, min_gap_frac=0.05):
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def assert_read_only(value):
+    """Every write into a frozen report raises, down to its leaves: no field
+    can be rebound, its arrays are read-only, its sequences are tuples and
+    its mappings refuse item assignment."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            item = getattr(value, f.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, item)
+            assert_read_only(item)
+    elif isinstance(value, np.ndarray):
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = value
+    elif isinstance(value, (tuple, Mapping)):
+        for key, item in value.items() if isinstance(value, Mapping) else enumerate(value):
+            with pytest.raises(TypeError):
+                value[key] = item
+            assert_read_only(item)
+    else:
+        assert isinstance(value, (str, int, float, np.generic)), type(value)
 
 
 @pytest.fixture

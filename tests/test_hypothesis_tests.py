@@ -28,14 +28,14 @@ from eigengeo.estimators import ExactO2
 from eigengeo.hypothesis_tests import (
     EIGEN_LRT,
     FULL_LRT,
+    _lrt_batch,
     _profile_sup,
-    _stat_batch,
     figure3_alternative,
     figure3_thetas,
 )
 from eigengeo.spd_manifold import descending_eigenvalues
 from eigengeo.wishart_sim import color_batch, sample_batch, white_batch
-from conftest import random_orthogonal
+from conftest import assert_read_only, random_orthogonal
 
 
 class TestFullLrt:
@@ -50,6 +50,23 @@ class TestFullLrt:
         grid = np.linspace(1.0, 40.0, 2000)
         vals = [full_lrt_stat(np.array([[s]]), n).value for s in grid]
         assert abs(grid[int(np.argmax(vals))] - n) < 0.05
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_kernel_is_the_log_det_formula(self, p):
+        # The statistic's determinant-and-trace form, on 10^4 Wishart rows at
+        # the null and at a random covariance.  Near the null the statistic is
+        # a difference of terms of size trace/2 and pn/2, so it is compared
+        # relative to those terms as well as to itself.
+        n = 10
+        A = np.random.default_rng(p).standard_normal((p, p))
+        for sigma in (np.eye(p), A @ A.T / p + np.eye(p)):
+            S = sample_batch(sigma, n, 10_000, p, "lrt-oracle")
+            _, logdet = np.linalg.slogdet(S)
+            trace = np.trace(S, axis1=1, axis2=2)
+            want = 0.5 * p * n * (1.0 - np.log(n)) - 0.5 * trace + 0.5 * n * logdet
+            got = _lrt_batch(FULL_LRT, descending_eigenvalues(S), n, None)
+            assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + 0.5 * (trace + p * n)))
+        assert full_lrt_stat(n * np.eye(p), n).value == 0.0
 
     def test_rotation_invariance(self, rng):
         S = np.diag([9.0, 4.0, 2.0])
@@ -537,7 +554,7 @@ class TestCalibration:
         reps, alpha = 2000, 0.05
         cv = calibrate(FULL_LRT, alpha, 2, 10, reps, 7)
         S_batch = sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
-        stats = np.sort(_stat_batch(FULL_LRT, S_batch, 10, None))
+        stats = np.sort(_lrt_batch(FULL_LRT, descending_eigenvalues(S_batch), 10, None))
         assert cv.threshold == stats[int(np.floor(alpha * reps))]
         below = np.mean(stats < cv.threshold)
         assert abs(below - alpha) <= 1.0 / reps + 1e-12
@@ -546,14 +563,14 @@ class TestCalibration:
         reps = 2000
         cv = calibrate(FULL_LRT, 0.5, 2, 10, reps, 7)
         S_batch = sample_batch(np.eye(2), 10, reps, 7, "h0-calibration")
-        stats = _stat_batch(FULL_LRT, S_batch, 10, None)
+        stats = _lrt_batch(FULL_LRT, descending_eigenvalues(S_batch), 10, None)
         assert abs(np.mean(stats < cv.threshold) - 0.5) < 0.02
 
     def test_size_recheck_fresh_seed(self):
         reps = 4000
         cv = calibrate(FULL_LRT, 0.05, 2, 10, reps, 7)
         fresh = sample_batch(np.eye(2), 10, reps, 1234, "fresh-size")
-        rate = np.mean(_stat_batch(FULL_LRT, fresh, 10, None) < cv.threshold)
+        rate = np.mean(_lrt_batch(FULL_LRT, descending_eigenvalues(fresh), 10, None) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps)
 
     def test_eigen_size_recheck(self):
@@ -561,15 +578,15 @@ class TestCalibration:
         ens = o2_equidistant(100)
         cv = calibrate(EIGEN_LRT, 0.05, 2, 10, reps, 7, ens)
         fresh = sample_batch(np.eye(2), 10, reps, 99, "fresh-size")
-        rate = np.mean(_stat_batch(EIGEN_LRT, fresh, 10, ens) < cv.threshold)
+        rate = np.mean(_lrt_batch(EIGEN_LRT, descending_eigenvalues(fresh), 10, ens) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps) + 0.01
 
     def test_wrong_sized_ensemble_refused_before_drawing(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("drew replications for a refused ensemble")
 
-        monkeypatch.setattr(ht, "sample_batch", never)
         monkeypatch.setattr(ht, "white_batch", never)
+        monkeypatch.setattr(ht, "color_batch", never)
         cv = CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT)
         for ens in (o2_equidistant(10), ExactO2()):
             with pytest.raises(DimensionMismatch, match="2.*3"):
@@ -629,18 +646,18 @@ class TestPowerCurve:
         # Same bits as drawing every alternative's batch afresh.
         seen = []
 
-        def recording(kind, S_batch, n, ensemble):
-            seen.append(S_batch)
-            return ht._full_lrt_batch(S_batch, n)
+        def recording(kind, eig_rows, n, ensemble):
+            seen.append(eig_rows)
+            return _lrt_batch(kind, eig_rows, n, ensemble)
 
-        monkeypatch.setattr(ht, "_stat_batch", recording)
+        monkeypatch.setattr(ht, "_lrt_batch", recording)
         monkeypatch.setenv("EIGENGEO_THREADS", "1")
         cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
         alts = [np.eye(2), np.diag([2.0, 1.0]), np.array([[2.0, 0.5], [0.5, 1.0]])]
         power_curve(FULL_LRT, alts, cv, 10, 200, 11)
         assert len(seen) == len(alts)
-        for S_batch, alt in zip(seen, alts):
-            assert S_batch.tobytes() == sample_batch(alt, 10, 200, 11, "power").tobytes()
+        for eig_rows, alt in zip(seen, alts):
+            assert eig_rows.tobytes() == descending_eigenvalues(sample_batch(alt, 10, 200, 11, "power")).tobytes()
 
     def test_no_alternatives(self):
         cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
@@ -678,7 +695,6 @@ class TestFigure3Protocol:
             drawn.append(stream)
             return real(p, n, reps, seed, stream)
 
-        # sample_batch looks white_batch up in wishart_sim, the tests in ht.
         monkeypatch.setattr(ws, "white_batch", spy)
         monkeypatch.setattr(ht, "white_batch", spy)
         study = ht.figure3_experiment(reps=1000, seed=2, theta_count=3)
@@ -692,6 +708,31 @@ class TestFigure3Protocol:
             assert calibrate(kind, 0.05, 2, 10, 1000, 2) == cv
             points = power_curve(kind, fan, cv, 10, 1000, 2)
             assert [pt.power for pt in points] == power.tolist()
+
+    def test_each_draw_coloured_and_decomposed_once(self, monkeypatch):
+        # Both tests score one spectrum per stream and alternative: 2 + T
+        # colourings and decompositions for T angles, and no determinant.
+        calls = {"color_batch": 0, "descending_eigenvalues": 0, "slogdet": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(ht, "color_batch")
+        spy(ht, "descending_eigenvalues")
+        spy(np.linalg, "slogdet")
+        ht.figure3_experiment(reps=1000, seed=2, theta_count=3)
+        assert calls == {"color_batch": 5, "descending_eigenvalues": 5, "slogdet": 0}
+
+    def test_reports_refuse_writes(self):
+        assert_read_only(ht.figure3_experiment(reps=1000, seed=2, theta_count=3))
+        cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
+        assert_read_only(power_curve(FULL_LRT, [np.diag([2.0, 1.0])], cv, 10, 50, 0)[0])
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -33,7 +33,7 @@ from eigengeo import (
     to_natural,
 )
 from eigengeo.estimators import ExactO2
-from eigengeo.spd_manifold import _chart, descending_eigenvalues, separated_rows
+from eigengeo.spd_manifold import _chart, _p2_eigenvalues, descending_eigenvalues, separated_rows
 from eigengeo.wishart_sim import _batch_lbar, _batch_star, sample_batch
 from conftest import random_orthogonal, random_spd, rotation
 
@@ -274,8 +274,9 @@ class TestDescendingEigenvalues:
         # estimate columns.
         S_batch = sample_batch(np.diag([1.0, 0.3]), 10, 200, 4, "spectrum-share")
         cols = np.stack((S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]))
-        lbars, _ = _batch_lbar(cols, 10)
-        stars, valid = _batch_star(ExactO2())(cols, 10)
+        eigs = _p2_eigenvalues(*cols)
+        lbars, _ = _batch_lbar(cols, eigs, 10)
+        stars, valid = _batch_star(ExactO2())(cols, eigs, 10)
         assert valid.all()
         for r, S in enumerate(S_batch):
             assert np.array_equal(lbar(S, 10).values, lbars[:, r])

@@ -22,6 +22,7 @@ from eigengeo import (
     sample_product_sum,
 )
 from eigengeo.cli import main
+from eigengeo.hypothesis_tests import FULL_LRT, CriticalValue, power_curve
 from eigengeo.estimators import ExactO2, default_ensemble, o2_equidistant
 from eigengeo.spd_manifold import descending_eigenvalues, separated_rows
 from eigengeo.wishart_sim import (
@@ -36,6 +37,8 @@ from eigengeo.wishart_sim import (
     white_batch,
     worker_count,
 )
+
+from conftest import assert_read_only
 
 DRAW_SEEDS = (0, 7, 2**63 + 5)
 DRAW_STREAMS = ("bias", "power")
@@ -182,6 +185,22 @@ class TestSubstreams:
         monkeypatch.setattr(np, "empty", never)
         with pytest.raises(ValueError, match=r"2\*\*32"):
             white_batch(2, 10, 2**32 + 1, 0, "s")
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda reps: figure4_experiment(reps=reps),
+            lambda reps: kl_risk(lambda S, n: np.ones(2), np.eye(2), 10, reps, 0),
+            lambda reps: power_curve(FULL_LRT, [np.eye(2)], CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT), 10, reps, 0),
+            lambda reps: sample_batch(np.eye(2), 10, reps, 0, "s"),
+        ],
+        ids=["figure4_experiment", "kl_risk", "power_curve", "sample_batch"],
+    )
+    def test_empty_or_negative_reps_refused_by_white_batch(self, run, reps):
+        # One check, in white_batch, gives every caller the same message.
+        with pytest.raises(ValueError, match=rf"^reps must be >= 1, got {reps}$"):
+            run(reps)
 
     def test_key_range_edges_accepted(self):
         replication_rng(0, "s", 0).standard_normal(3)
@@ -485,6 +504,9 @@ class TestMajorization:
         assert report.holds_3sigma.all()
         assert report.trace_max_rel_dev < 1e-10
 
+    def test_report_refuses_writes(self):
+        assert_read_only(bias_majorization_check(np.eye(2), 10, 100, 0))
+
     def test_refuses_singular_draws_and_single_rep(self):
         with pytest.raises(ValueError, match="n >= p"):
             bias_majorization_check(np.eye(2), 1, 100, 0)
@@ -507,6 +529,9 @@ class TestExperiments:
         frame_risks = np.array([r.mean for r in report.risks["gamma-frame"]])
         # Shared substreams make the frame-diagonal risk exactly flat in c.
         assert np.ptp(frame_risks) < 1e-12
+
+    def test_report_refuses_writes(self):
+        assert_read_only(figure4_experiment(reps=20))
 
     def test_figure4_determinism(self):
         a = figure4_experiment(reps=300, seed=11)
