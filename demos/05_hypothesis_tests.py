@@ -27,8 +27,7 @@ print("  eigenvalue threshold: ", round(cv_eigen.threshold, 4))
 # One statistic each on a fresh draw from an alternative.
 S = eg.sample_product_sum(np.diag([1.6, 0.7]), n, eg.replication_rng(seed, "demo-tests", 0))
 full_stat = eg.full_lrt_stat(S, n)
-eigs = np.linalg.eigvalsh(S.matrix)[::-1]
-eigen_stat = eg.eigen_lrt_stat(eigs, n, ens)
+eigen_stat = eg.eigen_lrt_stat(S.eigenvalues, n, ens)
 print("\none draw from diag(1.6, 0.7):")
 print("  full statistic:", round(full_stat.value, 4), "reject:", cv_full.rejects(full_stat))
 print("  eigen statistic:", round(eigen_stat.value, 4), "reject:", cv_eigen.rejects(eigen_stat))

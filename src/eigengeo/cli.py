@@ -254,6 +254,7 @@ def cmd_estimate(args):
     rows = []
     p = S.dim
     for method in args.method:
+        ens_cells = ["", ""]
         try:
             if method == "lbar":
                 est = lbar(S, args.n)
@@ -263,10 +264,12 @@ def cmd_estimate(args):
                     raise CliInputError(f"--gamma frame is {len(gamma)}x{len(gamma)}, input is {p}x{p}")
                 est = lambda_hat(S, args.n, gamma)
             else:
-                est = lambda_star(S, args.n, _parse_ensemble(args.ensemble, p, args.seed))
+                ens = _parse_ensemble(args.ensemble, p, args.seed)
+                ens_cells = [ens.kind, ens.size]
+                est = lambda_star(S, args.n, ens)
         except EigengeoError as exc:
             raise CliNumericError(f"{method}: {exc}") from exc
-        rows.append([method, est.meta.get("ensemble_kind", ""), est.meta.get("ensemble_size", ""), *est.values])
+        rows.append([method, *ens_cells, *est.values])
     header = ["method", "ensemble_kind", "ensemble_size"] + [f"value_{i + 1}" for i in range(p)]
     return [("estimate.csv", header, rows)], None
 

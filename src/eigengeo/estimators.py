@@ -27,7 +27,7 @@ lam alone and no interface takes a frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -59,7 +59,6 @@ class EigenEstimate:
 
     values: np.ndarray
     method: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = _frozen(self.values)
@@ -112,7 +111,10 @@ class OrthogonalEnsemble:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
+        """Read-only log of ``weights``."""
+        out = np.log(self.weights)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def squared_nodes(self) -> np.ndarray:
@@ -275,7 +277,7 @@ def lambda_star(S, n: int, ensemble: OrthogonalEnsemble | ExactO2) -> EigenEstim
     """
     S = as_spd(S)
     values = lambda_star_from_eigs(S.eigenvalues, n, ensemble)
-    return EigenEstimate(values, STAR, {"ensemble_kind": ensemble.kind, "ensemble_size": ensemble.size})
+    return EigenEstimate(values, STAR)
 
 
 def lambda_star_from_eigs(

@@ -29,7 +29,6 @@ from .spd_manifold import (
     _triu,
     as_spd,
     check_eigenvalue_gaps,
-    compose,
     pair_offset,
 )
 
@@ -241,51 +240,47 @@ def statistical_curvature(eigenvalues) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _steps(base: Spectrum, step: float, h: float | None) -> np.ndarray:
-    """Step per chart coordinate at ``base``: h along every coordinate when
-    given; otherwise ``step`` times max(1, lambda_max) along the eigenvalues
-    and ``step`` itself along the rotation angles, whose scale does not
-    grow with the eigenvalues'.  A given h must be finite and > 0."""
+def _steps(base: Spectrum, step: float) -> np.ndarray:
+    """Step per chart coordinate at ``base``: ``step`` times max(1,
+    lambda_max) along the eigenvalues and ``step`` itself along the rotation
+    angles, whose scale does not grow with the eigenvalues'."""
     p = base.dim
-    angles = p * (p - 1) // 2
-    if h is not None:
-        if not 0.0 < float(h) < np.inf:  # NaN too
-            raise ValueError(f"finite-difference step h must be finite and > 0, got {h}")
-        return np.full(p + angles, float(h))
-    return np.array([step * max(1.0, float(base.eigenvalues[0]))] * p + [step] * angles)
+    return np.array([step * max(1.0, float(base.eigenvalues[0]))] * p + [step] * (p * (p - 1) // 2))
 
 
-def fd_tangent_lambda(base: Spectrum, a: int, h: float | None = None) -> SymTangent:
+def fd_tangent_lambda(base: Spectrum, a: int) -> SymTangent:
     """Central-difference tangent along eigenvalue a (exact up to rounding:
     the covariance is linear in its eigenvalues at fixed frame)."""
     _check_index(a, base.dim)
-    steps = _steps(base, FD_STEP_FIRST, h)
+    steps = _steps(base, FD_STEP_FIRST)
     return SymTangent(_central(partial(_chart, base), _origin(base), steps, [a])[0])
 
 
-def fd_tangent_u(base: Spectrum, pair, h: float | None = None) -> SymTangent:
+def fd_tangent_u(base: Spectrum, pair) -> SymTangent:
     """Central-difference tangent along rotation pair (s, t) at u = 0."""
     k = base.dim + pair_offset(*pair, base.dim)
-    steps = _steps(base, FD_STEP_FIRST, h)
+    steps = _steps(base, FD_STEP_FIRST)
     return SymTangent(_central(partial(_chart, base), _origin(base), steps, [k])[0])
 
 
-def metric_spectral_fd(base: Spectrum, h: float | None = None) -> SpectralMetric:
+def metric_spectral_fd(base: Spectrum) -> SpectralMetric:
     """Full finite-difference metric pipeline: build every coordinate tangent
     by differencing the coordinate map (the ``fd_tangent_lambda`` and
     ``fd_tangent_u`` tangents, all 2(p + p(p-1)/2) points in one chart
     call), then evaluate the covariance-entry bilinear form
-    ``metric_sigma(compose(base), t, t)`` on them with one batched solve."""
+    ``metric_sigma(S, t, t)`` on them with one batched solve.  S is the
+    chart at ``base`` itself, exactly symmetric, so no ``SpdMatrix`` is
+    built: ``base`` is a validated ``Spectrum``."""
     p = base.dim
-    S = compose(base)
-    steps = _steps(base, FD_STEP_FIRST, h)
+    S = _chart(base, base.eigenvalues[None])[0]
+    steps = _steps(base, FD_STEP_FIRST)
     T = _central(partial(_chart, base), _origin(base), steps, np.arange(steps.size))
-    X = np.linalg.solve(S.matrix, T)
+    X = np.linalg.solve(S, T)
     diag = 0.5 * np.einsum("kij,kji->k", X, X)
     return SpectralMetric(p, diag[:p], diag[p:])
 
 
-def curvature_tensor_A_fd(base: Spectrum, h: float | None = None) -> CurvatureTensor:
+def curvature_tensor_A_fd(base: Spectrum) -> CurvatureTensor:
     """Finite-difference twin of ``curvature_tensor_A``: every coincident-
     pair value of ``curvature_oracle_A`` at once, from the second
     differences along all rotation coordinates (one stack of 2 p(p-1)/2 + 1
@@ -293,12 +288,12 @@ def curvature_tensor_A_fd(base: Spectrum, h: float | None = None) -> CurvatureTe
     direction a."""
     p = base.dim
     k = np.arange(p, p + p * (p - 1) // 2)
-    steps = _steps(base, FD_STEP_SECOND, h)
+    steps = _steps(base, FD_STEP_SECOND)
     A = _central(partial(_chart, base), _origin(base), steps, k, k)
     return CurvatureTensor(p, _contract_legs(base, A))
 
 
-def curvature_oracle_A(base: Spectrum, pair1, pair2, a: int, h: float | None = None) -> float:
+def curvature_oracle_A(base: Spectrum, pair1, pair2, a: int) -> float:
     """Finite-difference oracle for ``embedding_curvature_A``.
 
     Differentiates the coordinate map twice along the rotation directions,
@@ -310,7 +305,7 @@ def curvature_oracle_A(base: Spectrum, pair1, pair2, a: int, h: float | None = N
     k1 = p + pair_offset(*pair1, p)
     k2 = p + pair_offset(*pair2, p)
     _check_index(a, p)
-    steps = _steps(base, FD_STEP_SECOND, h)
+    steps = _steps(base, FD_STEP_SECOND)
     A = _central(partial(_chart, base), _origin(base), steps, [k1], [k2])
     return float(_contract_legs(base, A)[0, a])
 
@@ -327,9 +322,7 @@ def _contract_legs(base: Spectrum, A: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("kij,aij->ka", A, B)
 
 
-def curvature_oracle_M(
-    base: Spectrum, a: int, b: int, pair, connection: str = "m", h: float | None = None
-) -> float:
+def curvature_oracle_M(base: Spectrum, a: int, b: int, pair, connection: str = "m") -> float:
     """Finite-difference oracle for the fixed-frame submanifold's embedding
     curvature (expected to vanish identically).
 
@@ -344,7 +337,7 @@ def curvature_oracle_M(
     k = p + pair_offset(*pair, p)
     if connection not in ("e", "m"):
         raise ValueError(f"connection must be 'e' or 'm', got {connection!r}")
-    steps = _steps(base, FD_STEP_SECOND, h)
+    steps = _steps(base, FD_STEP_SECOND)
 
     def sigma(X: np.ndarray) -> np.ndarray:
         return _chart(base, X)[(slice(None), *_triu(p))]

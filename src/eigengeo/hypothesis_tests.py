@@ -361,7 +361,10 @@ def power_curve(
     mats = [as_spd(S).matrix for S in alternatives]
     if not mats:
         return []
-    p = mats[0].shape[0]
+    p = len(mats[0])
+    odd = next((i for i, m in enumerate(mats) if len(m) != p), None)
+    if odd is not None:
+        raise DimensionMismatch(f"alternative {odd} dim {len(mats[odd])} does not match p = {p} of alternative 0")
     ensemble = _test_ensemble(kind, ensemble, p, seed)
     W = white_batch(p, n, reps, seed, "power")
 
@@ -382,8 +385,6 @@ def figure3_thetas(count: int = 51) -> np.ndarray:
     """Alternative directions pi/4 - (j-1) pi/50 for j = 1..51, optionally
     thinned to ``count`` evenly spaced entries (count must divide into 50)."""
     full = np.pi / 4.0 - np.arange(51) * (np.pi / 50.0)
-    if count == 51:
-        return full
     if count < 2 or (51 - 1) % (count - 1) != 0:
         raise ValueError(f"cannot thin 51 angles to {count} evenly")
     step = 50 // (count - 1)

@@ -179,17 +179,17 @@ def _not_pd(trace: float, low: float | None = None) -> str:
     return f"matrix is not positive definite (min eigenvalue {low:.3e}, trace {trace:.3e})"
 
 
-def _checked_stack(m: np.ndarray):
+def _checked_stack(m: np.ndarray, prefix: str):
     """The SPD checks on a (reps, p, p) stack: finite entries, symmetry
     within SYMMETRY_TOLERANCE * max(1, max |entry|), trace > 0, and smallest
     eigenvalue > PD_TOLERANCE * trace, in that order.
 
     Returns the symmetrized stack and its ``descending_eigenvalues``, both
-    read-only, and no fault; or, when a slice is refused, None, None and
-    the fault (index of the first refused slice, refusal message).
+    read-only.  A refused stack raises NotPositiveDefinite with the message
+    of its first refused slice, after ``prefix.format(index of that slice)``.
     """
     # Each check looks only at the slices before the first refusal found so
-    # far, so the refusal returned is the first slice's, and no check runs
+    # far, so the refusal raised is the first slice's, and no check runs
     # on a slice an earlier check refused.  The only full-size temporaries
     # are sym and m - sym: max |entry| is max(max, -min), and |m - sym| is
     # taken in place and dropped before the decomposition.
@@ -218,10 +218,10 @@ def _checked_stack(m: np.ndarray):
         r = int(np.argmax(low))
         fault = (r, _not_pd(tr[r], eigs[r, -1]))
     if fault is not None:
-        return None, None, fault
+        raise NotPositiveDefinite(prefix.format(fault[0]) + fault[1])
     sym.setflags(write=False)
     eigs.setflags(write=False)
-    return sym, eigs, None
+    return sym, eigs
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,7 @@ class SpdMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise DimensionMismatch("matrix must be at least 1 x 1")
-        sym, eigs, fault = _checked_stack(m[None])
-        if fault is not None:
-            raise NotPositiveDefinite(fault[1])
+        sym, eigs = _checked_stack(m[None], "")
         self._adopt(sym[0], eigs[0])
 
     def _adopt(self, sym: np.ndarray, eigs: np.ndarray) -> None:
@@ -286,9 +284,7 @@ class SpdMatrix:
             raise DimensionMismatch(f"expected a (reps, p, p) stack, got shape {m.shape}")
         if m.shape[1] < 1:
             raise DimensionMismatch("matrix must be at least 1 x 1")
-        sym, eigs, fault = _checked_stack(m)
-        if fault is not None:
-            raise NotPositiveDefinite(f"slice {fault[0]}: {fault[1]}")
+        sym, eigs = _checked_stack(m, "slice {}: ")
         return map(cls._checked_slice, sym, eigs)
 
     @classmethod

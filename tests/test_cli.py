@@ -177,6 +177,20 @@ class TestEstimateCommand:
         _, rows = read_rows(tmp_path / "estimate.csv")
         assert (rows[0]["ensemble_kind"], rows[0]["ensemble_size"]) == ("exact-o2", "0")
 
+    @pytest.mark.parametrize(
+        "S, ensemble, want",
+        [
+            (np.array([[5.0, 1.0], [1.0, 2.0]]), "equidistant:13", ("equidistant-o2", "13")),
+            (np.diag([3.0, 2.0, 1.0]), "haar:40", ("haar-mc", "40")),
+        ],
+    )
+    def test_star_row_names_its_ensemble(self, tmp_path, S, ensemble, want):
+        path = write_matrix(tmp_path, "S.txt", S)
+        assert run(tmp_path, "estimate", "--input", path, "--n", "10", "--method", "lbar",
+                   "--method", "star", "--ensemble", ensemble) == 0
+        _, rows = read_rows(tmp_path / "estimate.csv")
+        assert [(r["ensemble_kind"], r["ensemble_size"]) for r in rows] == [("", ""), want]
+
     def test_gamma_frame_identity(self, tmp_path):
         path = write_matrix(tmp_path, "S.txt", np.array([[2.0, 0.5], [0.5, 1.0]]))
         assert run(tmp_path, "estimate", "--input", path, "--n", "1",

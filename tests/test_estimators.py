@@ -320,11 +320,9 @@ class TestLambdaStar:
         assert_allclose(lambda_star_from_eigs(eigs, 10, ens), earlier, rtol=1e-12)
 
     def test_metadata(self, rng):
-        ens = o2_equidistant(13)
+        # The ensemble's kind and size are the caller's; the CLI writes them.
         A = rng.standard_normal((8, 2))
-        est = lambda_star(A.T @ A, 8, ens)
-        assert est.method == STAR
-        assert est.meta["ensemble_size"] == 13
+        assert lambda_star(A.T @ A, 8, o2_equidistant(13)).method == STAR
 
 
 # Bessel arguments: 0, tiny values, both sides of the series/asymptotic seam
@@ -404,7 +402,6 @@ class TestExactO2:
         assert_allclose(got.sum(axis=1), eigs.sum(axis=1) / 10, rtol=1e-14)
 
     def test_metadata_and_dimension(self):
-        est = lambda_star(np.diag([20.0, 10.0]), 10, ExactO2())
-        assert est.meta == {"ensemble_kind": EXACT_O2, "ensemble_size": 0}
+        assert lambda_star(np.diag([20.0, 10.0]), 10, ExactO2()).method == STAR
         with pytest.raises(DimensionMismatch, match="2.*3"):
             lambda_star(np.diag([3.0, 1.0, 0.4]), 10, ExactO2())

@@ -594,6 +594,23 @@ class TestCalibration:
             with pytest.raises(DimensionMismatch, match="2.*3"):
                 power_curve(EIGEN_LRT, [np.eye(3)], cv, 10, 100_000, 0, ens)
 
+    @pytest.mark.parametrize("kind", [FULL_LRT, EIGEN_LRT])
+    def test_mixed_alternative_dims_refused_before_drawing(self, monkeypatch, kind):
+        # p = 2 then 3 failed inside the p = 2 colouring, and 3 then 2 in a
+        # matmul, both after every white Gram was drawn.
+        def never(*args, **kwargs):
+            raise AssertionError("drew replications for mixed alternatives")
+
+        monkeypatch.setattr(ht, "white_batch", never)
+        monkeypatch.setattr(ht, "_test_ensemble", never)
+        cv = CriticalValue(0.05, -1.0, 1000, 0, kind)
+        alts = [np.eye(2), 2.0 * np.eye(2), np.eye(3), np.eye(2)]
+        with pytest.raises(DimensionMismatch, match="^alternative 2 dim 3 does not match p = 2 of alternative 0$"):
+            power_curve(kind, alts, cv, 10, 50, 0)
+        alts = [np.eye(3), np.eye(2), np.eye(2)]
+        with pytest.raises(DimensionMismatch, match="^alternative 1 dim 2 does not match p = 3 of alternative 0$"):
+            power_curve(kind, alts, cv, 10, 50, 0)
+
     def test_rejects_small_reps(self):
         with pytest.raises(ValueError):
             calibrate(FULL_LRT, 0.05, 2, 10, 100, 0)
