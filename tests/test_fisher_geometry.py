@@ -484,6 +484,25 @@ class TestEmbeddingCurvature:
         assert np.ptp(values) < 1e-6
         assert abs(values[0] + 0.25) < 1e-5
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda base, h: fd_tangent_lambda(base, 0, h=h),
+            lambda base, h: fd_tangent_u(base, (0, 1), h=h),
+            lambda base, h: metric_spectral_fd(base, h=h),
+            lambda base, h: curvature_tensor_A_fd(base, h=h),
+            lambda base, h: curvature_oracle_A(base, (0, 1), (0, 1), 0, h=h),
+            lambda base, h: curvature_oracle_M(base, 0, 1, (0, 2), "m", h=h),
+        ],
+        ids=["tangent_lambda", "tangent_u", "metric", "tensor", "oracle_A", "oracle_M"],
+    )
+    def test_invalid_step_refused(self, rng, oracle, h):
+        # The step is the fixed policy of _steps: no oracle takes a per-call
+        # step, so a bad one never reaches the stencil.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'h'"):
+            oracle(random_spectrum(rng, 3), h)
+
     def test_fixed_frame_oracle_vanishes(self, rng):
         sp = random_spectrum(rng, 3)
         for conn in ("e", "m"):
