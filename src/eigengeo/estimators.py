@@ -260,8 +260,8 @@ def lambda_hat(S, n: int, gamma: np.ndarray) -> EigenEstimate:
     ``lbar`` exactly.  Components keep the frame's index order.  A frame
     that is not orthogonal is refused (ValueError, from ``kl_project``).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    S = as_spd(S)
+    check_sample_size(n, S.dim)
     return EigenEstimate(kl_project(S, gamma) / n, GAMMA_FRAME)
 
 

@@ -358,19 +358,19 @@ def power_curve(
     """
     if kind != cv.kind:
         raise ValueError(f"critical value is for {cv.kind!r}, not {kind!r}")
-    mats = [as_spd(S).matrix for S in alternatives]
+    mats = [as_spd(S) for S in alternatives]
     if not mats:
         return []
-    p = len(mats[0])
-    odd = next((i for i, m in enumerate(mats) if len(m) != p), None)
+    p = mats[0].dim
+    odd = next((i for i, m in enumerate(mats) if m.dim != p), None)
     if odd is not None:
-        raise DimensionMismatch(f"alternative {odd} dim {len(mats[odd])} does not match p = {p} of alternative 0")
+        raise DimensionMismatch(f"alternative {odd} dim {mats[odd].dim} does not match p = {p} of alternative 0")
     ensemble = _test_ensemble(kind, ensemble, p, seed)
     W = white_batch(p, n, reps, seed, "power")
 
     def at(i: int) -> PowerPoint:
         eigs = descending_eigenvalues(color_batch(W, mats[i]))
-        return _power_point(mats[i], _lrt_batch(kind, eigs, n, ensemble), cv)
+        return _power_point(mats[i].matrix, _lrt_batch(kind, eigs, n, ensemble), cv)
 
     return parallel_points(at, len(mats))
 
@@ -437,7 +437,8 @@ def figure3_experiment(
     _check_calibration(alpha, reps)
     ensemble = _test_ensemble(EIGEN_LRT, ensemble, p, seed)
     thetas = figure3_thetas(theta_count)
-    fan = [figure3_alternative(theta) for theta in thetas]
+    identity = as_spd(np.eye(p))
+    fan = [as_spd(figure3_alternative(theta)) for theta in thetas]
     tests = ((FULL_LRT, None), (EIGEN_LRT, ensemble))
 
     def scores(W, Sigma):
@@ -445,18 +446,18 @@ def figure3_experiment(
         eigs = descending_eigenvalues(color_batch(W, Sigma))
         return [_lrt_batch(kind, eigs, n, ens) for kind, ens in tests]
 
-    null = scores(white_batch(p, n, reps, seed, "h0-calibration"), np.eye(p))
+    null = scores(white_batch(p, n, reps, seed, "h0-calibration"), identity)
     cv_full, cv_eigen = cvs = [_critical_value(kind, alpha, seed, stats) for (kind, _), stats in zip(tests, null)]
 
     def points(W, Sigma):
-        return [_power_point(Sigma, stats, cv) for stats, cv in zip(scores(W, Sigma), cvs)]
+        return [_power_point(Sigma.matrix, stats, cv) for stats, cv in zip(scores(W, Sigma), cvs)]
 
-    size_full, size_eigen = points(white_batch(p, n, reps, seed, "size-check"), np.eye(p))
+    size_full, size_eigen = points(white_batch(p, n, reps, seed, "size-check"), identity)
     W_alt = white_batch(p, n, reps, seed, "power")
     full, eigen = zip(*parallel_points(lambda i: points(W_alt, fan[i]), len(fan)))
     return PowerStudy(
         thetas=_frozen(thetas),
-        alternatives=_frozen([np.diag(S) for S in fan]),
+        alternatives=_frozen([np.diag(S.matrix) for S in fan]),
         power_full=_frozen([pt.power for pt in full]),
         stderr_full=_frozen([pt.stderr for pt in full]),
         power_eigen=_frozen([pt.power for pt in eigen]),

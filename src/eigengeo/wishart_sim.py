@@ -145,7 +145,7 @@ def sample_product_sum(Sigma, n: int, rng: np.random.Generator) -> SpdMatrix:
     Sigma = as_spd(Sigma)
     check_sample_size(n, Sigma.dim)
     z = rng.standard_normal((1, n, Sigma.dim))
-    return SpdMatrix(color_batch(z.swapaxes(1, 2) @ z, Sigma.matrix)[0])
+    return SpdMatrix(color_batch(z.swapaxes(1, 2) @ z, Sigma)[0])
 
 
 def white_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
@@ -175,9 +175,9 @@ def white_batch(p: int, n: int, reps: int, seed: int, stream: str) -> np.ndarray
     return W
 
 
-def color_batch(W: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
-    """Product-sum matrices with covariance Sigma_matrix from white Grams:
-    A W[r] A^T for the lower Cholesky factor A, factored once.
+def color_batch(W: np.ndarray, Sigma) -> np.ndarray:
+    """Product-sum matrices with covariance ``as_spd(Sigma)`` from white
+    Grams: A W[r] A^T for the lower Cholesky factor A, factored once.
 
     At p = 2 this stacks ``_color_p2`` of the Grams' entry columns.  At
     p >= 3 both products are single (reps p, p) @ A^T GEMMs over the stacked
@@ -185,7 +185,7 @@ def color_batch(W: np.ndarray, Sigma_matrix: np.ndarray) -> np.ndarray:
     exactly symmetric.  Each transposed stack is copied explicitly and freed
     before the next one is made, so at most two result-sized arrays are live.
     """
-    A = np.linalg.cholesky(Sigma_matrix)
+    A = np.linalg.cholesky(as_spd(Sigma).matrix)
     reps, p = W.shape[:2]
     if p == 2:
         cols = _color_p2(W[:, 0, 0], W[:, 1, 0], W[:, 1, 1], A)
@@ -218,12 +218,13 @@ def _color_p2(w00: np.ndarray, w10: np.ndarray, w11: np.ndarray, A: np.ndarray) 
     return S
 
 
-def sample_batch(Sigma_matrix: np.ndarray, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
-    """Stack of product-sum matrices of n draws with covariance Sigma_matrix,
-    one per replication substream of ``stream``: the white Grams of
-    ``white_batch`` recoloured by ``color_batch``.  Slice r equals
-    ``sample_product_sum(Sigma, n, replication_rng(seed, stream, r))``."""
-    return color_batch(white_batch(Sigma_matrix.shape[0], n, reps, seed, stream), Sigma_matrix)
+def sample_batch(Sigma, n: int, reps: int, seed: int, stream: str) -> np.ndarray:
+    """Stack of product-sum matrices of n draws with covariance ``as_spd(Sigma)``
+    (checked before any draw), one per replication substream of ``stream``:
+    the white Grams of ``white_batch`` recoloured by ``color_batch``.  Slice r
+    equals ``sample_product_sum(Sigma, n, replication_rng(seed, stream, r))``."""
+    Sigma = as_spd(Sigma)
+    return color_batch(white_batch(Sigma.dim, n, reps, seed, stream), Sigma)
 
 
 def kl_loss_diag(estimate: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -250,7 +251,7 @@ class RiskResult:
     mean: float
     stderr: float
     reps: int
-    failures: int = 0
+    failures: int
 
 
 @dataclass(frozen=True)
@@ -269,51 +270,45 @@ class RiskReport:
 
 # Grid runners: from the entry columns (s00, s10, s11) of the coloured
 # Grams and their (2, reps) eigenvalue columns, one estimator's (2, reps)
-# estimate columns and its row mask.
+# estimate columns.  A row the estimator refuses is NaN, so its loss is NaN
+# and ``_summarize`` counts it as a failed replication.
 
 
-def _batch_lbar(S: np.ndarray, eigs: np.ndarray, n: int):
-    return eigs / n, np.ones(S.shape[1], dtype=bool)
+def _batch_lbar(S: np.ndarray, eigs: np.ndarray, n: int) -> np.ndarray:
+    return eigs / n
 
 
-def _batch_identity_frame(S: np.ndarray, eigs: np.ndarray, n: int):
-    return S[::2] / n, np.ones(S.shape[1], dtype=bool)
+def _batch_identity_frame(S: np.ndarray, eigs: np.ndarray, n: int) -> np.ndarray:
+    return S[::2] / n
 
 
 def _batch_star(ensemble: OrthogonalEnsemble | ExactO2):
-    def run(S: np.ndarray, eigs: np.ndarray, n: int):
+    def run(S: np.ndarray, eigs: np.ndarray, n: int) -> np.ndarray:
         valid = separated_rows(eigs.T)
         vals = np.full_like(eigs, np.nan)
         if valid.any():
             vals[:, valid] = lambda_star_from_eigs(eigs.T[valid], n, ensemble, check_gaps=False).T
-        return vals, valid
+        return vals
 
     return run
 
 
-def _summarize(losses: np.ndarray, valid: np.ndarray, reps: int) -> RiskResult:
-    kept = losses[valid]
-    count = int(valid.sum())
+def _summarize(losses: np.ndarray) -> RiskResult:
+    """Mean and standard error of the losses; a NaN loss is a failed
+    replication, so reps + failures is the replication count."""
+    kept = losses[~np.isnan(losses)]
+    count = kept.size
     mean = float(kept.mean()) if count else float("nan")
     stderr = float(kept.std(ddof=1) / np.sqrt(count)) if count > 1 else float("nan")
-    return RiskResult(mean, stderr, count, reps - count)
+    return RiskResult(mean, stderr, count, losses.size - count)
 
 
 def _risk_point(w: np.ndarray, n: int, sigma: np.ndarray, target: np.ndarray, runners) -> tuple:
-    reps = w.shape[1]
     S = _color_p2(*w, np.linalg.cholesky(sigma))
     eigs = _p2_eigenvalues(*S)
-    losses = {}
-    valids = {}
-    for tag, runner in runners:
-        vals, valid = runner(S, eigs, n)
-        with np.errstate(invalid="ignore"):
-            losses[tag] = kl_loss_diag(vals.T, target)
-        valids[tag] = valid
-    results = {tag: _summarize(losses[tag], valids[tag], reps) for tag in losses}
+    losses = {tag: kl_loss_diag(runner(S, eigs, n).T, target) for tag, runner in runners}
     t1, t2 = losses
-    diff = _summarize(losses[t1] - losses[t2], valids[t1] & valids[t2], reps)
-    return results, diff
+    return {tag: _summarize(loss) for tag, loss in losses.items()}, _summarize(losses[t1] - losses[t2])
 
 
 def parallel_points(fn, count: int) -> list:
@@ -411,7 +406,7 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
     """
     Sigma = as_spd(Sigma)
     target = np.linalg.eigvalsh(Sigma.matrix)[::-1]
-    samples = SpdMatrix._checked_slices(sample_batch(Sigma.matrix, n, reps, seed, stream))
+    samples = SpdMatrix._checked_slices(sample_batch(Sigma, n, reps, seed, stream))
     estimates = np.ones((reps, Sigma.dim))
     valid = np.zeros(reps, dtype=bool)
     for r, S in enumerate(samples):
@@ -435,7 +430,7 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
         )
     if not valid.any():
         raise EigengeoError("every replication failed")
-    return _summarize(kl_loss_diag(estimates, target), valid, reps)
+    return _summarize(np.where(valid, kl_loss_diag(estimates, target), np.nan))
 
 
 @dataclass(frozen=True)
@@ -461,7 +456,7 @@ def bias_majorization_check(Sigma, n: int = 10, reps: int = 100_000, seed: int =
         raise ValueError(f"need reps >= 2 for Monte-Carlo bands, got {reps}")
     Sigma = as_spd(Sigma)
     lam = np.linalg.eigvalsh(Sigma.matrix)[::-1]
-    S_batch = sample_batch(Sigma.matrix, n, reps, seed, "bias")
+    S_batch = sample_batch(Sigma, n, reps, seed, "bias")
     lbars = descending_eigenvalues(S_batch) / n
     traces = np.trace(S_batch, axis1=1, axis2=2) / n
     trace_dev = np.abs(lbars.sum(axis=1) - traces) / traces

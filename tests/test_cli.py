@@ -193,10 +193,10 @@ class TestEstimateCommand:
 
     def test_gamma_frame_identity(self, tmp_path):
         path = write_matrix(tmp_path, "S.txt", np.array([[2.0, 0.5], [0.5, 1.0]]))
-        assert run(tmp_path, "estimate", "--input", path, "--n", "1",
+        assert run(tmp_path, "estimate", "--input", path, "--n", "2",
                    "--method", "gamma-frame", "--gamma", "identity") == 0
         _, rows = read_rows(tmp_path / "estimate.csv")
-        assert float(rows[0]["value_1"]) == 2.0
+        assert float(rows[0]["value_1"]) == 1.0
 
     def test_gamma_frame_rotation_file(self, tmp_path):
         S = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])

@@ -59,8 +59,8 @@ class TestLbar:
 class TestLambdaHat:
     def test_identity_frame_diagonal(self):
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
-        est = lambda_hat(S, 1, np.eye(2))
-        assert_allclose(est.values, [2.0, 1.0])
+        est = lambda_hat(S, 2, np.eye(2))
+        assert_allclose(est.values, [1.0, 0.5])
         assert est.method == GAMMA_FRAME
 
     def test_nan_frame_refused(self):

@@ -15,6 +15,7 @@ from eigengeo import (
     eigen_lrt_stat,
     full_lrt_stat,
     haar_sample,
+    lambda_hat,
     lambda_star_from_eigs,
     lbar,
     o2_equidistant,
@@ -172,12 +173,13 @@ class TestSampleEigenvalueGuards:
             lambda eigs, n, ens: eigen_lrt_stat(eigs, n, ens),
             lambda eigs, n, ens: eigen_log_density_kernel(eigs, np.eye(eigs.size), n, ens),
             lambda eigs, n, ens: lbar(np.diag(eigs), n),
+            lambda eigs, n, ens: lambda_hat(np.diag(eigs), n, np.eye(eigs.size)),
             lambda eigs, n, ens: full_lrt_stat(np.diag(eigs), n),
             lambda eigs, n, ens: sample_product_sum(np.diag(eigs), n, replication_rng(0, "s", 0)),
             lambda eigs, n, ens: white_batch(eigs.size, n, 10, 0, "s"),
         ],
-        ids=["lambda_star_from_eigs", "eigen_lrt_stat", "eigen_log_density_kernel", "lbar", "full_lrt_stat",
-             "sample_product_sum", "white_batch"],
+        ids=["lambda_star_from_eigs", "eigen_lrt_stat", "eigen_log_density_kernel", "lbar", "lambda_hat",
+             "full_lrt_stat", "sample_product_sum", "white_batch"],
     )
     def test_fewer_observations_than_dimensions_refused(self, call, ens, n):
         # One refusal, spd_manifold.check_sample_size, with one message.

@@ -271,13 +271,13 @@ class TestDescendingEigenvalues:
 
     def test_per_matrix_estimators_share_the_batched_rows(self):
         # The grid runners read entry columns (s00, s10, s11) and return
-        # estimate columns.
+        # estimate columns, NaN on the rows they refuse (none here).
         S_batch = sample_batch(np.diag([1.0, 0.3]), 10, 200, 4, "spectrum-share")
         cols = np.stack((S_batch[:, 0, 0], S_batch[:, 1, 0], S_batch[:, 1, 1]))
         eigs = _p2_eigenvalues(*cols)
-        lbars, _ = _batch_lbar(cols, eigs, 10)
-        stars, valid = _batch_star(ExactO2())(cols, eigs, 10)
-        assert valid.all()
+        lbars = _batch_lbar(cols, eigs, 10)
+        stars = _batch_star(ExactO2())(cols, eigs, 10)
+        assert not np.isnan(stars).any()
         for r, S in enumerate(S_batch):
             assert np.array_equal(lbar(S, 10).values, lbars[:, r])
             assert np.array_equal(lambda_star(S, 10, ExactO2()).values, stars[:, r])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import zlib
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import eigengeo.wishart_sim as ws
 from eigengeo import (
     DimensionMismatch,
     EigengeoError,
+    NotPositiveDefinite,
     SpdMatrix,
     bias_majorization_check,
     figure4_experiment,
@@ -24,12 +27,14 @@ from eigengeo import (
 from eigengeo.cli import main
 from eigengeo.hypothesis_tests import FULL_LRT, CriticalValue, power_curve
 from eigengeo.estimators import ExactO2, default_ensemble, o2_equidistant
-from eigengeo.spd_manifold import descending_eigenvalues, separated_rows
+from eigengeo.spd_manifold import _p2_eigenvalues, descending_eigenvalues, separated_rows
 from eigengeo.wishart_sim import (
     DRAW_CHUNK,
     _batch_identity_frame,
     _batch_lbar,
     _batch_star,
+    _ratio_scenario,
+    _risk_grid,
     _risk_point,
     color_batch,
     kl_loss_diag,
@@ -97,6 +102,32 @@ class TestSampling:
             sample_batch(np.eye(3), 2, 10, 0, "s")
         with pytest.raises(ValueError, match="n >= p"):
             white_batch(3, 2, 10, 0, "s")
+
+    BAD_SIGMAS = {
+        "asymmetric": [[1.0, 5.0], [0.0, 1.0]],
+        "non-finite": [[1.0, np.nan], [np.nan, 1.0]],
+        "indefinite": [[1.0, 2.0], [2.0, 1.0]],
+        "indefinite-p3": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]],
+    }
+
+    @pytest.mark.parametrize("sigma", BAD_SIGMAS.values(), ids=BAD_SIGMAS)
+    def test_samplers_refuse_a_bad_covariance_as_spd_matrix_does(self, monkeypatch, sigma):
+        # The Cholesky factor reads only the lower triangle: an asymmetric
+        # Sigma was sampled as its lower half, a NaN one gave NaN samples and
+        # an indefinite one raised numpy's LinAlgError.
+        with pytest.raises(NotPositiveDefinite) as want:
+            SpdMatrix(np.array(sigma))
+        message = f"^{re.escape(str(want.value))}$"
+        W = white_batch(len(sigma), 10, 5, 0, "s")
+        with pytest.raises(NotPositiveDefinite, match=message):
+            color_batch(W, sigma)
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew replications for a refused covariance")
+
+        monkeypatch.setattr(ws, "white_batch", never)
+        with pytest.raises(NotPositiveDefinite, match=message):
+            sample_batch(sigma, 10, 5, 0, "s")
 
 
 class TestSubstreams:
@@ -490,6 +521,59 @@ class TestRiskPointColumns:
             for g, w in zip(got, want):
                 assert g[2:] == w[2:]
                 assert abs(g[0] - w[0]) <= scale and abs(g[1] - w[1]) <= scale
+
+
+def refusing_runner(refuse):
+    """A grid runner with lbar's estimates, NaN on the rows where
+    ``refuse(S, eigs)`` is True."""
+
+    def run(S, eigs, n):
+        vals = _batch_lbar(S, eigs, n)
+        vals[:, refuse(S, eigs)] = np.nan
+        return vals
+
+    return run
+
+
+class TestNanFailureRule:
+    W = white_batch(2, 10, 400, 3, "nan-rule")
+    w = np.stack((W[:, 0, 0], W[:, 1, 0], W[:, 1, 1]))
+
+    def test_runners_return_estimate_columns_nan_on_refused_rows(self):
+        S = self.w.copy()
+        S[:, [3, 17]] = [[2.0], [0.0], [2.0]]  # tied eigenvalues, refused by lambda_star
+        eigs = _p2_eigenvalues(*S)
+        refused = ~separated_rows(eigs.T)
+        assert np.flatnonzero(refused).tolist() == [3, 17]
+        for tag, runner in COLUMN_RUNNERS.items():
+            vals = runner(S, eigs, 10)
+            assert isinstance(vals, np.ndarray) and vals.shape == (2, 400)
+            want = refused if tag in ("exact", "grid") else np.zeros(400, dtype=bool)
+            assert np.array_equal(np.isnan(vals), np.broadcast_to(want, vals.shape))
+
+    def test_nan_rows_are_the_failed_replications(self):
+        rows = [0, 5, 6, 399]
+        stub = refusing_runner(lambda S, eigs: rows)
+        results, diff = _risk_point(self.w, 10, np.diag([1.0, 0.5]), np.array([1.0, 0.5]),
+                                    (("lbar", _batch_lbar), ("stub", stub)))
+        assert (results["lbar"].reps, results["lbar"].failures) == (400, 0)
+        assert (results["stub"].reps, results["stub"].failures) == (396, 4)
+        assert (diff.reps, diff.failures) == (396, 4)
+        # The stub is lbar on the rows it keeps.
+        assert (diff.mean, diff.stderr) == (0.0, 0.0)
+
+    def test_every_cell_counts_each_replication_once(self):
+        stub = refusing_runner(lambda S, eigs: eigs[1] < 0.5 * eigs[0])
+        grid = np.array([1.0, 0.7, 0.4])
+        runners = (("lbar", _batch_lbar), ("stub", stub))
+        report = _risk_grid("nan-rule", 300, 2, "c", grid, _ratio_scenario, runners)
+        failures = [r.failures for r in report.risks["stub"]]
+        assert 0 < failures[0] < failures[1] < failures[2] < 300
+        assert [d.failures for d in report.diff] == failures
+        reports = [report, figure4_experiment(reps=50), figure5_experiment(reps=50), figure6_experiment(reps=50)]
+        for rep, reps in zip(reports, (300, 50, 50, 50)):
+            for cells in [*rep.risks.values(), rep.diff]:
+                assert all(cell.reps + cell.failures == reps for cell in cells)
 
 
 class TestMajorization:
