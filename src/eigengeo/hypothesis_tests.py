@@ -17,13 +17,16 @@ Critical values are calibrated by Monte-Carlo under the null (no
 asymptotic approximations), and powers come from fresh replication
 substreams, shared across alternatives and across the two tests so that
 power comparisons are paired; ``figure3_experiment`` decomposes each draw
-once for both tests.
+once for both tests.  Power studies stack consecutive streams up to
+STREAM_BLOCK_ROWS rows per ``_lrt_batch`` call, which never moves a bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,6 +49,14 @@ MAX_CYCLES = 500
 # at 100 nodes (p = 2) one row at a time is 13x slower; at p = 3 and 4096
 # nodes it is 1.5x faster.
 ROW_BATCH_TERMS = 1 << 13
+# Power studies score consecutive whole streams stacked up to this many rows
+# per ``_lrt_batch`` call.  The p = 2 trace-line root pays a cost per
+# iteration that hardly grows with its row count, and after its first few
+# iterations only rows near the knee are left.  Measured on a 2-core Xeon, one thread, fig3
+# streams at n = 10, separate calls against one stacked call: 5 x 1000 rows
+# 20.4 -> 10.6 ms, 16 x 1000 64.9 -> 30.8 ms, 2 x 8000 23.8 -> 22.6 ms, but
+# 13 x 10 000 200 -> 220 ms, so a stream of more than half of this is alone.
+STREAM_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -297,8 +308,9 @@ def calibrate(
     """Empirical lower-tail critical value under the null (unit covariance).
 
     The threshold is the order statistic at index floor(alpha * reps) of the
-    simulated null statistics, so the calibration sample itself rejects with
-    frequency exactly floor(alpha * reps) / reps.
+    simulated null statistics (alpha read as the decimal it prints as), so
+    the calibration sample itself rejects with frequency exactly
+    floor(alpha * reps) / reps.
     """
     _check_calibration(alpha, reps)
     if kind not in (FULL_LRT, EIGEN_LRT):
@@ -316,9 +328,11 @@ def _check_calibration(alpha: float, reps: int) -> None:
 
 
 def _critical_value(kind, alpha, seed, stats) -> CriticalValue:
-    """``calibrate``'s threshold from the null statistics ``stats``."""
-    threshold = float(np.sort(stats)[int(np.floor(alpha * stats.size))])
-    return CriticalValue(alpha, threshold, stats.size, seed, kind)
+    """``calibrate``'s threshold from the null statistics ``stats``.  The
+    index floor(alpha * reps) is taken on alpha's shortest decimal, exactly:
+    in binary floating point 0.043 * 5000 is 214.99999999999997."""
+    index = math.floor(Fraction(repr(float(alpha))) * stats.size)
+    return CriticalValue(alpha, float(np.sort(stats)[index]), stats.size, seed, kind)
 
 
 def _test_ensemble(kind, ensemble, p, seed):
@@ -354,7 +368,13 @@ def power_curve(
     covariance, with binomial standard errors.
 
     All alternatives share replication substreams (common random numbers),
-    so differences along the curve are paired comparisons.
+    so differences along the curve are paired comparisons.  Each
+    alternative's draws are coloured and decomposed once; consecutive
+    alternatives are scored in groups of at most STREAM_BLOCK_ROWS rows,
+    one ``_lrt_batch`` call per group (an alternative of more than half of
+    them alone), and the groups run on ``parallel_points``.  A row's
+    statistic does not depend on its group, so the grouping and the thread
+    count never change a result.
     """
     if kind != cv.kind:
         raise ValueError(f"critical value is for {cv.kind!r}, not {kind!r}")
@@ -367,12 +387,30 @@ def power_curve(
         raise DimensionMismatch(f"alternative {odd} dim {mats[odd].dim} does not match p = {p} of alternative 0")
     ensemble = _test_ensemble(kind, ensemble, p, seed)
     W = white_batch(p, n, reps, seed, "power")
+    groups = _stream_groups(len(mats), reps)
 
-    def at(i: int) -> PowerPoint:
-        eigs = descending_eigenvalues(color_batch(W, mats[i]))
-        return _power_point(mats[i].matrix, _lrt_batch(kind, eigs, n, ensemble), cv)
+    def at(g: int) -> list[PowerPoint]:
+        spectra = [descending_eigenvalues(color_batch(W, mats[i])) for i in groups[g]]
+        (stats,) = _stacked_stats(((kind, ensemble),), spectra, n)
+        return [_power_point(mats[i].matrix, row, cv) for i, row in zip(groups[g], stats)]
 
-    return parallel_points(at, len(mats))
+    return [pt for points in parallel_points(at, len(groups)) for pt in points]
+
+
+def _stream_groups(count: int, reps: int) -> list[range]:
+    """Indices of ``count`` streams of ``reps`` rows, packed in order into
+    groups of whole streams of at most STREAM_BLOCK_ROWS rows (one stream
+    at least), so a stream of more than half of them forms a group alone."""
+    size = max(1, STREAM_BLOCK_ROWS // reps)
+    return [range(i, min(i + size, count)) for i in range(0, count, size)]
+
+
+def _stacked_stats(tests, spectra, n: int) -> list[np.ndarray]:
+    """Per (kind, ensemble) of ``tests``, one ``_lrt_batch`` call on the
+    stacked ``spectra`` (equal row counts), split back: a (streams, reps)
+    array.  Each row's bits are its own, whatever it is stacked with."""
+    rows = spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
+    return [_lrt_batch(kind, rows, n, ens).reshape(len(spectra), -1) for kind, ens in tests]
 
 
 def _power_point(alternative, stats, cv) -> PowerPoint:
@@ -432,6 +470,17 @@ def figure3_experiment(
     Sizes are re-estimated at the null on a stream distinct from the
     calibration stream, so the reported sizes are honest out-of-sample
     rejection rates.
+
+    Each stream (calibration, size check, then one per angle) is coloured
+    and decomposed once, and consecutive whole streams are scored in groups
+    of at most STREAM_BLOCK_ROWS rows: one ``_lrt_batch`` call per test and
+    group, split back per stream.  The first group, which holds the
+    calibration stream, sets both thresholds; the others run on
+    ``parallel_points`` and each reduces its statistics to ``PowerPoint``s
+    at once.  A stream of more than half the budget is a group alone, as
+    every stream is at the default 10 000 reps.  A row's statistic does not
+    depend on its group, so the grouping and the thread count never change
+    a result.
     """
     p = 2
     _check_calibration(alpha, reps)
@@ -440,21 +489,35 @@ def figure3_experiment(
     identity = as_spd(np.eye(p))
     fan = [as_spd(figure3_alternative(theta)) for theta in thetas]
     tests = ((FULL_LRT, None), (EIGEN_LRT, ensemble))
-
-    def scores(W, Sigma):
-        # One spectrum per stream and alternative, scored by both tests.
-        eigs = descending_eigenvalues(color_batch(W, Sigma))
-        return [_lrt_batch(kind, eigs, n, ens) for kind, ens in tests]
-
-    null = scores(white_batch(p, n, reps, seed, "h0-calibration"), identity)
-    cv_full, cv_eigen = cvs = [_critical_value(kind, alpha, seed, stats) for (kind, _), stats in zip(tests, null)]
-
-    def points(W, Sigma):
-        return [_power_point(Sigma.matrix, stats, cv) for stats, cv in zip(scores(W, Sigma), cvs)]
-
-    size_full, size_eigen = points(white_batch(p, n, reps, seed, "size-check"), identity)
+    streams = [("h0-calibration", identity), ("size-check", identity)] + [("power", S) for S in fan]
     W_alt = white_batch(p, n, reps, seed, "power")
-    full, eigen = zip(*parallel_points(lambda i: points(W_alt, fan[i]), len(fan)))
+
+    def spectrum(name, Sigma):
+        # The fan shares one draw; a null stream is drawn by the group that scores it.
+        W = W_alt if name == "power" else white_batch(p, n, reps, seed, name)
+        return descending_eigenvalues(color_batch(W, Sigma))
+
+    def stats(group):
+        # One spectrum per stream, scored by both tests.
+        return _stacked_stats(tests, [spectrum(*streams[i]) for i in group], n)
+
+    def points(group, group_stats):
+        # Both tests' points per stream of the group, past the calibration stream.
+        return [
+            [_power_point(streams[i][1].matrix, rows[k], cv) for rows, cv in zip(group_stats, cvs)]
+            for k, i in enumerate(group)
+            if i > 0
+        ]
+
+    first, *rest = _stream_groups(len(streams), reps)
+    first_stats = stats(first)
+    cv_full, cv_eigen = cvs = [_critical_value(kind, alpha, seed, rows[0]) for (kind, _), rows in zip(tests, first_stats)]
+    scored = points(first, first_stats)
+    del first_stats
+    for group_points in parallel_points(lambda g: points(rest[g], stats(rest[g])), len(rest)):
+        scored += group_points
+    (size_full, size_eigen), *fan_points = scored
+    full, eigen = zip(*fan_points)
     return PowerStudy(
         thetas=_frozen(thetas),
         alternatives=_frozen([np.diag(S.matrix) for S in fan]),

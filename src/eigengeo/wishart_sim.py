@@ -234,13 +234,17 @@ def kl_loss_diag(estimate: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     which is what ``sum(axis=1)`` does below 8 columns (it sums longer rows
     pairwise), without its reduction along a short axis.  A column-major
     ``estimate`` (the transpose of the grid runners' entry columns) keeps
-    every column contiguous.
+    every column contiguous.  A ratio beyond the float range makes its
+    loss +inf (its sum of ratios is +inf), not inf - inf, and a ratio that
+    underflows to 0 does too; NaN stays the mark of a refused row.
     """
     est = np.atleast_2d(np.asarray(estimate, dtype=float))
     lam = np.asarray(eigenvalues, dtype=float)
-    ratio = est / lam
-    logs = np.log(ratio)
-    loss = functools.reduce(np.add, ratio.T) - functools.reduce(np.add, logs.T) - lam.size
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = est / lam
+        total = functools.reduce(np.add, ratio.T)
+        logs = functools.reduce(np.add, np.log(ratio).T)
+    loss = np.subtract(total, logs, out=np.full_like(total, np.inf), where=total != np.inf) - lam.size
     return loss if np.asarray(estimate).ndim == 2 else loss[0]
 
 
@@ -295,11 +299,17 @@ def _batch_star(ensemble: OrthogonalEnsemble | ExactO2):
 
 def _summarize(losses: np.ndarray) -> RiskResult:
     """Mean and standard error of the losses; a NaN loss is a failed
-    replication, so reps + failures is the replication count."""
+    replication, so reps + failures is the replication count.  An infinite
+    loss is kept: the mean is infinite and so is the standard error."""
     kept = losses[~np.isnan(losses)]
     count = kept.size
     mean = float(kept.mean()) if count else float("nan")
-    stderr = float(kept.std(ddof=1) / np.sqrt(count)) if count > 1 else float("nan")
+    if count < 2:
+        stderr = float("nan")
+    elif np.isfinite(mean):
+        stderr = float(kept.std(ddof=1) / np.sqrt(count))
+    else:
+        stderr = float("inf")
     return RiskResult(mean, stderr, count, losses.size - count)
 
 

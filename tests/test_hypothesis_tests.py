@@ -561,6 +561,18 @@ class TestCalibration:
         below = np.mean(stats < cv.threshold)
         assert abs(below - alpha) <= 1.0 / reps + 1e-12
 
+    @pytest.mark.parametrize("alpha, reps, index", [(0.043, 5000, 215), (0.05, 1000, 50), (0.1, 10_000, 1000)])
+    def test_index_from_alpha_as_written(self, alpha, reps, index):
+        # 0.043 * 5000 is 214.99999999999997 in binary floating point.
+        stats = np.random.default_rng(reps).permutation(reps).astype(float)
+        assert ht._critical_value(FULL_LRT, alpha, 0, stats).threshold == index
+        assert ht._critical_value(FULL_LRT, np.float64(alpha), 0, stats).threshold == index
+
+    def test_calibrate_takes_the_decimal_index(self):
+        S_batch = sample_batch(np.eye(2), 10, 5000, 7, "h0-calibration")
+        stats = np.sort(_lrt_batch(FULL_LRT, descending_eigenvalues(S_batch), 10, None))
+        assert calibrate(FULL_LRT, 0.043, 2, 10, 5000, 7).threshold == stats[215]
+
     def test_median_at_half(self):
         reps = 2000
         cv = calibrate(FULL_LRT, 0.5, 2, 10, reps, 7)
@@ -674,9 +686,10 @@ class TestPowerCurve:
         cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
         alts = [np.eye(2), np.diag([2.0, 1.0]), np.array([[2.0, 0.5], [0.5, 1.0]])]
         power_curve(FULL_LRT, alts, cv, 10, 200, 11)
-        assert len(seen) == len(alts)
-        for eig_rows, alt in zip(seen, alts):
-            assert eig_rows.tobytes() == descending_eigenvalues(sample_batch(alt, 10, 200, 11, "power")).tobytes()
+        # The three 200-row streams are scored stacked, in order, in one call.
+        assert len(seen) == 1
+        want = [descending_eigenvalues(sample_batch(alt, 10, 200, 11, "power")) for alt in alts]
+        assert seen[0].tobytes() == np.concatenate(want).tobytes()
 
     def test_no_alternatives(self):
         cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
@@ -748,6 +761,22 @@ class TestFigure3Protocol:
         ht.figure3_experiment(reps=1000, seed=2, theta_count=3)
         assert calls == {"color_batch": 5, "descending_eigenvalues": 5, "slogdet": 0}
 
+    @pytest.mark.parametrize("reps, calls", [(1000, 2), (10_000, 2 * 5)])
+    def test_one_call_per_test_and_stream_group(self, monkeypatch, reps, calls):
+        # At 1000 reps the five streams (calibration, size check, three
+        # angles) fit one block; at 10 000 each stream is its own.
+        seen = []
+
+        def recording(kind, eig_rows, n, ensemble):
+            seen.append((kind, len(eig_rows)))
+            return _lrt_batch(kind, eig_rows, n, ensemble)
+
+        monkeypatch.setattr(ht, "_lrt_batch", recording)
+        ht.figure3_experiment(reps=reps, seed=2, theta_count=3)
+        assert len(seen) == calls
+        assert sum(rows for _, rows in seen) == 2 * 5 * reps
+        assert sorted(kind for kind, _ in seen) == [EIGEN_LRT] * (calls // 2) + [FULL_LRT] * (calls // 2)
+
     def test_reports_refuse_writes(self):
         assert_read_only(ht.figure3_experiment(reps=1000, seed=2, theta_count=3))
         cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
@@ -768,3 +797,46 @@ class TestFigure3Protocol:
         monkeypatch.setattr(ht, "white_batch", never)
         with pytest.raises((ValueError, DimensionMismatch)):
             ht.figure3_experiment(**{"reps": 1000, "theta_count": 3, **kwargs})
+
+
+def study_fields(study):
+    """A power study or a list of PowerPoints as comparable bytes and values."""
+    items = study if isinstance(study, list) else [study]
+    return [
+        np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v
+        for item in items
+        for v in vars(item).values()
+    ]
+
+
+class TestStreamGroups:
+    def test_groups_pack_whole_streams_in_order(self, monkeypatch):
+        monkeypatch.setattr(ht, "STREAM_BLOCK_ROWS", 1 << 14)
+        assert ht._stream_groups(5, 1000) == [range(0, 5)]
+        assert ht._stream_groups(53, 2000) == [range(0, 8), range(8, 16), range(16, 24), range(24, 32),
+                                                range(32, 40), range(40, 48), range(48, 53)]
+        # More than half the budget: each stream alone.
+        assert ht._stream_groups(3, 8193) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert ht._stream_groups(3, 8192) == [range(0, 2), range(2, 3)]
+        assert ht._stream_groups(2, 10**6) == [range(0, 1), range(1, 2)]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: ht.figure3_experiment(reps=1000, seed=3, theta_count=3, ensemble=ExactO2()),
+            lambda: ht.figure3_experiment(reps=1000, seed=3, theta_count=3, ensemble=o2_equidistant(40)),
+            lambda: power_curve(EIGEN_LRT, [np.eye(2), np.diag([2.0, 1.0]), np.array([[2.0, 0.5], [0.5, 1.0]])],
+                                CriticalValue(0.05, -2.0, 1000, 0, EIGEN_LRT), 10, 300, 4),
+            lambda: power_curve(EIGEN_LRT, [np.eye(3), np.diag([2.0, 1.0, 0.5]), np.diag([3.0, 1.0, 1.0])],
+                                CriticalValue(0.05, -2.0, 1000, 0, EIGEN_LRT), 10, 30, 4, haar_sample(3, 64, 0)),
+        ],
+        ids=["fig3-exact", "fig3-equidistant", "power-p2", "power-p3-haar"],
+    )
+    def test_grouping_never_shows_in_the_bits(self, monkeypatch, run):
+        # One stream per call against every stream in one call, on one and two threads.
+        results = []
+        for rows, threads in itertools.product((1, 1 << 30), ("1", "2")):
+            monkeypatch.setattr(ht, "STREAM_BLOCK_ROWS", rows)
+            monkeypatch.setenv("EIGENGEO_THREADS", threads)
+            results.append(study_fields(run()))
+        assert all(got == results[0] for got in results[1:])

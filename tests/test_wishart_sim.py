@@ -258,6 +258,18 @@ class TestSubstreams:
 
 
 class TestKlRisk:
+    def test_infinite_loss_is_kept(self):
+        # A finite estimate whose ratio overflows is an infinite loss, not a
+        # failed replication: the risk and its standard error are infinite.
+        calls = []
+
+        def overflowing(S, n):
+            calls.append(S)
+            return np.array([1.0, 1e308]) if len(calls) == 3 else lbar(S, n)
+
+        res = kl_risk(overflowing, np.diag([2.0, 0.5]), 10, 5, 0)
+        assert (res.mean, res.stderr, res.reps, res.failures) == (np.inf, np.inf, 5, 0)
+
     def test_oracle_estimator_has_zero_risk(self):
         sigma = np.diag([2.0, 1.0])
         res = kl_risk(lambda S, n: np.array([2.0, 1.0]), sigma, 10, 200, 0)
@@ -431,6 +443,14 @@ class TestKlLossDiag:
         ratio = est / lam
         want = ratio.sum() - np.log(ratio).sum() - 2
         assert_allclose(kl_loss_diag(est, lam), want)
+
+    def test_ratio_beyond_the_float_range_is_an_infinite_loss(self):
+        # inf - inf was NaN, the failure mark, with overflow and invalid warnings.
+        est = np.array([[1.0, 1e308], [5e-324, 1.0], [1e308, 1e308], [np.nan, 1.0], [1.3, 0.6]])
+        lam = np.array([2.0, 0.5])
+        loss = kl_loss_diag(est, lam)
+        assert loss[:3].tolist() == [np.inf] * 3 and np.isnan(loss[3])
+        assert loss[4] == kl_loss_diag(est[4], lam)
 
 
 def gemm_color(W, sigma):
