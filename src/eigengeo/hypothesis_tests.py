@@ -16,9 +16,11 @@ maximum carries a gradient certificate or raises ``OptimizerFailure``.
 Critical values are calibrated by Monte-Carlo under the null (no
 asymptotic approximations), and powers come from fresh replication
 substreams, shared across alternatives and across the two tests so that
-power comparisons are paired; ``figure3_experiment`` decomposes each draw
-once for both tests.  Power studies stack consecutive streams up to
-STREAM_BLOCK_ROWS rows per ``_lrt_batch`` call, which never moves a bit.
+power comparisons are paired.  ``calibrate``, ``power_curve`` and
+``figure3_experiment`` share one driver, ``_study``: it refuses bad input
+before any draw, decomposes each draw once for every test, and scores
+consecutive streams stacked up to STREAM_BLOCK_ROWS rows per
+``_lrt_batch`` call, which never moves a bit.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def full_lrt_stat(S, n: int) -> TestStatistic:
 def _lrt_batch(kind, eig_rows: np.ndarray, n: int, ensemble) -> np.ndarray:
     """Statistics of one kind on descending spectra: -sum(l)/2 minus the
     supremum, in closed form for the full-data test, ``_profile_sup`` over
-    the eigen-LRT's ``ensemble`` (from ``_test_ensemble``) for the other."""
+    the eigen-LRT's ``ensemble`` (checked by ``_study``) for the other."""
     if kind == FULL_LRT:
         sup = -0.5 * n * (np.log(eig_rows / n) + 1.0).sum(axis=1)
     else:
@@ -310,21 +312,10 @@ def calibrate(
     The threshold is the order statistic at index floor(alpha * reps) of the
     simulated null statistics (alpha read as the decimal it prints as), so
     the calibration sample itself rejects with frequency exactly
-    floor(alpha * reps) / reps.
+    floor(alpha * reps) / reps.  A ``_study`` of the calibration stream alone.
     """
-    _check_calibration(alpha, reps)
-    if kind not in (FULL_LRT, EIGEN_LRT):
-        raise ValueError(f"unknown test kind {kind!r}")
-    ensemble = _test_ensemble(kind, ensemble, p, seed)
-    eigs = descending_eigenvalues(color_batch(white_batch(p, n, reps, seed, "h0-calibration"), np.eye(p)))
-    return _critical_value(kind, alpha, seed, _lrt_batch(kind, eigs, n, ensemble))
-
-
-def _check_calibration(alpha: float, reps: int) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if reps < 1000:
-        raise ValueError(f"calibration needs reps >= 1000, got {reps}")
+    (cv,), _ = _study((kind,), [("h0-calibration", as_spd(np.eye(p)))], n, reps, seed, ensemble, alpha=alpha)
+    return cv
 
 
 def _critical_value(kind, alpha, seed, stats) -> CriticalValue:
@@ -333,16 +324,6 @@ def _critical_value(kind, alpha, seed, stats) -> CriticalValue:
     in binary floating point 0.043 * 5000 is 214.99999999999997."""
     index = math.floor(Fraction(repr(float(alpha))) * stats.size)
     return CriticalValue(alpha, float(np.sort(stats)[index]), stats.size, seed, kind)
-
-
-def _test_ensemble(kind, ensemble, p, seed):
-    """The eigen-LRT's integral (default ``default_ensemble(p)``), checked before any draw."""
-    if kind != EIGEN_LRT:
-        return None
-    if ensemble is None:
-        ensemble = default_ensemble(p, seed)
-    _check_dim(ensemble, p)
-    return ensemble
 
 
 @dataclass(frozen=True)
@@ -368,49 +349,75 @@ def power_curve(
     covariance, with binomial standard errors.
 
     All alternatives share replication substreams (common random numbers),
-    so differences along the curve are paired comparisons.  Each
-    alternative's draws are coloured and decomposed once; consecutive
-    alternatives are scored in groups of at most STREAM_BLOCK_ROWS rows,
-    one ``_lrt_batch`` call per group (an alternative of more than half of
-    them alone), and the groups run on ``parallel_points``.  A row's
-    statistic does not depend on its group, so the grouping and the thread
-    count never change a result.
+    so differences along the curve are paired comparisons.  A ``_study`` of
+    one ``power`` stream per alternative.
     """
     if kind != cv.kind:
         raise ValueError(f"critical value is for {cv.kind!r}, not {kind!r}")
-    mats = [as_spd(S) for S in alternatives]
-    if not mats:
+    streams = [("power", as_spd(S)) for S in alternatives]
+    if not streams:
         return []
-    p = mats[0].dim
-    odd = next((i for i, m in enumerate(mats) if m.dim != p), None)
+    _, points = _study((kind,), streams, n, reps, seed, ensemble, cvs=[cv])
+    return [pt for (pt,) in points]
+
+
+def _study(kinds, streams, n: int, reps: int, seed: int, ensemble, alpha=None, cvs=None):
+    """The one draw-and-score path of the tests: each test of ``kinds`` on
+    each (name, SpdMatrix) pair of ``streams``, ``reps`` rows per stream.
+
+    Every refusal comes before any draw.  Consecutive whole streams are
+    packed into groups of at most STREAM_BLOCK_ROWS rows (a stream of more
+    than half of them alone), each scored with one ``_lrt_batch`` call per
+    test and split back per stream.  Given ``alpha``, the first stream
+    calibrates: its group is scored first and sets the thresholds, which
+    are ``cvs`` otherwise.  The other groups run on ``parallel_points`` and
+    each reduces its statistics to ``PowerPoint``s at once.  Each stream is
+    coloured and decomposed once.  The ``power`` streams share one white
+    draw, made after the calibration group unless that group scores one of
+    them; any other stream is drawn by the group that scores it.  A row's
+    statistic does not depend on its group, so neither the grouping nor
+    the thread count changes a result.
+
+    Returns the thresholds and, per stream past the calibration stream, one
+    point per test.
+    """
+    for kind in kinds:
+        if kind not in (FULL_LRT, EIGEN_LRT):
+            raise ValueError(f"unknown test kind {kind!r}")
+    head = int(alpha is not None)  # the calibration stream, and its group
+    if head and not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if head and reps < 1000:
+        raise ValueError(f"calibration needs reps >= 1000, got {reps}")
+    p = streams[0][1].dim
+    odd = next((i for i, (_, S) in enumerate(streams) if S.dim != p), None)
     if odd is not None:
-        raise DimensionMismatch(f"alternative {odd} dim {mats[odd].dim} does not match p = {p} of alternative 0")
-    ensemble = _test_ensemble(kind, ensemble, p, seed)
-    W = white_batch(p, n, reps, seed, "power")
-    groups = _stream_groups(len(mats), reps)
+        raise DimensionMismatch(f"alternative {odd} dim {streams[odd][1].dim} does not match p = {p} of alternative 0")
+    if EIGEN_LRT in kinds:
+        ensemble = default_ensemble(p, seed) if ensemble is None else ensemble
+        _check_dim(ensemble, p)
+    size = max(1, STREAM_BLOCK_ROWS // max(reps, 1))  # white_batch refuses reps < 1
+    groups = [range(i, min(i + size, len(streams))) for i in range(0, len(streams), size)]
+    cvs, W, points = list(cvs or ()), {}, []
 
-    def at(g: int) -> list[PowerPoint]:
-        spectra = [descending_eigenvalues(color_batch(W, mats[i])) for i in groups[g]]
-        (stats,) = _stacked_stats(((kind, ensemble),), spectra, n)
-        return [_power_point(mats[i].matrix, row, cv) for i, row in zip(groups[g], stats)]
+    def at(group):
+        spectra = [
+            descending_eigenvalues(color_batch(W[name] if name in W else white_batch(p, n, reps, seed, name), S))
+            for name, S in (streams[i] for i in group)
+        ]
+        stacked = spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
+        stats = [_lrt_batch(kind, stacked, n, ensemble).reshape(len(group), -1) for kind in kinds]
+        if group.start < head:
+            cvs[:] = [_critical_value(kind, alpha, seed, per_stream[0]) for kind, per_stream in zip(kinds, stats)]
+        return [[_power_point(streams[i][1].matrix, per_stream[k], cv) for per_stream, cv in zip(stats, cvs)]
+                for k, i in enumerate(group) if i >= head]
 
-    return [pt for points in parallel_points(at, len(groups)) for pt in points]
-
-
-def _stream_groups(count: int, reps: int) -> list[range]:
-    """Indices of ``count`` streams of ``reps`` rows, packed in order into
-    groups of whole streams of at most STREAM_BLOCK_ROWS rows (one stream
-    at least), so a stream of more than half of them forms a group alone."""
-    size = max(1, STREAM_BLOCK_ROWS // reps)
-    return [range(i, min(i + size, count)) for i in range(0, count, size)]
-
-
-def _stacked_stats(tests, spectra, n: int) -> list[np.ndarray]:
-    """Per (kind, ensemble) of ``tests``, one ``_lrt_batch`` call on the
-    stacked ``spectra`` (equal row counts), split back: a (streams, reps)
-    array.  Each row's bits are its own, whatever it is stacked with."""
-    rows = spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
-    return [_lrt_batch(kind, rows, n, ens).reshape(len(spectra), -1) for kind, ens in tests]
+    for phase in (groups[:head], groups[head:]):
+        if "power" not in W and any(streams[i][0] == "power" for group in phase for i in group):
+            W["power"] = white_batch(p, n, reps, seed, "power")
+        for group_points in parallel_points(lambda g: at(phase[g]), len(phase)):
+            points += group_points
+    return cvs, points
 
 
 def _power_point(alternative, stats, cv) -> PowerPoint:
@@ -469,54 +476,16 @@ def figure3_experiment(
 
     Sizes are re-estimated at the null on a stream distinct from the
     calibration stream, so the reported sizes are honest out-of-sample
-    rejection rates.
-
-    Each stream (calibration, size check, then one per angle) is coloured
-    and decomposed once, and consecutive whole streams are scored in groups
-    of at most STREAM_BLOCK_ROWS rows: one ``_lrt_batch`` call per test and
-    group, split back per stream.  The first group, which holds the
-    calibration stream, sets both thresholds; the others run on
-    ``parallel_points`` and each reduces its statistics to ``PowerPoint``s
-    at once.  A stream of more than half the budget is a group alone, as
-    every stream is at the default 10 000 reps.  A row's statistic does not
-    depend on its group, so the grouping and the thread count never change
-    a result.
+    rejection rates.  A ``_study`` of both tests on the calibration, the
+    size-check and one ``power`` stream per angle.
     """
-    p = 2
-    _check_calibration(alpha, reps)
-    ensemble = _test_ensemble(EIGEN_LRT, ensemble, p, seed)
     thetas = figure3_thetas(theta_count)
-    identity = as_spd(np.eye(p))
+    identity = as_spd(np.eye(2))
     fan = [as_spd(figure3_alternative(theta)) for theta in thetas]
-    tests = ((FULL_LRT, None), (EIGEN_LRT, ensemble))
     streams = [("h0-calibration", identity), ("size-check", identity)] + [("power", S) for S in fan]
-    W_alt = white_batch(p, n, reps, seed, "power")
-
-    def spectrum(name, Sigma):
-        # The fan shares one draw; a null stream is drawn by the group that scores it.
-        W = W_alt if name == "power" else white_batch(p, n, reps, seed, name)
-        return descending_eigenvalues(color_batch(W, Sigma))
-
-    def stats(group):
-        # One spectrum per stream, scored by both tests.
-        return _stacked_stats(tests, [spectrum(*streams[i]) for i in group], n)
-
-    def points(group, group_stats):
-        # Both tests' points per stream of the group, past the calibration stream.
-        return [
-            [_power_point(streams[i][1].matrix, rows[k], cv) for rows, cv in zip(group_stats, cvs)]
-            for k, i in enumerate(group)
-            if i > 0
-        ]
-
-    first, *rest = _stream_groups(len(streams), reps)
-    first_stats = stats(first)
-    cv_full, cv_eigen = cvs = [_critical_value(kind, alpha, seed, rows[0]) for (kind, _), rows in zip(tests, first_stats)]
-    scored = points(first, first_stats)
-    del first_stats
-    for group_points in parallel_points(lambda g: points(rest[g], stats(rest[g])), len(rest)):
-        scored += group_points
-    (size_full, size_eigen), *fan_points = scored
+    (cv_full, cv_eigen), ((size_full, size_eigen), *fan_points) = _study(
+        (FULL_LRT, EIGEN_LRT), streams, n, reps, seed, ensemble, alpha=alpha
+    )
     full, eigen = zip(*fan_points)
     return PowerStudy(
         thetas=_frozen(thetas),

@@ -52,6 +52,7 @@ from .estimators import (
     STAR,
     ExactO2,
     OrthogonalEnsemble,
+    _check_dim,
     default_ensemble,
     lambda_star_from_eigs,
 )
@@ -394,6 +395,7 @@ def figure6_experiment(
     ``ensemble`` (default ``default_ensemble(2)``, the exact integral)."""
     if ensemble is None:
         ensemble = default_ensemble(2, rng=seed)
+    _check_dim(ensemble, 2)
     grid = np.round(np.arange(1, 26) * 0.04, 10)
     runners = ((LBAR, _batch_lbar), (STAR, _batch_star(ensemble)))
     return _risk_grid("fig6", reps, seed, "c", grid, _ratio_scenario, runners)

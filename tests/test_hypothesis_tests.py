@@ -616,7 +616,7 @@ class TestCalibration:
             raise AssertionError("drew replications for mixed alternatives")
 
         monkeypatch.setattr(ht, "white_batch", never)
-        monkeypatch.setattr(ht, "_test_ensemble", never)
+        monkeypatch.setattr(ht, "default_ensemble", never)
         cv = CriticalValue(0.05, -1.0, 1000, 0, kind)
         alts = [np.eye(2), 2.0 * np.eye(2), np.eye(3), np.eye(2)]
         with pytest.raises(DimensionMismatch, match="^alternative 2 dim 3 does not match p = 2 of alternative 0$"):
@@ -783,20 +783,61 @@ class TestFigure3Protocol:
         assert_read_only(power_curve(FULL_LRT, [np.diag([2.0, 1.0])], cv, 10, 50, 0)[0])
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"alpha": 1.5}, {"reps": 999}, {"ensemble": haar_sample(3, 10, 0)}],
-        ids=["alpha", "reps", "ensemble"],
+        "call, error, match",
+        [
+            (lambda: ht.figure3_experiment(reps=1000, theta_count=3, alpha=1.5), ValueError, "^alpha must be in"),
+            (lambda: ht.figure3_experiment(reps=999, theta_count=3), ValueError, "^calibration needs reps >= 1000"),
+            (lambda: ht.figure3_experiment(reps=1000, theta_count=3, ensemble=haar_sample(3, 10, 0)),
+             DimensionMismatch, "^ensemble dim 3 does not match p = 2$"),
+            (lambda: calibrate(FULL_LRT, 0.0, 2, 10, 1000, 0), ValueError, "^alpha must be in"),
+            (lambda: calibrate(FULL_LRT, 0.05, 2, 10, 999, 0), ValueError, "^calibration needs reps >= 1000"),
+            (lambda: calibrate(EIGEN_LRT, 0.05, 3, 10, 1000, 0, ExactO2()),
+             DimensionMismatch, "^ensemble dim 2 does not match p = 3$"),
+            (lambda: calibrate("nope", 0.05, 2, 10, 1000, 0), ValueError, "^unknown test kind 'nope'$"),
+            (lambda: power_curve(EIGEN_LRT, [np.eye(3)], CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT), 10, 50, 0,
+                                 ExactO2()), DimensionMismatch, "^ensemble dim 2 does not match p = 3$"),
+            (lambda: power_curve("nope", [np.eye(2)], CriticalValue(0.05, -1.0, 1000, 0, "nope"), 10, 50, 0),
+             ValueError, "^unknown test kind 'nope'$"),
+            (lambda: power_curve(EIGEN_LRT, [np.eye(2), np.eye(3)], CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT),
+                                 10, 50, 0), DimensionMismatch, "^alternative 1 dim 3 does not match p = 2"),
+        ],
+        ids=["alpha", "reps", "ensemble", "calibrate-alpha", "calibrate-reps", "calibrate-ensemble", "calibrate-kind",
+             "power_curve-ensemble", "power_curve-kind", "power_curve-mixed-dims"],
     )
-    def test_refused_before_drawing(self, monkeypatch, kwargs):
+    def test_refused_before_drawing(self, monkeypatch, call, error, match):
+        # fig3, calibrate and power_curve share one driver, which makes every
+        # refusal before any draw; power_curve drew its Grams before it found
+        # an unknown kind.
         import eigengeo.wishart_sim as ws
 
         def never(*args, **kwargs):
-            raise AssertionError("drew replications for a refused experiment")
+            raise AssertionError("drew replications for refused input")
 
-        monkeypatch.setattr(ws, "white_batch", never)
-        monkeypatch.setattr(ht, "white_batch", never)
-        with pytest.raises((ValueError, DimensionMismatch)):
-            ht.figure3_experiment(**{"reps": 1000, "theta_count": 3, **kwargs})
+        for module in (ws, ht):
+            monkeypatch.setattr(module, "white_batch", never)
+            monkeypatch.setattr(module, "color_batch", never)
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_power_drawn_after_the_calibration_group(self, monkeypatch):
+        # At 10 000 reps every stream is a group alone, so the fan's shared
+        # Grams are drawn after both tests have scored the calibration group.
+        events = []
+        real_white, real_lrt = ht.white_batch, ht._lrt_batch
+
+        def white(p, n, reps, seed, stream):
+            events.append(stream)
+            return real_white(p, n, reps, seed, stream)
+
+        def lrt(kind, eig_rows, n, ensemble):
+            events.append(kind)
+            return real_lrt(kind, eig_rows, n, ensemble)
+
+        monkeypatch.setattr(ht, "white_batch", white)
+        monkeypatch.setattr(ht, "_lrt_batch", lrt)
+        ht.figure3_experiment(reps=10_000, theta_count=3)
+        assert events[:3] == ["h0-calibration", FULL_LRT, EIGEN_LRT]
+        assert events.count("power") == 1
 
 
 def study_fields(study):
@@ -811,14 +852,24 @@ def study_fields(study):
 
 class TestStreamGroups:
     def test_groups_pack_whole_streams_in_order(self, monkeypatch):
-        monkeypatch.setattr(ht, "STREAM_BLOCK_ROWS", 1 << 14)
-        assert ht._stream_groups(5, 1000) == [range(0, 5)]
-        assert ht._stream_groups(53, 2000) == [range(0, 8), range(8, 16), range(16, 24), range(24, 32),
-                                                range(32, 40), range(40, 48), range(48, 53)]
-        # More than half the budget: each stream alone.
-        assert ht._stream_groups(3, 8193) == [range(0, 1), range(1, 2), range(2, 3)]
-        assert ht._stream_groups(3, 8192) == [range(0, 2), range(2, 3)]
-        assert ht._stream_groups(2, 10**6) == [range(0, 1), range(1, 2)]
+        # A 16-row budget stands for STREAM_BLOCK_ROWS = 2**14 rows: the row
+        # counts of the calls give the group sizes, in stream order.
+        seen = []
+
+        def recording(kind, eig_rows, n, ensemble):
+            seen.append(len(eig_rows))
+            return _lrt_batch(kind, eig_rows, n, ensemble)
+
+        monkeypatch.setattr(ht, "_lrt_batch", recording)
+        monkeypatch.setattr(ht, "STREAM_BLOCK_ROWS", 16)
+        monkeypatch.setenv("EIGENGEO_THREADS", "1")
+        cv = CriticalValue(0.05, -1.0, 1000, 0, FULL_LRT)
+        # More than half the budget (9 and 17 rows): each stream alone.
+        for count, reps, sizes in [(5, 3, [5]), (53, 2, [8] * 6 + [5]), (3, 9, [1, 1, 1]), (3, 8, [2, 1]),
+                                   (2, 17, [1, 1])]:
+            seen.clear()
+            power_curve(FULL_LRT, [np.eye(2)] * count, cv, 10, reps, 0)
+            assert seen == [reps * size for size in sizes]
 
     @pytest.mark.parametrize(
         "run",
@@ -829,8 +880,9 @@ class TestStreamGroups:
                                 CriticalValue(0.05, -2.0, 1000, 0, EIGEN_LRT), 10, 300, 4),
             lambda: power_curve(EIGEN_LRT, [np.eye(3), np.diag([2.0, 1.0, 0.5]), np.diag([3.0, 1.0, 1.0])],
                                 CriticalValue(0.05, -2.0, 1000, 0, EIGEN_LRT), 10, 30, 4, haar_sample(3, 64, 0)),
+            lambda: calibrate(EIGEN_LRT, 0.05, 2, 10, 1000, 3, o2_equidistant(40)),
         ],
-        ids=["fig3-exact", "fig3-equidistant", "power-p2", "power-p3-haar"],
+        ids=["fig3-exact", "fig3-equidistant", "power-p2", "power-p3-haar", "calibrate"],
     )
     def test_grouping_never_shows_in_the_bits(self, monkeypatch, run):
         # One stream per call against every stream in one call, on one and two threads.

@@ -675,6 +675,15 @@ class TestExperiments:
         last = report.diff[-1]  # c = 1.0, eigenvalues as close as possible
         assert last.mean > 2 * last.stderr
 
+    def test_figure6_refuses_a_wrong_dimension_ensemble_before_drawing(self, monkeypatch):
+        # The fig6 Grams were drawn before the first grid point refused.
+        def never(*args, **kwargs):
+            raise AssertionError("drew replications for a refused ensemble")
+
+        monkeypatch.setattr(ws, "white_batch", never)
+        with pytest.raises(DimensionMismatch, match="^ensemble dim 3 does not match p = 2$"):
+            figure6_experiment(reps=50, ensemble=haar_sample(3, 30, 0))
+
     def test_thread_cap_does_not_change_results(self, monkeypatch):
         monkeypatch.setenv("EIGENGEO_THREADS", "1")
         assert worker_count() == 1
