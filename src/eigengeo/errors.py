@@ -27,10 +27,10 @@ class IndexOutOfRange(EigengeoError, IndexError):
 
 
 class QuadratureUnderflow(EigengeoError):
-    """Every quadrature weight underflowed; the integral is unusable.
+    """A row's quadrature log-weight terms are not finite; the integral is unusable.
 
-    Defensive only: with max-log-weight subtraction the largest term is
-    always exp(0) = 1, so this cannot trigger on the built-in paths.
+    Raised when the terms hold a NaN or are all -inf, as when exp(-log lam)
+    overflows for eigenvalues near the bottom of the float range.
     """
 
 

@@ -314,7 +314,7 @@ def relative_weights(log_terms: np.ndarray):
     np.exp(rel, out=rel)
     total = rel.sum(axis=-1)
     if not ((total > 0.0) & (total < np.inf)).all():
-        raise QuadratureUnderflow("all quadrature weights underflowed")
+        raise QuadratureUnderflow("quadrature log-weight terms are not finite")
     return peak[..., 0], rel, total
 
 

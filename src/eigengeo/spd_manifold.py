@@ -335,7 +335,8 @@ def _check_orthogonal(frames: np.ndarray, what: str) -> None:
     """The one orthogonality check, |F^T F - I| <= ORTHOGONALITY_TOLERANCE
     entrywise, on a frame or a (count, p, p) stack: else ValueError, naming
     a stack's first bad member and its deviation, or its non-finite entries."""
-    dev = np.abs(frames.swapaxes(-1, -2) @ frames - np.eye(frames.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN in dev is refused below
+        dev = np.abs(frames.swapaxes(-1, -2) @ frames - np.eye(frames.shape[-1]))
     if not dev.max() <= ORTHOGONALITY_TOLERANCE:  # one reduction when every frame passes
         errs = dev.reshape(-1, dev.shape[-1] ** 2).max(axis=1)
         k = int(np.argmax(~(errs <= ORTHOGONALITY_TOLERANCE)))
@@ -538,12 +539,7 @@ def from_natural(coords: NaturalCoords) -> SpdMatrix:
     prec = np.zeros((coords.dim, coords.dim))
     prec[rows, cols] = prec[cols, rows] = -coords.theta
     prec[np.diag_indices_from(prec)] *= 2.0
-    eigs = np.linalg.eigvalsh(prec)
-    if eigs[0] <= 0.0:
-        raise NotPositiveDefinite(
-            "natural parameters do not define a positive-definite precision"
-        )
-    cov = np.linalg.inv(prec)
+    cov = np.linalg.inv(SpdMatrix(prec).matrix)
     return SpdMatrix(0.5 * (cov + cov.T))
 
 

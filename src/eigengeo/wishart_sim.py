@@ -419,8 +419,7 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
     Sigma = as_spd(Sigma)
     target = np.linalg.eigvalsh(Sigma.matrix)[::-1]
     samples = SpdMatrix._checked_slices(sample_batch(Sigma, n, reps, seed, stream))
-    estimates = np.ones((reps, Sigma.dim))
-    valid = np.zeros(reps, dtype=bool)
+    estimates = np.full((reps, Sigma.dim), np.nan)
     for r, S in enumerate(samples):
         try:
             est = estimator(S, n)
@@ -431,18 +430,15 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
             raise DimensionMismatch(
                 f"replication {r}: estimate has shape {vals.shape}, expected {target.shape}"
             )
+        if not all(0.0 < v < np.inf for v in vals.tolist()):
+            raise ValueError(
+                f"replication {r}: estimate entries must be finite and positive, got {vals}"
+            )
         estimates[r] = vals
-        valid[r] = True
-    # Failed rows keep their ones, so only returned estimates can be refused.
-    bad = ~((estimates > 0.0) & (estimates < np.inf)).all(axis=1)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ValueError(
-            f"replication {r}: estimate entries must be finite and positive, got {estimates[r]}"
-        )
-    if not valid.any():
+    losses = kl_loss_diag(estimates, target)
+    if np.isnan(losses).all():
         raise EigengeoError("every replication failed")
-    return _summarize(np.where(valid, kl_loss_diag(estimates, target), np.nan))
+    return _summarize(losses)
 
 
 @dataclass(frozen=True)

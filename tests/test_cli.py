@@ -88,6 +88,12 @@ class TestGeometryCommand:
     def test_tied_eigenvalues_exit_2(self, tmp_path):
         assert run(tmp_path, "geometry", "--lambda", "1,1") == 2
 
+    @pytest.mark.parametrize("text", ["", ",", "1,", "a,1"])
+    def test_unparseable_lambda_exit_2(self, tmp_path, capsys, text):
+        # float("") refuses every empty field, so no list comes back empty.
+        assert run(tmp_path, "geometry", "--lambda", text) == 2
+        assert "cannot parse --lambda" in capsys.readouterr().err
+
     def test_manifest_written(self, tmp_path):
         run(tmp_path, "geometry", "--lambda", "3,1")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -214,9 +220,11 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize(
         "frame",
-        # The last is off by 2e-9: refused at ORTHOGONALITY_TOLERANCE (1e-10).
+        # The fourth is off by 2e-9: refused at ORTHOGONALITY_TOLERANCE (1e-10).
+        # The last two make inf * 0 and an overflow in F^T F, refused without
+        # a RuntimeWarning.
         [np.eye(3), np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]) * 1.001,
-         np.eye(2) * (1.0 + 1e-9)],
+         np.eye(2) * (1.0 + 1e-9), np.diag([1.0, np.inf]), np.eye(2) * 1e200],
     )
     def test_gamma_frame_bad_file_exit_2(self, tmp_path, frame):
         path = write_matrix(tmp_path, "S.txt", np.diag([2.0, 1.0]))

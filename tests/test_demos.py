@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the library in ``src/``."""
+"""Each demo script runs to completion against the library in ``src/``,
+with RuntimeWarnings as errors, as in the rest of the suite."""
 
 import os
 import subprocess
@@ -19,6 +20,7 @@ def test_demos_found():
 def test_demo_exits_0(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EIGENGEO_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

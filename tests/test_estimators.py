@@ -11,6 +11,7 @@ from eigengeo import (
     EigenEstimate,
     NearDegenerateSpectrum,
     OrthogonalEnsemble,
+    QuadratureUnderflow,
     haar_sample,
     lambda_hat,
     lambda_star,
@@ -238,6 +239,14 @@ class TestLambdaStar:
         ens = o2_equidistant(50)
         with pytest.raises(NearDegenerateSpectrum):
             lambda_star_from_eigs(np.array([10.0, 10.0]), 10, ens)
+
+    def test_non_finite_log_weights_refused(self):
+        # l/n = 1e-311: exp(-log_lam) overflows and the log-weight terms
+        # become NaN; no weight underflows.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            QuadratureUnderflow, match="^quadrature log-weight terms are not finite$"
+        ):
+            lambda_star_from_eigs(np.array([1e-300, 1e-310]), 10, o2_equidistant(50))
 
     def test_wrong_sized_ensemble_refused(self):
         with pytest.raises(DimensionMismatch, match="2.*3"):

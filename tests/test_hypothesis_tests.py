@@ -595,19 +595,6 @@ class TestCalibration:
         rate = np.mean(_lrt_batch(EIGEN_LRT, descending_eigenvalues(fresh), 10, ens) < cv.threshold)
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / reps) + 0.01
 
-    def test_wrong_sized_ensemble_refused_before_drawing(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("drew replications for a refused ensemble")
-
-        monkeypatch.setattr(ht, "white_batch", never)
-        monkeypatch.setattr(ht, "color_batch", never)
-        cv = CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT)
-        for ens in (o2_equidistant(10), ExactO2()):
-            with pytest.raises(DimensionMismatch, match="2.*3"):
-                calibrate(EIGEN_LRT, 0.05, 3, 10, 100_000, 0, ens)
-            with pytest.raises(DimensionMismatch, match="2.*3"):
-                power_curve(EIGEN_LRT, [np.eye(3)], cv, 10, 100_000, 0, ens)
-
     @pytest.mark.parametrize("kind", [FULL_LRT, EIGEN_LRT])
     def test_mixed_alternative_dims_refused_before_drawing(self, monkeypatch, kind):
         # p = 2 then 3 failed inside the p = 2 colouring, and 3 then 2 in a
@@ -624,10 +611,6 @@ class TestCalibration:
         alts = [np.eye(3), np.eye(2), np.eye(2)]
         with pytest.raises(DimensionMismatch, match="^alternative 1 dim 2 does not match p = 3 of alternative 0$"):
             power_curve(kind, alts, cv, 10, 50, 0)
-
-    def test_rejects_small_reps(self):
-        with pytest.raises(ValueError):
-            calibrate(FULL_LRT, 0.05, 2, 10, 100, 0)
 
     def test_critical_value_validation(self):
         with pytest.raises(ValueError):
@@ -793,16 +776,21 @@ class TestFigure3Protocol:
             (lambda: calibrate(FULL_LRT, 0.05, 2, 10, 999, 0), ValueError, "^calibration needs reps >= 1000"),
             (lambda: calibrate(EIGEN_LRT, 0.05, 3, 10, 1000, 0, ExactO2()),
              DimensionMismatch, "^ensemble dim 2 does not match p = 3$"),
+            (lambda: calibrate(EIGEN_LRT, 0.05, 3, 10, 100_000, 0, o2_equidistant(10)),
+             DimensionMismatch, "^ensemble dim 2 does not match p = 3$"),
             (lambda: calibrate("nope", 0.05, 2, 10, 1000, 0), ValueError, "^unknown test kind 'nope'$"),
             (lambda: power_curve(EIGEN_LRT, [np.eye(3)], CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT), 10, 50, 0,
                                  ExactO2()), DimensionMismatch, "^ensemble dim 2 does not match p = 3$"),
+            (lambda: power_curve(EIGEN_LRT, [np.eye(3)], CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT), 10, 100_000,
+                                 0, o2_equidistant(10)), DimensionMismatch, "^ensemble dim 2 does not match p = 3$"),
             (lambda: power_curve("nope", [np.eye(2)], CriticalValue(0.05, -1.0, 1000, 0, "nope"), 10, 50, 0),
              ValueError, "^unknown test kind 'nope'$"),
             (lambda: power_curve(EIGEN_LRT, [np.eye(2), np.eye(3)], CriticalValue(0.05, -1.0, 1000, 0, EIGEN_LRT),
                                  10, 50, 0), DimensionMismatch, "^alternative 1 dim 3 does not match p = 2"),
         ],
-        ids=["alpha", "reps", "ensemble", "calibrate-alpha", "calibrate-reps", "calibrate-ensemble", "calibrate-kind",
-             "power_curve-ensemble", "power_curve-kind", "power_curve-mixed-dims"],
+        ids=["alpha", "reps", "ensemble", "calibrate-alpha", "calibrate-reps", "calibrate-ensemble",
+             "calibrate-grid-ensemble", "calibrate-kind", "power_curve-ensemble", "power_curve-grid-ensemble",
+             "power_curve-kind", "power_curve-mixed-dims"],
     )
     def test_refused_before_drawing(self, monkeypatch, call, error, match):
         # fig3, calibrate and power_curve share one driver, which makes every

@@ -520,6 +520,12 @@ class TestNaturalCoords:
         with pytest.raises(NotPositiveDefinite):
             from_natural(bad)
 
+    def test_from_natural_rejects_singular_precision(self):
+        # Precision [[1, 1], [1, 1]]: SpdMatrix refuses it before
+        # np.linalg.inv could raise LinAlgError.
+        with pytest.raises(NotPositiveDefinite):
+            from_natural(NaturalCoords(2, np.array([-0.5, -1.0, -0.5])))
+
 
 class TestKlDivergence:
     def test_self_divergence_zero(self, rng):

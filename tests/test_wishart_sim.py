@@ -337,6 +337,21 @@ class TestKlRisk:
         with pytest.raises(ValueError, match="replication 4"):
             kl_risk(estimator, np.diag([3.0, 2.0, 1.0]), 10, 50, 0)
 
+    def test_bad_estimate_after_a_failure_refused(self):
+        # Replication 1 fails, so its row stays NaN; the NaN estimate of
+        # replication 3 is refused as it arrives, before replication 4's
+        # wrong shape is seen.
+        calls = []
+
+        def estimator(S, n):
+            calls.append(1)
+            if len(calls) == 2:
+                raise EigengeoError("synthetic")
+            return {4: np.array([np.nan, 1.0]), 5: np.ones(3)}.get(len(calls), lbar(S, n))
+
+        with pytest.raises(ValueError, match="^replication 3: estimate entries must be finite and positive"):
+            kl_risk(estimator, np.diag([2.0, 1.0]), 10, 50, 0)
+
 
 def per_slice_kl_risk(estimator, sigma, n, reps, seed, stream):
     """The per-replication loop kl_risk ran before it validated and scored
@@ -581,6 +596,16 @@ class TestNanFailureRule:
         assert (diff.reps, diff.failures) == (396, 4)
         # The stub is lbar on the rows it keeps.
         assert (diff.mean, diff.stderr) == (0.0, 0.0)
+
+    def test_kl_risk_counts_each_replication_once(self):
+        def flaky(S, n):
+            if S.eigenvalues[1] < 0.5 * S.eigenvalues[0]:
+                raise EigengeoError("synthetic")
+            return lbar(S, n)
+
+        res = kl_risk(flaky, np.eye(2), 10, 300, 0)
+        assert 0 < res.failures < 300
+        assert res.reps + res.failures == 300
 
     def test_every_cell_counts_each_replication_once(self):
         stub = refusing_runner(lambda S, eigs: eigs[1] < 0.5 * eigs[0])
