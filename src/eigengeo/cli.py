@@ -13,7 +13,10 @@ Each experiment has its own parser holding only the flags it reads
 (``eigengeo experiment NAME --help`` lists them); argparse refuses any
 other flag with exit code 2 before anything runs.
 
-Exit codes: 0 success, 2 input or domain error, 3 numeric failure.
+Exit codes, all set by ``main``: 0 success; 3 when the computation could not
+finish on accepted input (``OptimizerFailure``, ``QuadratureUnderflow``,
+``numpy.linalg.LinAlgError``); 2 for every other refusal (``CliInputError``,
+``ValueError`` and every other ``EigengeoError``).
 """
 
 from __future__ import annotations
@@ -30,12 +33,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import (
-    EigengeoError,
-    NearDegenerateSpectrum,
-    NotPositiveDefinite,
-    NotPositiveDefiniteWarning,
-)
+from .errors import EigengeoError, NotPositiveDefiniteWarning, OptimizerFailure, QuadratureUnderflow
 from .estimators import (
     ExactO2,
     OrthogonalEnsemble,
@@ -79,10 +77,6 @@ SCHEMAS = {
 
 class CliInputError(Exception):
     """Bad flags or unreadable/malformed input files (exit code 2)."""
-
-
-class CliNumericError(Exception):
-    """A computation failed after inputs were accepted (exit code 3)."""
 
 
 def _fmt(x) -> str:
@@ -245,25 +239,25 @@ def cmd_info_loss(args):
 
 
 def cmd_estimate(args):
+    # A flag that no requested method reads is refused, not ignored.
+    if args.gamma != "identity" and "gamma-frame" not in args.method:
+        raise CliInputError("--gamma is read only by --method gamma-frame")
+    if args.ensemble is not None and "star" not in args.method:
+        raise CliInputError("--ensemble is read only by --method star")
     S = read_matrix(args.input)
     rows = []
     p = S.dim
     for method in args.method:
         ens_cells = ["", ""]
-        try:
-            if method == "lbar":
-                est = lbar(S, args.n)
-            elif method == "gamma-frame":
-                gamma = np.eye(p) if args.gamma == "identity" else _read_square(args.gamma)
-                if gamma.shape != (p, p):
-                    raise CliInputError(f"--gamma frame is {len(gamma)}x{len(gamma)}, input is {p}x{p}")
-                est = lambda_hat(S, args.n, gamma)
-            else:
-                ens = _parse_ensemble(args.ensemble, p, args.seed)
-                ens_cells = [ens.kind, ens.size]
-                est = lambda_star(S, args.n, ens)
-        except EigengeoError as exc:
-            raise CliNumericError(f"{method}: {exc}") from exc
+        if method == "lbar":
+            est = lbar(S, args.n)
+        elif method == "gamma-frame":
+            gamma = np.eye(p) if args.gamma == "identity" else _read_square(args.gamma)
+            est = lambda_hat(S, args.n, gamma)
+        else:
+            ens = _parse_ensemble(args.ensemble, p, args.seed)
+            ens_cells = [ens.kind, ens.size]
+            est = lambda_star(S, args.n, ens)
         rows.append([method, *ens_cells, *est.values])
     header = ["method", "ensemble_kind", "ensemble_size"] + [f"value_{i + 1}" for i in range(p)]
     return [("estimate.csv", header, rows)], None
@@ -293,11 +287,13 @@ def cmd_experiment(args):
     # passed on and validated, not replaced).
     given = {k: v for k, v in vars(args).items() if k not in ("command", "name", "out", "plot", "paper_scale")}
     if name == "bias":
-        p = given.pop("p", 2)
+        lam = _parse_lambda(given.pop("lam")) if "lam" in given else None
+        p = given.pop("p", 2 if lam is None else lam.size)
         if p < 1:
             raise CliInputError(f"--p must be >= 1, got {p}")
-        lam = _parse_lambda(given.pop("lam")) if "lam" in given else np.ones(p)
-        if lam.size != p:
+        if lam is None:
+            lam = np.ones(p)
+        elif lam.size != p:
             raise CliInputError(f"--lambda has {lam.size} entries but --p is {p}")
         report = bias_majorization_check(np.diag(lam), **given)
         header = ["j", "mean_partial_sum", "target_partial_sum", "margin",
@@ -400,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         run.add_argument("--reps", type=int, help="replications")
         run.add_argument("--seed", type=int, help="replication seed (default 0)")
         if name == "bias":
-            run.add_argument("--p", type=int, help="dimension (default 2)")
+            run.add_argument("--p", type=int, help="dimension (default: the size of --lambda, else 2)")
             run.add_argument("--n", type=int, help="observations per replication (default 10)")
             run.add_argument("--lambda", dest="lam", help="population eigenvalues (default all 1)")
         if name == "fig3":
@@ -424,8 +420,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
-    if hasattr(args, "out"):
-        os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     handlers = {
         "geometry": cmd_geometry,
         "info-loss": cmd_info_loss,
@@ -435,18 +430,13 @@ def main(argv=None) -> int:
     try:
         environment = _environment()  # refuses a malformed EIGENGEO_THREADS up front
         tables, plot = handlers[args.command](args)
-    except (CliNumericError, np.linalg.LinAlgError) as exc:
+    except (OptimizerFailure, QuadratureUnderflow, np.linalg.LinAlgError) as exc:
+        # First: LinAlgError is a ValueError.
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (CliInputError, ValueError, NearDegenerateSpectrum, NotPositiveDefinite) as exc:
-        # ValueError: an argument outside the library's domain, e.g. too few
-        # replications for calibration; the spectrum errors: domain
-        # preconditions on user input, e.g. tied eigenvalues.
+    except (CliInputError, ValueError, EigengeoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EigengeoError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     _write_outputs(args, tables, plot, started, environment)
     return 0
 

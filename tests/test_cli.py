@@ -11,6 +11,15 @@ import pytest
 from eigengeo import SpdMatrix, Spectrum, cli, curvature_oracle_A
 from eigengeo.cli import main, read_matrix
 from eigengeo.cli import CliInputError
+from eigengeo.errors import (
+    DimensionMismatch,
+    EigengeoError,
+    IndexOutOfRange,
+    NearDegenerateSpectrum,
+    NotPositiveDefinite,
+    OptimizerFailure,
+    QuadratureUnderflow,
+)
 from eigengeo.fisher_geometry import FD_TOLERANCE
 
 
@@ -30,6 +39,40 @@ def write_matrix(tmp_path, name, m):
     path = tmp_path / name
     path.write_text(f"{p}\n{body}\n")
     return str(path)
+
+
+# A valid SPD matrix whose equidistant:50 lambda_star overflows exp(-log l):
+# the quadrature log-weight terms are not finite (QuadratureUnderflow, exit 3).
+UNDERFLOW = np.diag([1e-300, 1e-310])
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (CliInputError("x"), 2),
+        (ValueError("x"), 2),
+        (EigengeoError("x"), 2),
+        (DimensionMismatch("x"), 2),
+        (NotPositiveDefinite("x"), 2),
+        (NearDegenerateSpectrum("x"), 2),
+        (IndexOutOfRange("x"), 2),
+        (OptimizerFailure("x"), 3),
+        (QuadratureUnderflow("x"), 3),
+        (np.linalg.LinAlgError("x"), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_main_is_the_one_exit_code_map(tmp_path, capsys, monkeypatch, exc, code):
+    # 3 only when the computation could not finish on accepted input; every
+    # other refusal is 2.  Nothing is written either way.
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_geometry", fail)
+    assert run(tmp_path, "geometry", "--lambda", "2,1") == code
+    prefix = "error: " if code == 2 else "numeric failure: "
+    assert capsys.readouterr().err == f"{prefix}x\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class TestGeometryCommand:
@@ -226,24 +269,73 @@ class TestEstimateCommand:
         [np.eye(3), np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]) * 1.001,
          np.eye(2) * (1.0 + 1e-9), np.diag([1.0, np.inf]), np.eye(2) * 1e200],
     )
-    def test_gamma_frame_bad_file_exit_2(self, tmp_path, frame):
+    def test_gamma_frame_bad_file_exit_2(self, tmp_path, capsys, frame):
         path = write_matrix(tmp_path, "S.txt", np.diag([2.0, 1.0]))
         gamma = write_matrix(tmp_path, "G.txt", frame)
         assert run(tmp_path, "estimate", "--input", path, "--n", "4",
                    "--method", "gamma-frame", "--gamma", gamma) == 2
         assert not (tmp_path / "estimate.csv").exists()
+        # kl_project's own refusals: the CLI does not check the frame.
+        want = "frame shape (3, 3) does not match dim 2" if frame.shape == (3, 3) else "frame is not orthogonal"
+        assert capsys.readouterr().err.startswith(f"error: {want}")
 
-    def test_malformed_input_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n1 2 3\n", "declares p=2 but holds 3 values"),
+            (None, "cannot read"),
+            ("", "is empty"),
+            ("2\n1 x\n0 1\n", "malformed matrix file"),
+        ],
+    )
+    def test_malformed_input_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.txt"
-        bad.write_text("2\n1 2 3\n")
+        if text is not None:
+            bad.write_text(text)
         assert run(tmp_path, "estimate", "--input", str(bad), "--n", "5",
                    "--method", "lbar") == 2
+        assert message in capsys.readouterr().err
 
-    def test_estimator_error_exit_3(self, tmp_path):
-        # Tied sample eigenvalues break the frame-averaged estimator.
+    def test_tied_sample_eigenvalues_exit_2(self, tmp_path, capsys):
+        # Tied sample eigenvalues are outside lambda_star's domain: refused
+        # input, named by the library's own message.
         path = write_matrix(tmp_path, "S.txt", np.eye(2))
         assert run(tmp_path, "estimate", "--input", path, "--n", "2",
-                   "--method", "star") == 3
+                   "--method", "star") == 2
+        assert capsys.readouterr().err.startswith("error: lambda_star: eigenvalue gap")
+
+    def test_estimator_error_exit_3(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "S.txt", UNDERFLOW)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(tmp_path, "estimate", "--input", path, "--n", "10",
+                       "--method", "star", "--ensemble", "equidistant:50") == 3
+        assert capsys.readouterr().err == "numeric failure: quadrature log-weight terms are not finite\n"
+        assert not (tmp_path / "estimate.csv").exists()
+
+    def test_equidistant_at_p3_refused_before_building_it(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("built the refused equidistant grid")
+
+        monkeypatch.setattr(cli, "o2_equidistant", never)
+        path = write_matrix(tmp_path, "S.txt", np.diag([3.0, 2.0, 1.0]))
+        assert run(tmp_path, "estimate", "--input", path, "--n", "10",
+                   "--method", "star", "--ensemble", "equidistant:5") == 2
+        assert capsys.readouterr().err == "error: equidistant ensembles are only defined for p=2\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--method", "lbar", "--gamma", "R.txt"], "--gamma is read only by --method gamma-frame"),
+            (["--method", "lbar", "--method", "star", "--gamma", "R.txt"], "--gamma is read only"),
+            (["--method", "lbar", "--ensemble", "haar:10"], "--ensemble is read only by --method star"),
+            (["--method", "gamma-frame", "--ensemble", "equidistant:5"], "--ensemble is read only"),
+        ],
+        ids=["gamma-lbar", "gamma-lbar-star", "ensemble-lbar", "ensemble-gamma-frame"],
+    )
+    def test_unread_flag_refused_before_input(self, tmp_path, capsys, argv, message):
+        # The --input file does not exist: the flag is refused first.
+        assert run(tmp_path, "estimate", "--input", str(tmp_path / "missing.txt"), "--n", "10", *argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("frame", [False, True])
     @pytest.mark.parametrize("bad", ["inf", "nan"])
@@ -348,6 +440,7 @@ class TestExperimentCommand:
             ["fig3", "--reps", "500"],
             ["fig6", "--ensemble", "equidistant:abc"],
             ["fig6", "--ensemble", "haar:10"],
+            ["fig3", "--ensemble", "foo:3"],
             # Substream seeds outside [0, 2**64) would alias other seeds.
             ["fig4", "--seed", "-1"],
             ["fig6", "--seed", str(2**64)],
@@ -370,6 +463,8 @@ class TestExperimentCommand:
         [
             ["--p", "2", "--n", "1"],
             ["--p", "0"],
+            # Both given and disagreeing.
+            ["--p", "2", "--lambda", "3,2,1"],
             ["--reps", "0"],
             ["--reps", "1"],
         ],
@@ -378,6 +473,13 @@ class TestExperimentCommand:
         # An explicit 0 is refused, not replaced by the default.
         assert run(tmp_path, "experiment", "bias", *argv) == 2
         assert not (tmp_path / "bias.csv").exists()
+
+    def test_bias_infers_p_from_lambda(self, tmp_path):
+        argv = ["experiment", "bias", "--lambda", "3,2,1", "--reps", "2000"]
+        assert main([*argv, "--out", str(tmp_path / "inferred")]) == 0
+        assert main([*argv, "--p", "3", "--out", str(tmp_path / "given")]) == 0
+        inferred, given = ((tmp_path / d / "bias.csv").read_bytes() for d in ("inferred", "given"))
+        assert inferred == given and inferred.count(b"\n") == 4
 
     def test_fig3_explicit_zero_n_refused(self, tmp_path):
         assert run(tmp_path, "experiment", "fig3", "--reps", "1000", "--n", "0") == 2
@@ -425,6 +527,22 @@ class TestExperimentCommand:
         assert proc.returncode == 2
         assert "unrecognized arguments: --alpha 0.9" in proc.stderr
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_process_exit_status(self, tmp_path, code):
+        # The underflow run warns (overflow in exp) before it is refused.
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        path = write_matrix(tmp_path, "S.txt", UNDERFLOW if code else np.diag([2.0, 1.0]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "eigengeo.cli", "estimate", "--input", path,
+             "--n", "10", "--method", "star", "--ensemble", "equidistant:50", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code
+        assert proc.stderr.startswith("numeric failure: ") if code else proc.stderr == ""
+        assert "Traceback" not in proc.stderr
+        assert (tmp_path / "estimate.csv").exists() == (code == 0)
 
     # README's list of the flags each experiment uses.
     FLAGS = {
