@@ -150,13 +150,18 @@ def _p2_eigenvalues(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
 def check_eigenvalue_gaps(eigenvalues, what: str = "spectrum") -> np.ndarray:
     """The eigenvalues as a float vector, once checked: NearDegenerateSpectrum
     unless strictly descending with all consecutive gaps >= GAP_TOLERANCE_REL
-    * largest eigenvalue (NotPositiveDefinite unless all positive)."""
+    * largest eigenvalue (NotPositiveDefinite unless all positive).  Decided
+    on Python floats with ``separated_rows``' inequalities, which on a
+    vector of a few entries cost less than as a one-row array."""
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise DimensionMismatch("eigenvalues must be a 1-d vector")
-    if separated_rows(lam[None])[0]:
+    vals = lam.tolist()
+    positive = all(v > 0.0 for v in vals)
+    floor = GAP_TOLERANCE_REL * vals[0]
+    if positive and all(a - b >= floor for a, b in zip(vals, vals[1:])):
         return lam
-    if not np.all(lam > 0.0):
+    if not positive:
         raise NotPositiveDefinite(f"{what}: eigenvalues must be positive, got {lam}")
     gaps = lam[:-1] - lam[1:]
     j = int(np.argmin(gaps))

@@ -53,6 +53,7 @@ from .estimators import (
     ExactO2,
     OrthogonalEnsemble,
     _check_dim,
+    _check_estimate_entries,
     default_ensemble,
     lambda_star_from_eigs,
 )
@@ -430,10 +431,7 @@ def kl_risk(estimator, Sigma, n: int, reps: int, seed: int, stream: str = "kl-ri
             raise DimensionMismatch(
                 f"replication {r}: estimate has shape {vals.shape}, expected {target.shape}"
             )
-        if not all(0.0 < v < np.inf for v in vals.tolist()):
-            raise ValueError(
-                f"replication {r}: estimate entries must be finite and positive, got {vals}"
-            )
+        _check_estimate_entries(vals, f"replication {r}: ")
         estimates[r] = vals
     losses = kl_loss_diag(estimates, target)
     if np.isnan(losses).all():

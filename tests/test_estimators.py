@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,12 @@ from eigengeo import (
     DimensionMismatch,
     EigenEstimate,
     NearDegenerateSpectrum,
+    NotPositiveDefinite,
     OrthogonalEnsemble,
     QuadratureUnderflow,
+    SpdMatrix,
     haar_sample,
+    kl_risk,
     lambda_hat,
     lambda_star,
     lambda_star_from_eigs,
@@ -25,6 +29,7 @@ from eigengeo.estimators import (
     EQUIDISTANT_O2, EXACT_O2, GAMMA_FRAME, HAAR_MC, LBAR, STAR,
     ExactO2, default_ensemble, log_i0_and_ratio,
 )
+from eigengeo.spd_manifold import separated_rows
 from eigengeo.wishart_sim import sample_batch
 from conftest import random_orthogonal, rotation
 
@@ -95,6 +100,34 @@ class TestEigenEstimate:
     def test_entries_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="finite and positive"):
             EigenEstimate(np.array([1.0, bad, 0.1]), LBAR)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    def test_one_rule_with_kl_risk(self, bad):
+        # EigenEstimate and kl_risk's per-replication check refuse the same
+        # entries, each with its own message.
+        vals = np.array([1.0, bad, 0.1])
+        want = f"estimate entries must be finite and positive, got {vals}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            EigenEstimate(vals, LBAR)
+        with pytest.raises(ValueError, match=f"^replication 2: {re.escape(want)}$"):
+            kl_risk(self.bad_third(vals), np.diag([3.0, 2.0, 1.0]), 10, 20, 0)
+
+    def test_two_dimensional_values_refused_by_both(self):
+        vals = np.ones((1, 3))
+        with pytest.raises(DimensionMismatch, match="^estimate must be a vector$"):
+            EigenEstimate(vals, LBAR)
+        with pytest.raises(DimensionMismatch, match=r"^replication 2: estimate has shape \(1, 3\), expected \(3,\)$"):
+            kl_risk(self.bad_third(vals), np.diag([3.0, 2.0, 1.0]), 10, 20, 0)
+
+    @staticmethod
+    def bad_third(vals):
+        calls = []
+
+        def estimator(S, n):
+            calls.append(1)
+            return vals if len(calls) == 3 else lbar(S, n)
+
+        return estimator
 
 
 class TestO2Equidistant:
@@ -184,6 +217,7 @@ class TestDiagonals:
         got = ens.diagonals(row)
         assert got.shape == (1, ens.dim, ens.size)
         assert np.array_equal(got, ens.diagonals(np.ascontiguousarray(row)))
+        assert np.array_equal(got[0], ens.diagonals(row[0]))  # a lone row drops the rows axis
         assert_allclose(got, self.einsum_oracle(row, ens), rtol=1e-15, atol=0)
         brute = np.array([np.diagonal(H.T @ np.diag(row[0]) @ H) for H in ens.matrices])
         assert_allclose(got[0].T, brute, rtol=1e-14)
@@ -223,6 +257,10 @@ class TestStep:
         log_lam = np.log(rows / 10)[:, None, :] + rng.normal(0.0, 0.3, (4, 7, ens.dim))
         f, update = ens.step(D, log_lam, 10)
         assert f.shape == (4, 7) and update.shape == (4, 7, ens.dim)
+        for r in range(4):
+            # A lone row, without the rows axis, runs its row's products.
+            g, one = ens.step(ens.diagonals(rows[r]), log_lam[r], 10)
+            assert np.array_equal(g, f[r]) and np.array_equal(one, update[r])
         for r, s in itertools.product(range(4), range(7)):
             g, one = ens.step(D[r : r + 1], log_lam[r : r + 1, s : s + 1], 10)
             assert_allclose(f[r, s], g[0, 0], rtol=1e-14, atol=0)
@@ -343,6 +381,55 @@ BESSEL_X = np.concatenate([
     np.linspace(19.9, 20.1, 41),
     np.geomspace(40.0, 1e4, 300),
 ])
+
+
+class TestLoneRow:
+    # lambda_star on one matrix runs its spectrum through the ensemble's
+    # diagonals and posterior without a rows axis: the products its row
+    # gets in a batch, and the bits the (1, 1, p)-shaped step gave.
+    ENSEMBLES = [
+        *(pytest.param(p, lambda p=p, seed=seed: default_ensemble(p, seed), id=f"haar-p{p}-seed{seed}")
+          for p in (3, 4, 5) for seed in (0, 1)),
+        pytest.param(2, ExactO2, id="exact-o2"),
+        pytest.param(2, lambda: o2_equidistant(50), id="equidistant-50"),
+    ]
+
+    @pytest.mark.parametrize("p, make", ENSEMBLES)
+    def test_bits_are_the_batch_row_and_the_one_row_step(self, p, make):
+        ens, n = make(), 10
+        R = random_orthogonal(np.random.default_rng(p), p)
+        sigma = (R * np.linspace(2.0, 0.5, p)) @ R.T
+        stack = SpdMatrix.stack(sample_batch(sigma, n, 1000, 17, "lone-row"))
+        eigs = np.array([S.eigenvalues for S in stack])
+        assert separated_rows(eigs).all()
+        batch = lambda_star_from_eigs(eigs, n, ens)
+        for S, want in zip(stack, batch):
+            got = lambda_star(S, n, ens).values
+            row = S.eigenvalues
+            one_row = ens.step(ens.diagonals(row[None]), np.log(row[None] / n)[:, None], n)[1][0, 0]
+            assert np.array_equal(got, want) and np.array_equal(got, one_row)
+
+    @pytest.mark.parametrize("ens", [default_ensemble(3, 0), o2_equidistant(10)], ids=["haar-p3", "equidistant-p2"])
+    def test_refusals_are_the_batch_row_ones(self, ens):
+        # Each refusal of a lone row has the class and message that the
+        # same row raises in a batch.
+        p = ens.dim
+        cases = [
+            (np.linspace(4.0, 1.0, p + 1), 10, DimensionMismatch, f"ensemble dim {p} does not match p = {p + 1}"),
+            (np.linspace(4.0, 1.0, p), p - 1, ValueError, f"need n >= p, got n={p - 1}, p={p}"),
+            (np.full(p, 3.0), 10, NearDegenerateSpectrum, "lambda_star: eigenvalue gap 0.000e+00 between positions 0"),
+            (np.linspace(4.0, -1.0, p), 10, NotPositiveDefinite, "lambda_star: eigenvalues must be positive"),
+        ]
+        for row, n, cls, msg in cases:
+            for eigs in (row, row[None]):
+                with pytest.raises(cls, match=f"^{re.escape(msg)}"):
+                    lambda_star_from_eigs(eigs, n, ens)
+        with pytest.raises(DimensionMismatch, match=f"^ensemble dim {p} does not match p = 1$"):
+            lambda_star_from_eigs(5.0, 10, ens)  # a scalar is a row of one
+        with pytest.raises(NearDegenerateSpectrum, match="^lambda_star: eigenvalue gap"):
+            lambda_star(np.eye(p), 10, ens)
+        with pytest.raises(ValueError, match=f"^need n >= p, got n={p - 1}, p={p}$"):
+            lambda_star(np.diag(np.linspace(4.0, 1.0, p)), p - 1, ens)
 
 
 class TestBesselHelpers:

@@ -528,6 +528,9 @@ class InterfaceOnly:
     def step(self, D, log_lam, n):
         return self._real.step(D, log_lam, n)
 
+    def _posterior(self, D, log_lam, n):
+        return self._real._posterior(D, log_lam, n)
+
 
 class TestFrameIntegralInterface:
     # The 100-node grid runs each start over all rows at once; the 1024-node
@@ -542,6 +545,8 @@ class TestFrameIntegralInterface:
         eigs = wishart_eig_rows(real.dim, 10, 6, 40 + real.dim)
         got, want = lambda_star_from_eigs(eigs, 10, fake), lambda_star_from_eigs(eigs, 10, real)
         assert np.array_equal(got, want)
+        for row in eigs:
+            assert np.array_equal(lambda_star_from_eigs(row, 10, fake), lambda_star_from_eigs(row, 10, real))
         for got, want in zip(_profile_sup(eigs, 10, fake), _profile_sup(eigs, 10, real)):
             assert np.array_equal(got, want)
         R = random_orthogonal(np.random.default_rng(41), real.dim)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -33,7 +34,14 @@ from eigengeo import (
     to_natural,
 )
 from eigengeo.estimators import ExactO2
-from eigengeo.spd_manifold import _chart, _p2_eigenvalues, descending_eigenvalues, separated_rows
+from eigengeo.spd_manifold import (
+    GAP_TOLERANCE_REL,
+    _chart,
+    _p2_eigenvalues,
+    check_eigenvalue_gaps,
+    descending_eigenvalues,
+    separated_rows,
+)
 from eigengeo.wishart_sim import _batch_lbar, _batch_star, sample_batch
 from conftest import random_orthogonal, random_spd, rotation
 
@@ -281,6 +289,60 @@ class TestDescendingEigenvalues:
         for r, S in enumerate(S_batch):
             assert np.array_equal(lbar(S, 10).values, lbars[:, r])
             assert np.array_equal(lambda_star(S, 10, ExactO2()).values, stars[:, r])
+
+
+class TestCheckEigenvalueGaps:
+    @staticmethod
+    def rows(p, rng):
+        """Random rows of length p (descending, unsorted with negative
+        entries, ascending), ties, one special value at each position, and
+        rows at the gap floor: 1e8 - k has every gap exactly
+        GAP_TOLERANCE_REL * 1e8 = 1, and one entry moved by an ulp puts a
+        gap just above or below it."""
+        rows = [*np.sort(rng.uniform(0.1, 10.0, (20, p)), axis=1)[:, ::-1], *rng.uniform(-1.0, 10.0, (20, p)),
+                *np.sort(rng.uniform(0.1, 10.0, (5, p)), axis=1), np.full(p, 2.0)]
+        for j, v in itertools.product(range(p), [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 0.5]):
+            row = np.linspace(5.0, 1.0, p)
+            row[j] = v
+            rows.append(row)
+        floor = 1e8 - np.arange(p, dtype=float)
+        rows.append(floor)
+        for j, toward in itertools.product(range(p), [0.0, 2e8]):
+            row = floor.copy()
+            row[j] = np.nextafter(row[j], toward)
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_decided_as_separated_rows(self, p, rng):
+        # The Python-float decision accepts exactly separated_rows' rows;
+        # a refusal keeps its class and message.
+        assert GAP_TOLERANCE_REL * 1e8 == 1.0
+        accepted = 0
+        for row in self.rows(p, rng):
+            if separated_rows(row[None])[0]:
+                assert check_eigenvalue_gaps(row, "x") is row
+                accepted += 1
+                continue
+            if not np.all(row > 0.0):
+                cls, msg = NotPositiveDefinite, f"x: eigenvalues must be positive, got {row}"
+            else:
+                gaps = row[:-1] - row[1:]
+                j = int(np.argmin(gaps))
+                cls, msg = NearDegenerateSpectrum, (
+                    f"x: eigenvalue gap {gaps[j]:.3e} between positions {j} and "
+                    f"{j + 1} is below the tolerance {GAP_TOLERANCE_REL * row[0]:.3e}"
+                )
+            with pytest.raises(cls) as info:
+                check_eigenvalue_gaps(row, "x")
+            assert str(info.value) == msg
+        assert accepted >= 20
+        check_eigenvalue_gaps(1e8 - np.arange(p, dtype=float), "x")  # every gap at the floor: accepted
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.ones(0), 3.0])
+    def test_not_a_vector_refused(self, bad):
+        with pytest.raises(DimensionMismatch, match="^eigenvalues must be a 1-d vector$"):
+            check_eigenvalue_gaps(bad)
 
 
 class TestSpectralDecompose:

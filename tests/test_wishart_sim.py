@@ -390,6 +390,17 @@ class TestKlRiskStack:
         )
         assert (res.mean, res.stderr, res.reps, res.failures) == want
 
+    @pytest.mark.parametrize(
+        "p, want",
+        [(3, (0.3240310075417074, 0.012780367176800816)), (5, (0.5440777263675769, 0.017064832686379393))],
+    )
+    def test_lambda_star_risk_is_pinned(self, p, want):
+        # The per-matrix lambda_star risk, pinned to the bits that lambda_star
+        # gave when it ran one spectrum as a (1, 1, p) batch.
+        ens = default_ensemble(p, 0)
+        res = kl_risk(lambda S, n: lambda_star(S, n, ens), self.sigma(p), 10, 400, 3, "stack-star")
+        assert (res.mean, res.stderr, res.reps, res.failures) == (*want, 400, 0)
+
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_lbar_is_the_per_slice_loop(self, p):
         sigma = self.sigma(p)
